@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyDataset, InvalidConfig
+from .errors import AttackOutOfBounds, EmptyDataset, InvalidConfig
 from .losses import cosine_sim_matrix
 from .tensor import Tensor, backward, row_log_softmax
 
@@ -89,31 +89,32 @@ def pgd_attack(encoder, text_matrix: Array, x: Array, y: Array,
 
     Run 0 starts at the clean input; later runs start at seeded uniform
     points of the ball. Per sample, the candidate with the highest final
-    cross-entropy wins (earliest run on ties, for determinism).
+    cross-entropy wins (earliest run on ties, for determinism). With no
+    restarts the single candidate is returned without scoring it.
+
+    Raises AttackOutOfBounds if the result leaves the ball or [0, 1].
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     if cfg.eps == 0.0:
         return x.copy()
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xAD)))
-    best_x = None
-    best_ce = None
-    for run in range(cfg.restarts + 1):
-        if run == 0:
-            start = x.copy()
-        else:
+    best_x = pgd_steps(encoder, text_matrix, x, x.copy(), y,
+                       cfg.eps, cfg.step_size, cfg.steps)
+    if cfg.restarts:
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xAD)))
+        best_ce = per_sample_ce(encoder, text_matrix, best_x, y)
+        for _ in range(cfg.restarts):
             start = np.clip(x + rng.uniform(-cfg.eps, cfg.eps, size=x.shape), 0.0, 1.0)
-        cand = pgd_steps(encoder, text_matrix, x, start, y,
-                         cfg.eps, cfg.step_size, cfg.steps)
-        ce = per_sample_ce(encoder, text_matrix, cand, y)
-        if best_x is None:
-            best_x, best_ce = cand, ce
-        else:
+            cand = pgd_steps(encoder, text_matrix, x, start, y,
+                             cfg.eps, cfg.step_size, cfg.steps)
+            ce = per_sample_ce(encoder, text_matrix, cand, y)
             better = ce > best_ce
             best_x = np.where(better[:, None], cand, best_x)
             best_ce = np.where(better, ce, best_ce)
-    assert np.max(np.abs(best_x - x)) <= cfg.eps + 1e-9, "left the epsilon ball"
-    assert best_x.min() >= 0.0 and best_x.max() <= 1.0, "left the pixel range"
+    if not np.all(np.abs(best_x - x) <= cfg.eps + 1e-9):
+        raise AttackOutOfBounds(f"attack result left the eps={cfg.eps} ball")
+    if not np.all((best_x >= 0.0) & (best_x <= 1.0)):
+        raise AttackOutOfBounds("attack result left the pixel range [0, 1]")
     return best_x
 
 

@@ -35,6 +35,10 @@ class InvalidVariant(TimaError):
     """Unknown fine-tuning variant name."""
 
 
+class AttackOutOfBounds(TimaError):
+    """An attack result left the epsilon-ball or the valid pixel range."""
+
+
 # losses
 class NotNormalized(TimaError):
     """Cosine similarity requires unit-norm rows."""
@@ -46,6 +50,10 @@ class TooFewClasses(TimaError):
 
 class LabelOutOfRange(TimaError):
     """A label index falls outside [0, num_classes)."""
+
+
+class LabelNotInteger(TimaError):
+    """Labels must be an integer array; other dtypes are never truncated."""
 
 
 class InvalidEta(TimaError):

@@ -27,7 +27,7 @@ from .errors import (
     ReportSchemaError,
     TooFewClasses,
 )
-from .losses import LossWeights, cosine_sim_matrix, tima_loss
+from .losses import LossWeights, cosine_sim_matrix, teacher_targets, tima_loss
 from .model import DualEncoder, TeacherSnapshot
 from .tensor import Tensor, backward, l2_normalize_rows, row_log_softmax
 
@@ -149,6 +149,9 @@ def finetune(model: DualEncoder, teacher: TeacherSnapshot, train_data: Dataset,
         params = params + model.text_parameters()
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xF7)))
     opt = _Momentum(params, cfg.learning_rate, cfg.momentum)
+    # the teacher is frozen: its rows for each sample are fixed for the run
+    targets = teacher_targets(teacher, train_data.images, train_data.labels, w,
+                              batch_size=cfg.batch_size)
     trace = []
     n = train_data.num_samples
     for epoch in range(cfg.epochs):
@@ -163,7 +166,8 @@ def finetune(model: DualEncoder, teacher: TeacherSnapshot, train_data: Dataset,
             batch_attack = dataclasses.replace(
                 attack, seed=attack.seed + 1000003 * epoch + bi)
             x_adv = pgd_attack(model, text, xb, yb, batch_attack)
-            loss, _ = tima_loss(model, teacher, xb, x_adv, yb, w)
+            loss, _ = tima_loss(model, teacher, xb, x_adv, yb, w,
+                                targets=targets.take(idx))
             opt.step(backward(loss, opt.params))
             total += loss.item() * len(idx)
         trace.append(total / n)

@@ -12,6 +12,7 @@ teacher's clean distribution. ``tima_loss`` composes all four.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .errors import (
     InvalidConfig,
     InvalidEta,
     InvalidTemperature,
+    LabelNotInteger,
     LabelOutOfRange,
     NotNormalized,
     ShapeMismatch,
@@ -176,7 +178,11 @@ def takd_loss(teacher_z, teacher_t, student_adv_z, tau: float) -> Tensor:
 
 def _check_labels(y: Array, num_classes: int) -> Array:
     y = np.asarray(y)
-    if y.ndim != 1 or not np.issubdtype(y.dtype, np.integer):
+    if y.ndim != 1:
+        raise ShapeMismatch(f"labels must be a vector, got shape {y.shape}")
+    if not np.issubdtype(y.dtype, np.integer):
+        if y.size:
+            raise LabelNotInteger(f"labels must be integers, got dtype {y.dtype}")
         y = y.astype(np.int64)
     if y.size and (y.min() < 0 or y.max() >= num_classes):
         raise LabelOutOfRange(f"labels must lie in [0, {num_classes})")
@@ -237,8 +243,50 @@ def tam_loss(s_adv, margin: Array, y, tau: float) -> Tensor:
     return (log_probs * Tensor(one_hot, op="const")).sum() * (-1.0 / n)
 
 
+class TeacherTargets(NamedTuple):
+    """What the frozen teacher contributes to the loss, one row per sample:
+    clean image embeddings ``z`` and adaptive-margin rows ``margin`` (all
+    zeros when m = 0)."""
+
+    z: Array
+    margin: Array
+
+    def take(self, idx) -> "TeacherTargets":
+        return TeacherTargets(self.z[idx], self.margin[idx])
+
+
+def teacher_targets(teacher, x, y, w: LossWeights,
+                    batch_size: Optional[int] = None) -> TeacherTargets:
+    """Teacher embeddings and margin rows of every sample of ``x``.
+
+    Works through ``x`` in chunks of ``batch_size`` rows (one chunk when
+    None) so peak memory stays that of one batch. Each row depends only on
+    its own sample, so it is bit-identical to the row the same sample gets
+    inside any other batch.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    t_hat = teacher.t_hat
+    c = t_hat.shape[0]
+    y = _check_labels(y, c)
+    n = x.shape[0]
+    step = batch_size or max(n, 1)
+    s_tt = cosine_sim_matrix(t_hat, t_hat).data if w.m != 0.0 else None
+    zs, margins = [], []
+    for lo in range(0, max(n, 1), step):
+        z = teacher.encode_images(x[lo:lo + step])
+        if w.m == 0.0:
+            margin = np.zeros((z.shape[0], c))
+        else:
+            s_it = cosine_sim_matrix(z, t_hat).data
+            margin = adaptive_margin(s_it, s_tt, y[lo:lo + step], w.m, w.eta, w.margin_sign)
+        zs.append(z)
+        margins.append(margin)
+    return TeacherTargets(np.concatenate(zs), np.concatenate(margins))
+
+
 def tima_loss(student, teacher, x_clean: Array, x_adv: Array, y,
-              w: LossWeights) -> tuple[Tensor, LossComponents]:
+              w: LossWeights, *, targets: Optional[TeacherTargets] = None
+              ) -> tuple[Tensor, LossComponents]:
     """Combined loss: TAM + lam_v*TAKD + lam*(MHE + lam_t*IAKD).
 
     ``student`` is the trainable dual encoder, ``teacher`` the frozen
@@ -247,20 +295,21 @@ def tima_loss(student, teacher, x_clean: Array, x_adv: Array, y,
     plain adversarial contrastive cross-entropy against the teacher text.
     Gradients reach the image encoder through TAM + TAKD only and the text
     encoder through MHE + IAKD only.
+
+    ``targets`` are this batch's rows of ``teacher_targets`` under the same
+    weights; when omitted they are computed from ``x_clean``.
     """
-    teacher_z = teacher.encode_images(x_clean)
     t_hat = teacher.t_hat
     y = _check_labels(y, t_hat.shape[0])
     n = np.asarray(x_adv).shape[0]
+    if targets is None:
+        targets = teacher_targets(teacher, x_clean, y, w)
+    teacher_z, margin = targets
+    if teacher_z.shape[0] != n:
+        raise ShapeMismatch(f"tima_loss: {teacher_z.shape[0]} teacher rows for {n} samples")
 
     z_adv = student.encode_images(x_adv)
     s_adv = cosine_sim_matrix(z_adv, Tensor(t_hat, op="const"))
-    if w.m == 0.0:
-        margin = np.zeros((n, t_hat.shape[0]))
-    else:
-        s_it = cosine_sim_matrix(teacher_z, t_hat).data
-        s_tt = cosine_sim_matrix(t_hat, t_hat).data
-        margin = adaptive_margin(s_it, s_tt, y, w.m, w.eta, w.margin_sign)
     tam = tam_loss(s_adv, margin, y, w.tau)
     total = tam
 
@@ -298,6 +347,8 @@ __all__ = [
     "takd_loss",
     "adaptive_margin",
     "tam_loss",
+    "TeacherTargets",
+    "teacher_targets",
     "tima_loss",
     "MARGIN_SIGN_LITERAL",
     "MARGIN_SIGN_NEGATE",

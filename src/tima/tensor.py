@@ -4,6 +4,9 @@ Every operation returns a fresh node wired to its parents, so graphs are
 acyclic by construction and a creation-order topological sort always exists.
 Gradients are computed by :func:`backward` as a pure function of the graph:
 nothing is cached on the nodes, so repeated calls give identical results.
+Only gradients along paths to the requested leaves are computed: an operation
+is asked for one parent's contribution at a time, and never for a parent with
+no path to a requested leaf (a constant input, or a weight nobody asked for).
 """
 
 from __future__ import annotations
@@ -30,15 +33,16 @@ class Tensor:
 
     Leaf tensors (no parents) are the differentiable inputs. ``data`` is
     always a float64 ndarray; non-finite values raise at the producing
-    operation rather than propagating silently.
+    operation rather than propagating silently. ``backward_fn(g, i)`` maps
+    the gradient ``g`` of this node to the contribution of parent ``i``.
     """
 
     __slots__ = ("data", "parents", "op", "_backward")
 
     def __init__(self, data, parents: Sequence["Tensor"] = (), op: str = "leaf",
-                 backward_fn: Optional[Callable[[Array], tuple]] = None):
+                 backward_fn: Optional[Callable[[Array, int], Array]] = None):
         self.data = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(self.data)):
+        if not np.isfinite(self.data).all():
             raise NonFiniteValue(f"non-finite values produced by op '{op}'")
         self.parents = tuple(parents)
         self.op = op
@@ -70,7 +74,7 @@ class Tensor:
         other = _lift(other)
         _check_elementwise(self, other, "add")
         return Tensor(self.data + other.data, (self, other), "add",
-                      lambda g: (_fit(g, self.shape), _fit(g, other.shape)))
+                      lambda g, i: _fit(g, self.shape if i == 0 else other.shape))
 
     __radd__ = __add__
 
@@ -78,7 +82,7 @@ class Tensor:
         other = _lift(other)
         _check_elementwise(self, other, "sub")
         return Tensor(self.data - other.data, (self, other), "sub",
-                      lambda g: (_fit(g, self.shape), _fit(-g, other.shape)))
+                      lambda g, i: _fit(g, self.shape) if i == 0 else _fit(-g, other.shape))
 
     def __rsub__(self, other):
         return _lift(other).__sub__(self)
@@ -87,8 +91,8 @@ class Tensor:
         other = _lift(other)
         _check_elementwise(self, other, "mul")
         return Tensor(self.data * other.data, (self, other), "mul",
-                      lambda g: (_fit(g * other.data, self.shape),
-                                 _fit(g * self.data, other.shape)))
+                      lambda g, i: (_fit(g * other.data, self.shape) if i == 0
+                                    else _fit(g * self.data, other.shape)))
 
     __rmul__ = __mul__
 
@@ -98,15 +102,15 @@ class Tensor:
         with np.errstate(divide="ignore", invalid="ignore"):
             out = self.data / other.data
         return Tensor(out, (self, other), "div",
-                      lambda g: (_fit(g / other.data, self.shape),
-                                 _fit(-g * self.data / (other.data * other.data),
-                                      other.shape)))
+                      lambda g, i: (_fit(g / other.data, self.shape) if i == 0
+                                    else _fit(-g * self.data / (other.data * other.data),
+                                              other.shape)))
 
     def __rtruediv__(self, other):
         return _lift(other).__truediv__(self)
 
     def __neg__(self):
-        return Tensor(-self.data, (self,), "neg", lambda g: (-g,))
+        return Tensor(-self.data, (self,), "neg", lambda g, i: -g)
 
     # -- linear algebra ------------------------------------------------------
 
@@ -116,24 +120,24 @@ class Tensor:
             raise ShapeMismatch(
                 f"matmul: {self.shape} @ {other.shape}")
         return Tensor(self.data @ other.data, (self, other), "matmul",
-                      lambda g: (g @ other.data.T, self.data.T @ g))
+                      lambda g, i: g @ other.data.T if i == 0 else self.data.T @ g)
 
     @property
     def T(self) -> "Tensor":
         if self.ndim != 2:
             raise ShapeMismatch(f"transpose needs a matrix, got shape {self.shape}")
-        return Tensor(self.data.T, (self,), "transpose", lambda g: (g.T,))
+        return Tensor(self.data.T, (self,), "transpose", lambda g, i: g.T)
 
     # -- reductions ----------------------------------------------------------
 
     def sum(self) -> "Tensor":
         return Tensor(np.sum(self.data), (self,), "sum",
-                      lambda g: (np.full(self.shape, float(g)),))
+                      lambda g, i: np.full(self.shape, float(g)))
 
     def mean(self) -> "Tensor":
         n = self.data.size
         return Tensor(np.mean(self.data), (self,), "mean",
-                      lambda g: (np.full(self.shape, float(g) / n),))
+                      lambda g, i: np.full(self.shape, float(g) / n))
 
     # -- elementwise nonlinearities -------------------------------------------
 
@@ -141,28 +145,28 @@ class Tensor:
         with np.errstate(over="ignore"):
             out = np.exp(self.data)
         t = Tensor(out, (self,), "exp", None)
-        t._backward = lambda g: (g * out,)
+        t._backward = lambda g, i: g * out
         return t
 
     def log(self) -> "Tensor":
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.log(self.data)
-        return Tensor(out, (self,), "log", lambda g: (g / self.data,))
+        return Tensor(out, (self,), "log", lambda g, i: g / self.data)
 
     def tanh(self) -> "Tensor":
         out = np.tanh(self.data)
         t = Tensor(out, (self,), "tanh", None)
-        t._backward = lambda g: (g * (1.0 - out * out),)
+        t._backward = lambda g, i: g * (1.0 - out * out)
         return t
 
     def relu(self) -> "Tensor":
         return Tensor(np.maximum(self.data, 0.0), (self,), "relu",
-                      lambda g: (g * (self.data > 0.0),))
+                      lambda g, i: g * (self.data > 0.0))
 
     def clamp(self, lo: float, hi: float) -> "Tensor":
         mask = (self.data >= lo) & (self.data <= hi)
         return Tensor(np.clip(self.data, lo, hi), (self,), "clamp",
-                      lambda g: (g * mask,))
+                      lambda g, i: g * mask)
 
 
 def _lift(x) -> Tensor:
@@ -189,7 +193,7 @@ def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
     if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
         raise ShapeMismatch(f"add_rowvec: {m.shape} + {v.shape}")
     return Tensor(m.data + v.data, (m, v), "add_rowvec",
-                  lambda g: (g, g.sum(axis=0)))
+                  lambda g, i: g if i == 0 else g.sum(axis=0))
 
 
 def l2_normalize_rows(m: Tensor) -> Tensor:
@@ -207,10 +211,10 @@ def l2_normalize_rows(m: Tensor) -> Tensor:
         raise DegenerateRow(f"row {bad} has norm {norms[bad, 0]:.3e} < {ROW_NORM_FLOOR}")
     out = m.data / norms
 
-    def backward_fn(g: Array):
+    def backward_fn(g: Array, i: int) -> Array:
         # per row: (g - y (g.y)) / ||x||
         dots = np.sum(g * out, axis=1, keepdims=True)
-        return ((g - out * dots) / norms,)
+        return (g - out * dots) / norms
 
     return Tensor(out, (m,), "l2_normalize_rows", backward_fn)
 
@@ -230,9 +234,9 @@ def row_log_softmax(s: Tensor, tau: float) -> Tensor:
     shifted = a - np.max(a, axis=1, keepdims=True)
     out = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
 
-    def backward_fn(g: Array):
+    def backward_fn(g: Array, i: int) -> Array:
         p = np.exp(out)
-        return ((g - p * np.sum(g, axis=1, keepdims=True)) / tau,)
+        return (g - p * np.sum(g, axis=1, keepdims=True)) / tau
 
     return Tensor(out, (s,), "row_log_softmax", backward_fn)
 
@@ -244,6 +248,13 @@ def backward(loss: Tensor, leaves: Optional[Iterable[Tensor]] = None) -> Dict[Te
     results are bit-deterministic and repeat calls over the same graph return
     identical values. Leaves with no path to the loss get exact zeros.
 
+    Only gradients along paths to the requested leaves are computed. A node
+    is needed when it is a requested leaf or has a needed parent; an op's
+    backward runs only for its needed parents, so constants and unrequested
+    weights cost nothing. Every needed node still receives all of its
+    contributions in the same order, so each sum rounds exactly as it would
+    with every leaf requested.
+
     Returns a dict keyed by the leaf Tensor objects themselves. When
     ``leaves`` is None, every leaf reachable from ``loss`` is reported.
     """
@@ -251,35 +262,45 @@ def backward(loss: Tensor, leaves: Optional[Iterable[Tensor]] = None) -> Dict[Te
         raise NonScalarLoss("backward requires a scalar loss node")
 
     topo: list[Tensor] = []
-    seen: set[int] = set()
+    seen: set[Tensor] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             topo.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         for p in reversed(node.parents):
-            if id(p) not in seen:
+            if p not in seen:
                 stack.append((p, False))
-
-    grads: Dict[int, Array] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo):
-        g = grads.get(id(node))
-        if g is None or node._backward is None:
-            continue
-        for parent, contrib in zip(node.parents, node._backward(g)):
-            acc = grads.get(id(parent))
-            grads[id(parent)] = contrib if acc is None else acc + contrib
 
     if leaves is None:
         leaves = [n for n in topo if not n.parents]
+    else:
+        leaves = list(leaves)
+    # topo lists every parent before its children
+    needed: set[Tensor] = set(leaves)
+    for node in topo:
+        if any(p in needed for p in node.parents):
+            needed.add(node)
+
+    grads: Dict[Tensor, Array] = {loss: np.ones_like(loss.data)}
+    for node in reversed(topo):
+        g = grads.get(node)
+        if g is None or node._backward is None:
+            continue
+        for i, parent in enumerate(node.parents):
+            if parent in needed:
+                contrib = node._backward(g, i)
+                acc = grads.get(parent)
+                grads[parent] = contrib if acc is None else acc + contrib
+
     out: Dict[Tensor, Array] = {}
     for leaf in leaves:
-        g = grads.get(id(leaf))
+        g = grads.get(leaf)
         out[leaf] = np.zeros_like(leaf.data) if g is None else np.asarray(g, dtype=np.float64)
     return out
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tima import attacks
 from tima.attacks import AttackConfig, classify, per_sample_ce, pgd_attack, pgd_steps, robust_accuracy
 from tima.data import SyntheticSpec, generate_synthetic
-from tima.errors import EmptyDataset, InvalidConfig
+from tima.errors import AttackOutOfBounds, EmptyDataset, InvalidConfig
 from tima.model import EncoderConfig, init_model, snapshot_teacher
 from tima.tensor import Tensor, finite_diff_grad, l2_normalize_rows
 
@@ -117,6 +118,34 @@ class TestPgdAttack:
         ce0 = per_sample_ce(self.model, self.text, a0, self.y)
         ce5 = per_sample_ce(self.model, self.text, a5, self.y)
         assert np.all(ce5 >= ce0 - 1e-12)
+
+    def test_single_candidate_skips_scoring(self, monkeypatch):
+        def no_scoring(*args):
+            raise AssertionError("per_sample_ce called with a single candidate")
+
+        cfg = AttackConfig(eps=4 / 255, step_size=1 / 255, steps=3, restarts=0)
+        expected = pgd_steps(self.model, self.text, self.x, self.x, self.y,
+                             cfg.eps, cfg.step_size, cfg.steps)
+        monkeypatch.setattr(attacks, "per_sample_ce", no_scoring)
+        assert np.array_equal(pgd_attack(self.model, self.text, self.x, self.y, cfg), expected)
+
+    @pytest.mark.parametrize("restarts", [0, 1])
+    def test_leaving_the_ball_raises(self, monkeypatch, restarts):
+        monkeypatch.setattr(attacks, "pgd_steps",
+                            lambda enc, t, xc, xs, y, eps, step, k: xc + 2.0 * eps)
+        x = np.full((3, 6), 0.5)
+        cfg = AttackConfig(eps=4 / 255, steps=1, restarts=restarts)
+        with pytest.raises(AttackOutOfBounds):
+            pgd_attack(self.model, self.text, x, self.y[:3], cfg)
+
+    @pytest.mark.parametrize("restarts", [0, 1])
+    def test_leaving_the_pixel_range_raises(self, monkeypatch, restarts):
+        monkeypatch.setattr(attacks, "pgd_steps",
+                            lambda enc, t, xc, xs, y, eps, step, k: xc + 0.5 * eps)
+        x = np.full((3, 6), 1.0)
+        cfg = AttackConfig(eps=4 / 255, steps=1, restarts=restarts)
+        with pytest.raises(AttackOutOfBounds):
+            pgd_attack(self.model, self.text, x, self.y[:3], cfg)
 
     @given(st.integers(min_value=0, max_value=1000),
            st.sampled_from([1 / 255, 4 / 255, 8 / 255]),

@@ -22,7 +22,7 @@ from tima.harness import (
     write_report,
 )
 from tima.losses import LossWeights
-from tima.model import EncoderConfig, init_model, snapshot_teacher
+from tima.model import EncoderConfig, TeacherSnapshot, init_model, snapshot_teacher
 from tima.tensor import Tensor
 
 
@@ -109,6 +109,19 @@ class TestFinetuneVariants:
                    for a, p in zip(before_img, student.image_parameters()))
         assert any(not np.array_equal(a, p.data)
                    for a, p in zip(before_txt, student.text_parameters()))
+
+    def test_teacher_encodes_each_sample_once(self, monkeypatch):
+        rows = []
+        original = TeacherSnapshot.encode_images
+
+        def counting(teacher, x):
+            rows.append(len(x))
+            return original(teacher, x)
+
+        monkeypatch.setattr(TeacherSnapshot, "encode_images", counting)
+        finetune(self.pretrained.clone(), self.teacher, self.train,
+                 fast_train_cfg(variant="tima", epochs=3))
+        assert sum(rows) == self.train.num_samples
 
     def test_teacher_unchanged_by_any_variant(self):
         before = self.teacher.fingerprint()

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tima.config import parse_config
+from tima.data import generate_synthetic
 from tima.errors import (
     InvalidConfig,
     InvalidEta,
     InvalidTemperature,
+    LabelNotInteger,
     LabelOutOfRange,
     NotNormalized,
     ShapeMismatch,
@@ -22,6 +25,7 @@ from tima.losses import (
     mhe_loss,
     takd_loss,
     tam_loss,
+    teacher_targets,
     tima_loss,
 )
 from tima.model import EncoderConfig, init_model, snapshot_teacher
@@ -288,6 +292,18 @@ class TestTamLoss:
         with pytest.raises(LabelOutOfRange):
             tam_loss(np.zeros((1, 2)), np.zeros((1, 2)), np.array([2]), 1.0)
 
+    def test_float_labels_rejected_not_truncated(self):
+        with pytest.raises(LabelNotInteger):
+            tam_loss(np.zeros((1, 2)), np.zeros((1, 2)), np.array([1.7]), 1.0)
+        with pytest.raises(LabelNotInteger):
+            tam_loss(np.zeros((1, 2)), np.zeros((1, 2)), np.array([1.0]), 1.0)
+        with pytest.raises(LabelNotInteger):
+            adaptive_margin(np.zeros((1, 2)), np.eye(2), [0.0], 0.1, 0.9)
+
+    def test_label_matrix_rejected(self):
+        with pytest.raises(ShapeMismatch):
+            tam_loss(np.zeros((1, 2)), np.zeros((1, 2)), np.array([[1]]), 1.0)
+
     def test_gradient_matches_finite_diff(self):
         rng = np.random.default_rng(31)
         t_hat = unit_rows(rng, 3, 5)
@@ -386,3 +402,52 @@ class TestTimaLoss:
                     p.data = original.copy()
 
             assert_grads_close(analytic[p], finite_diff_grad(f, original, h=1e-6))
+
+
+class TestTeacherTargets:
+    """Once-per-sample teacher rows equal the rows each batch used to compute."""
+
+    @pytest.mark.parametrize("hidden_dims", ["", "128"])
+    def test_chunked_rows_equal_per_batch_rows(self, hidden_dims):
+        cfg = parse_config(f"hidden_dims = {hidden_dims}\n")
+        train, _ = generate_synthetic(cfg.synthetic_spec())
+        teacher = snapshot_teacher(init_model(cfg.encoder_config(), tau=cfg["tau"]))
+        w = LossWeights(m=0.1, eta=0.5)
+        t_hat = teacher.t_hat
+        targets = teacher_targets(teacher, train.images, train.labels, w,
+                                  batch_size=cfg["batch_size"])
+        perm = np.random.default_rng(0).permutation(train.num_samples)
+        for idx in (perm[:128], perm[128:256], perm[-80:]):
+            z = teacher.encode_images(train.images[idx])
+            margin = adaptive_margin(cosine_sim_matrix(z, t_hat).data,
+                                     cosine_sim_matrix(t_hat, t_hat).data,
+                                     train.labels[idx], w.m, w.eta)
+            rows = targets.take(idx)
+            assert np.array_equal(rows.z, z)
+            assert np.array_equal(rows.margin, margin)
+        assert np.any(targets.margin != 0.0)
+
+    def test_zero_margin_rows_are_zero(self):
+        student, teacher, x_clean, _, y = tiny_setup(seed=6, n=5)
+        targets = teacher_targets(teacher, x_clean, y, LossWeights(m=0.0), batch_size=2)
+        assert targets.margin.shape == (5, 3) and np.all(targets.margin == 0.0)
+
+    @pytest.mark.parametrize("m", [0.0, 0.05])
+    def test_tima_loss_with_targets_is_bit_identical(self, m):
+        student, teacher, x_clean, x_adv, y = tiny_setup(seed=7, n=6)
+        w = LossWeights(tau=0.5, m=m, eta=0.9, lam=1.0, lam_t=1.0, lam_v=1.0)
+        params = student.parameters()
+        plain, plain_comps = tima_loss(student, teacher, x_clean, x_adv, y, w)
+        rows = teacher_targets(teacher, x_clean, y, w, batch_size=4)
+        cached, cached_comps = tima_loss(student, teacher, x_clean, x_adv, y, w, targets=rows)
+        assert plain_comps == cached_comps
+        g_plain, g_cached = backward(plain, params), backward(cached, params)
+        for p in params:
+            assert np.array_equal(g_plain[p], g_cached[p])
+
+    def test_row_count_mismatch_rejected(self):
+        student, teacher, x_clean, x_adv, y = tiny_setup(seed=8, n=4)
+        w = LossWeights(tau=0.5)
+        rows = teacher_targets(teacher, x_clean[:3], y[:3], w)
+        with pytest.raises(ShapeMismatch):
+            tima_loss(student, teacher, x_clean, x_adv, y, w, targets=rows)
