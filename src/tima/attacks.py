@@ -8,6 +8,7 @@ clean input and into the valid pixel range.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,6 +125,33 @@ def classify(encoder, text_matrix: Array, x: Array) -> Array:
     return np.argmax(cosine_sim_matrix(z, text_matrix).data, axis=1)
 
 
+def attack_text(model, teacher, cfg: AttackConfig) -> Array:
+    """The class-text embeddings ``cfg.text_source`` names: the student's own,
+    or the frozen teacher's."""
+    return model.encode_classes().data if cfg.text_source == "student" else teacher.t_hat
+
+
+def attack_pass(encoder, text_matrix: Array, dataset, cfg: AttackConfig,
+                batch_size: int = 128) -> tuple[int, Array]:
+    """Attack every sample once, in batches seeded ``cfg.seed + offset``.
+
+    Per batch: one PGD run, one encoding of its result. Returns the number
+    of samples still classified correctly (nearest text row, as in
+    ``classify``) and the per-class sums of their adversarial embeddings.
+    """
+    sums = np.zeros((dataset.num_classes, encoder.cfg.embed_dim))
+    correct = 0
+    for lo in range(0, dataset.num_samples, batch_size):
+        xb = dataset.images[lo:lo + batch_size]
+        yb = dataset.labels[lo:lo + batch_size]
+        x_adv = pgd_attack(encoder, text_matrix, xb, yb,
+                           dataclasses.replace(cfg, seed=cfg.seed + lo))
+        z = encoder.encode_images(x_adv).data
+        correct += int(np.sum(np.argmax(cosine_sim_matrix(z, text_matrix).data, axis=1) == yb))
+        np.add.at(sums, yb, z)
+    return correct, sums
+
+
 def robust_accuracy(model, teacher, dataset, cfg: AttackConfig | None = None,
                     batch_size: int = 128) -> float:
     """Fraction of samples still classified correctly after the attack.
@@ -136,17 +164,5 @@ def robust_accuracy(model, teacher, dataset, cfg: AttackConfig | None = None,
     n = dataset.num_samples
     if n == 0:
         raise EmptyDataset("cannot evaluate an empty dataset")
-    if cfg.text_source == "student":
-        text = model.encode_classes().data
-    else:
-        text = teacher.t_hat
-    correct = 0
-    for lo in range(0, n, batch_size):
-        xb = dataset.images[lo:lo + batch_size]
-        yb = dataset.labels[lo:lo + batch_size]
-        batch_cfg = AttackConfig(eps=cfg.eps, step_size=cfg.step_size,
-                                 steps=cfg.steps, restarts=cfg.restarts,
-                                 seed=cfg.seed + lo, text_source=cfg.text_source)
-        x_adv = pgd_attack(model, text, xb, yb, batch_cfg)
-        correct += int(np.sum(classify(model, text, x_adv) == yb))
+    correct, _ = attack_pass(model, attack_text(model, teacher, cfg), dataset, cfg, batch_size)
     return correct / n

@@ -1,4 +1,5 @@
-"""Command-line entry point: generate data, pretrain, finetune, evaluate.
+"""Command-line entry point: generate data, pretrain, finetune, evaluate,
+sweep the margin grid, and run the seeded tima-vs-tecoa trend.
 
 Every pipeline is fully reproducible from (config file, seed): re-running
 writes byte-identical reports, CSVs, and heatmaps under the --out directory.
@@ -10,6 +11,8 @@ import argparse
 import dataclasses
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import data as data_mod
 from . import harness, model as model_mod
@@ -87,20 +90,19 @@ def cmd_finetune(args) -> int:
     return 0
 
 
-def _pick_model(args, cfg: RunConfig, out: Path) -> model_mod.DualEncoder:
-    if args.model:
-        return _load_model(Path(args.model))
-    variant = getattr(args, "variant", None) or cfg["variant"]
-    return _load_model(out / f"finetuned_{variant}.timm")
+def _eval_inputs(args, cfg: RunConfig, out: Path):
+    """The student, frozen teacher and test set that eval-style commands use."""
+    variant = args.variant or cfg["variant"]
+    student = _load_model(Path(args.model) if args.model else out / f"finetuned_{variant}.timm")
+    teacher = model_mod.snapshot_teacher(_load_model(out / "pretrained.timm"))
+    test = _load_dataset(Path(args.data) if args.data else out / "test.timd", "test")
+    return student, teacher, test
 
 
 def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
     out = _out_dir(args)
-    student = _pick_model(args, cfg, out)
-    teacher = model_mod.snapshot_teacher(_load_model(out / "pretrained.timm"))
-    data_path = Path(args.data) if args.data else out / "test.timd"
-    test = _load_dataset(data_path, "test")
+    student, teacher, test = _eval_inputs(args, cfg, out)
     report = harness.evaluate(student, teacher, test, cfg.eval_eps(),
                               attack=cfg.eval_attack(), matrices_dir=out / "matrices",
                               config_echo=cfg.echo(), seed=cfg["seed"])
@@ -114,10 +116,7 @@ def cmd_eval(args) -> int:
 def cmd_export_matrices(args) -> int:
     cfg = _resolve_config(args)
     out = _out_dir(args)
-    student = _pick_model(args, cfg, out)
-    teacher = model_mod.snapshot_teacher(_load_model(out / "pretrained.timm"))
-    data_path = Path(args.data) if args.data else out / "test.timd"
-    test = _load_dataset(data_path, "test")
+    student, teacher, test = _eval_inputs(args, cfg, out)
     manifest = harness.export_similarity_matrices(student, teacher, test,
                                                   cfg.eval_eps(), out / "matrices",
                                                   attack=cfg.eval_attack())
@@ -132,26 +131,64 @@ def cmd_sweep(args) -> int:
     test = _load_dataset(out / "test.timd", "test")
     pretrained = _load_model(out / "pretrained.timm")
     teacher = model_mod.snapshot_teacher(pretrained)
-    count = 0
+    configs = {}
     for m in cfg["sweep_m"]:
         for eta in cfg["sweep_eta"]:
-            student = pretrained.clone()
             weights = dataclasses.replace(cfg.loss_weights(), m=m, eta=eta)
-            train_cfg = dataclasses.replace(cfg.finetune_config(), loss_weights=weights)
-            student, _ = harness.finetune(student, teacher, train, train_cfg)
-            echo = dict(cfg.echo(), m=repr(m), eta=repr(eta))
-            for eps_text in cfg["sweep_eps"]:
-                point = out / "sweep" / f"m{m}_eta{eta}_eps{harness.eps_tag(eps_text)}"
-                point.mkdir(parents=True, exist_ok=True)
-                report = harness.evaluate(
-                    student, teacher, test, [(eps_text, parse_fraction(eps_text))],
-                    attack=cfg.eval_attack(), config_echo=echo, seed=cfg["seed"])
-                harness.write_report(report, point / "report.json")
-                count += 1
-                print(f"sweep point m={m} eta={eta} eps={eps_text}: "
-                      f"clean {report.clean_accuracy:.3f}, "
-                      f"robust {report.robust_accuracy[eps_text]:.3f}")
+            configs[m, eta] = dataclasses.replace(cfg.finetune_config(), loss_weights=weights)
+    eps_list = [(t, parse_fraction(t)) for t in cfg["sweep_eps"]]
+    count = 0
+    for (m, eta), student in harness.finetune_each(pretrained, teacher, train, configs):
+        echo = dict(cfg.echo(), m=repr(m), eta=repr(eta))
+        report = harness.evaluate(student, teacher, test, eps_list, attack=cfg.eval_attack(),
+                                  config_echo=echo, seed=cfg["seed"])
+        for eps_text, _ in eps_list:
+            point = out / "sweep" / f"m{m}_eta{eta}_eps{harness.eps_tag(eps_text)}"
+            point.mkdir(parents=True, exist_ok=True)
+            robust = report.robust_accuracy[eps_text]
+            harness.write_report(dataclasses.replace(report, robust_accuracy={eps_text: robust}),
+                                 point / "report.json")
+            count += 1
+            print(f"sweep point m={m} eta={eta} eps={eps_text}: "
+                  f"clean {report.clean_accuracy:.3f}, robust {robust:.3f}")
     print(f"wrote {count} sweep reports under {out / 'sweep'}")
+    return 0
+
+
+def _trend_row(variant: str, reports) -> str:
+    """Clean and per-eps robust accuracy of ``variant``, averaged over reports."""
+    row = f"{variant:9s} clean {np.mean([r.clean_accuracy for r in reports]):.3f}"
+    for eps_text in reports[0].robust_accuracy:
+        row += f"  rob@{eps_text} {np.mean([r.robust_accuracy[eps_text] for r in reports]):.3f}"
+    return row
+
+
+def cmd_trend(args) -> int:
+    base = _resolve_config(args)
+    seeds = harness.TREND_SEEDS if args.seed is None else (args.seed,)
+    out = _out_dir(args) / "trend"
+    reports = {v: [] for v in harness.TREND_VARIANTS}
+    for seed in seeds:
+        cfg = base.with_seed(seed)
+        cell = harness.run_grid(cfg, harness.TREND_VARIANTS)
+        print(f"seed {seed}: teacher clean {harness.eval_clean(cell.pretrained, cell.test):.3f} "
+              f"min text distance {harness.interclass_stats(cell.teacher.t_hat)[0]:.3f}")
+        for variant, student in cell.students.items():
+            report = harness.evaluate(student, cell.teacher, cell.test, cfg.eval_eps(),
+                                      attack=cfg.eval_attack(),
+                                      config_echo=dict(cfg.echo(), variant=variant), seed=seed)
+            point = out / f"seed{seed}_{variant}"
+            point.mkdir(parents=True, exist_ok=True)
+            harness.write_report(report, point / "report.json")
+            reports[variant].append(report)
+            print(f"  {_trend_row(variant, [report])}")
+    print(f"\n=== means over seeds {list(seeds)}")
+    for variant, rows in reports.items():
+        print(_trend_row(variant, rows))
+    for eps_text, _ in base.eval_eps():
+        gap = (np.mean([r.robust_accuracy[eps_text] for r in reports["tima"]])
+               - np.mean([r.robust_accuracy[eps_text] for r in reports["tecoa"]]))
+        print(f"tima - tecoa robust gap @ {eps_text}: {100 * gap:+.1f}pp")
     return 0
 
 
@@ -168,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, fn in (("gen-data", cmd_gen_data), ("pretrain", cmd_pretrain),
                      ("finetune", cmd_finetune), ("eval", cmd_eval),
-                     ("export-matrices", cmd_export_matrices), ("sweep", cmd_sweep)):
+                     ("export-matrices", cmd_export_matrices), ("sweep", cmd_sweep),
+                     ("trend", cmd_trend)):
         p = sub.add_parser(name)
         common(p)
         if name in ("finetune", "eval", "export-matrices"):

@@ -193,8 +193,9 @@ class RunConfig:
                             seed=v["seed"], text_source=v["attack_text_source"])
 
     def eval_attack(self) -> AttackConfig:
+        """The evaluation attack; callers set eps per grid point."""
         v = self.values
-        return AttackConfig(eps=1 / 255, step_size=v["eval_step_size"],
+        return AttackConfig(step_size=v["eval_step_size"],
                             steps=v["eval_steps"], restarts=v["eval_restarts"],
                             seed=v["seed"], text_source="student")
 
@@ -205,8 +206,7 @@ class RunConfig:
         v = self.values
         return TrainConfig(learning_rate=v["pretrain_lr"], momentum=v["momentum"],
                            epochs=v["pretrain_epochs"], batch_size=v["batch_size"],
-                           variant="tima", loss_weights=self.loss_weights(),
-                           train_attack=self.train_attack(), seed=v["seed"])
+                           seed=v["seed"])
 
     def finetune_config(self, variant: str | None = None) -> TrainConfig:
         v = self.values
@@ -249,5 +249,9 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigTypeError(f"{path}: not UTF-8 text ({exc})") from exc
+    return parse_config(text)

@@ -18,8 +18,10 @@ import numpy as np
 
 from .errors import (
     BadMagic,
+    CorruptFile,
     InvalidSpec,
     IoFailure,
+    LabelOutOfRange,
     TruncatedFile,
     UnsupportedVersion,
 )
@@ -32,13 +34,16 @@ DATASET_VERSION = 1
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    num_superclasses: int = 4
-    subclasses_per_superclass: int = 2
-    image_side: int = 16
-    within_super_shift: float = 0.15
-    noise_sigma: float = 0.08
-    train_count: int = 2000
-    test_count: int = 500
+    """Sizes and scales have no defaults here: the config schema
+    (``tima.config.SCHEMA``) is their one source."""
+
+    num_superclasses: int
+    subclasses_per_superclass: int
+    image_side: int
+    within_super_shift: float
+    noise_sigma: float
+    train_count: int
+    test_count: int
     seed: int = 0
 
     def __post_init__(self):
@@ -171,7 +176,7 @@ def load_dataset(path, split: str = "") -> Dataset:
         return blob[pos:pos + n], pos + n
 
     head, pos = take(0, 24)
-    magic, version, num_classes, _num_supers, side, n = struct.unpack("<4sIIIII", head)
+    magic, version, num_classes, num_supers, side, n = struct.unpack("<4sIIIII", head)
     if magic != DATASET_MAGIC:
         raise BadMagic(f"{path}: not a dataset file")
     if version != DATASET_VERSION:
@@ -182,5 +187,13 @@ def load_dataset(path, split: str = "") -> Dataset:
     labels = np.frombuffer(raw, dtype="<u2").astype(np.int64)
     raw, pos = take(pos, n * side * side)
     images = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / 255.0
+    if pos != len(blob):
+        raise CorruptFile(f"{path}: {len(blob) - pos} trailing bytes after offset {pos}")
+    if n and labels.max() >= num_classes:
+        raise LabelOutOfRange(f"{path}: label {labels.max()} in a {num_classes}-class file")
+    supers_used = int(superclass_of.max()) + 1 if num_classes else 0
+    if supers_used != num_supers:
+        raise CorruptFile(f"{path}: superclass ids span {supers_used} superclasses, "
+                          f"header declares {num_supers}")
     return Dataset(images=images.reshape(n, side * side), labels=labels,
                    superclass_of=superclass_of, image_side=side, split=split)

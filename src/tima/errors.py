@@ -81,6 +81,10 @@ class UnsupportedVersion(TimaError):
     """File format version is not supported by this build."""
 
 
+class CorruptFile(TimaError):
+    """File contents contradict its own header, or bytes follow the payload."""
+
+
 class IoFailure(TimaError):
     """Underlying OS-level read/write failure."""
 

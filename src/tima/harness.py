@@ -13,12 +13,12 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .attacks import AttackConfig, classify, pgd_attack, robust_accuracy
-from .data import Dataset
+from .attacks import AttackConfig, attack_pass, attack_text, classify, pgd_attack
+from .data import Dataset, generate_synthetic
 from .errors import (
     EmptyDataset,
     InvalidConfig,
@@ -28,12 +28,17 @@ from .errors import (
     TooFewClasses,
 )
 from .losses import LossWeights, cosine_sim_matrix, teacher_targets, tima_loss
-from .model import DualEncoder, TeacherSnapshot
+from .model import DualEncoder, TeacherSnapshot, init_model, snapshot_teacher
 from .tensor import Tensor, backward, l2_normalize_rows, row_log_softmax
 
 Array = np.ndarray
 
 VARIANTS = ("tima", "tecoa", "iat_only", "tai_only", "mhe_only")
+
+# the headline experiment: the seeds and variants `tima trend` and the
+# acceptance suite train
+TREND_SEEDS = (0, 1, 2)
+TREND_VARIANTS = ("tecoa", "tima")
 
 REPORT_KEYS = ("config", "seed", "clean_accuracy", "robust_accuracy",
                "text_min_distance", "text_mean_distance", "matrices",
@@ -159,10 +164,7 @@ def finetune(model: DualEncoder, teacher: TeacherSnapshot, train_data: Dataset,
         for bi, idx in enumerate(_batches(n, cfg.batch_size, rng)):
             xb = train_data.images[idx]
             yb = train_data.labels[idx]
-            if attack.text_source == "student":
-                text = model.encode_classes().data
-            else:
-                text = teacher.t_hat
+            text = attack_text(model, teacher, attack)
             batch_attack = dataclasses.replace(
                 attack, seed=attack.seed + 1000003 * epoch + bi)
             x_adv = pgd_attack(model, text, xb, yb, batch_attack)
@@ -172,6 +174,41 @@ def finetune(model: DualEncoder, teacher: TeacherSnapshot, train_data: Dataset,
             total += loss.item() * len(idx)
         trace.append(total / n)
     return model, trace
+
+
+def finetune_each(pretrained: DualEncoder, teacher: TeacherSnapshot, train_data: Dataset,
+                  configs: Dict[object, TrainConfig]) -> Iterator[Tuple[object, DualEncoder]]:
+    """Yield (key, student) for each config, each student fine-tuned from a
+    fresh copy of ``pretrained``."""
+    for key, cfg in configs.items():
+        yield key, finetune(pretrained.clone(), teacher, train_data, cfg)[0]
+
+
+@dataclass
+class GridCell:
+    cfg: object
+    train: Dataset
+    test: Dataset
+    pretrained: DualEncoder
+    pre_trace: List[float]
+    teacher: TeacherSnapshot
+    students: Dict[str, DualEncoder]
+
+
+def run_grid(cfg, variants: Sequence[str]) -> GridCell:
+    """One experiment cell: data, clean pretraining, the frozen teacher, and
+    one fine-tuned student per variant.
+
+    ``cfg`` is a ``tima.config.RunConfig`` (not imported here: config
+    imports this module); everything comes from its builders and seed.
+    """
+    train, test = generate_synthetic(cfg.synthetic_spec())
+    pretrained = init_model(cfg.encoder_config(), tau=cfg["tau"])
+    pretrained, pre_trace = pretrain_clean(pretrained, train, cfg.pretrain_config())
+    teacher = snapshot_teacher(pretrained)
+    configs = {v: cfg.finetune_config(variant=v) for v in variants}
+    students = dict(finetune_each(pretrained, teacher, train, configs))
+    return GridCell(cfg, train, test, pretrained, pre_trace, teacher, students)
 
 
 def eval_clean(model: DualEncoder, test_data: Dataset, batch_size: int = 256) -> float:
@@ -216,20 +253,19 @@ def superclass_confusion(model: DualEncoder, test_data: Dataset,
 # -- similarity-matrix diagnostics ---------------------------------------------
 
 
-def _normalize_rows_np(m: Array) -> Array:
-    return l2_normalize_rows(Tensor(m, op="const")).data
+def _class_means(sums: Array, labels: Array) -> Array:
+    """Unit-norm per-class means from per-class embedding sums."""
+    counts = np.bincount(labels, minlength=len(sums))
+    return l2_normalize_rows(Tensor(sums / np.maximum(counts, 1.0)[:, None], op="const")).data
 
 
-def _class_mean_embeddings(encoder: DualEncoder, images: Array, labels: Array,
-                           num_classes: int, batch_size: int = 256) -> Array:
-    d = encoder.cfg.embed_dim
-    sums = np.zeros((num_classes, d))
-    counts = np.zeros(num_classes)
-    for lo in range(0, len(labels), batch_size):
-        z = encoder.encode_images(images[lo:lo + batch_size]).data
-        np.add.at(sums, labels[lo:lo + batch_size], z)
-        np.add.at(counts, labels[lo:lo + batch_size], 1)
-    return _normalize_rows_np(sums / np.maximum(counts, 1.0)[:, None])
+def _clean_class_means(encoder: DualEncoder, test_data: Dataset,
+                       batch_size: int = 256) -> Array:
+    sums = np.zeros((test_data.num_classes, encoder.cfg.embed_dim))
+    for lo in range(0, test_data.num_samples, batch_size):
+        z = encoder.encode_images(test_data.images[lo:lo + batch_size]).data
+        np.add.at(sums, test_data.labels[lo:lo + batch_size], z)
+    return _class_means(sums, test_data.labels)
 
 
 def _write_csv(matrix: Array, path: Path) -> None:
@@ -250,22 +286,26 @@ def eps_tag(eps_text: str) -> str:
 
 def export_similarity_matrices(model: DualEncoder, teacher: TeacherSnapshot,
                                test_data: Dataset, eps_list: Sequence[Tuple[str, float]],
-                               out_dir, attack: Optional[AttackConfig] = None
+                               out_dir, attack: Optional[AttackConfig] = None,
+                               student_adv_sums: Optional[Dict[str, Array]] = None
                                ) -> Dict[str, Dict[str, str]]:
     """Write class-level cosine-similarity matrices as CSV + PGM heatmaps.
 
     For both the student and the frozen teacher: text-text, clean
     image-text (per-class mean image embedding vs class text), and one
-    adversarial image-image matrix per epsilon. Returns a manifest of
-    relative file paths keyed by matrix name.
+    adversarial image-image matrix per epsilon. The student is attacked
+    against the text ``attack.text_source`` names, the teacher against its
+    own. ``student_adv_sums`` (eps text -> per-class sums from
+    ``attack_pass``) reuses attacks already run on the student. Returns a
+    manifest of relative file paths keyed by matrix name.
     """
     attack = attack or AttackConfig()
+    student_adv_sums = student_adv_sums or {}
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoFailure(f"cannot create {out_dir}: {exc}") from exc
-    c = test_data.num_classes
     manifest: Dict[str, Dict[str, str]] = {}
 
     def emit(name: str, matrix: Array) -> None:
@@ -276,22 +316,18 @@ def export_similarity_matrices(model: DualEncoder, teacher: TeacherSnapshot,
             raise IoFailure(f"cannot write matrix {name}: {exc}") from exc
         manifest[name] = {"csv": f"{name}.csv", "pgm": f"{name}.pgm"}
 
-    for who, encoder, text in (("student", model, model.encode_classes().data),
-                               ("teacher", teacher.model, teacher.t_hat)):
+    for who, encoder, text, adv_text, given in (
+            ("student", model, model.encode_classes().data,
+             attack_text(model, teacher, attack), student_adv_sums),
+            ("teacher", teacher.model, teacher.t_hat, teacher.t_hat, {})):
         emit(f"{who}_text_text", text @ text.T)
-        means = _class_mean_embeddings(encoder, test_data.images, test_data.labels, c)
-        emit(f"{who}_image_text", means @ text.T)
+        emit(f"{who}_image_text", _clean_class_means(encoder, test_data) @ text.T)
         for eps_text, eps in eps_list:
-            adv_sums = np.zeros((c, encoder.cfg.embed_dim))
-            counts = np.zeros(c)
-            for lo in range(0, test_data.num_samples, 128):
-                xb = test_data.images[lo:lo + 128]
-                yb = test_data.labels[lo:lo + 128]
-                cfg = dataclasses.replace(attack, eps=eps, seed=attack.seed + lo)
-                x_adv = pgd_attack(encoder, text, xb, yb, cfg)
-                np.add.at(adv_sums, yb, encoder.encode_images(x_adv).data)
-                np.add.at(counts, yb, 1)
-            adv_means = _normalize_rows_np(adv_sums / np.maximum(counts, 1.0)[:, None])
+            sums = given.get(eps_text)
+            if sums is None:
+                _, sums = attack_pass(encoder, adv_text, test_data,
+                                      dataclasses.replace(attack, eps=eps))
+            adv_means = _class_means(sums, test_data.labels)
             emit(f"{who}_adv_adv_eps_{eps_tag(eps_text)}", adv_means @ adv_means.T)
     return manifest
 
@@ -315,19 +351,25 @@ def evaluate(model: DualEncoder, teacher: TeacherSnapshot, test_data: Dataset,
              eps_list: Sequence[Tuple[str, float]], attack: Optional[AttackConfig] = None,
              matrices_dir=None, config_echo: Optional[Dict[str, str]] = None,
              seed: int = 0) -> EvalReport:
-    """Full evaluation pass; eps_list entries are (display text, value)."""
+    """Full evaluation pass; eps_list entries are (display text, value).
+
+    The student is attacked once per epsilon: the same adversarial batches
+    give its robust accuracy and its adversarial similarity matrix.
+    """
     attack = attack or AttackConfig()
     clean = eval_clean(model, test_data)
-    robust = {}
+    text = attack_text(model, teacher, attack)
+    robust, adv_sums = {}, {}
     for eps_text, eps in eps_list:
-        cfg = dataclasses.replace(attack, eps=eps)
-        robust[eps_text] = robust_accuracy(model, teacher, test_data, cfg)
+        correct, adv_sums[eps_text] = attack_pass(model, text, test_data,
+                                                  dataclasses.replace(attack, eps=eps))
+        robust[eps_text] = correct / test_data.num_samples
     s_min, s_mean = interclass_stats(model.encode_classes().data)
     t_min, t_mean = interclass_stats(teacher.t_hat)
     matrices = {}
     if matrices_dir is not None:
-        matrices = export_similarity_matrices(model, teacher, test_data,
-                                              eps_list, matrices_dir, attack)
+        matrices = export_similarity_matrices(model, teacher, test_data, eps_list,
+                                              matrices_dir, attack, student_adv_sums=adv_sums)
     return EvalReport(
         clean_accuracy=clean,
         robust_accuracy=robust,

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     BadMagic,
+    CorruptFile,
     InvalidConfig,
     IoFailure,
     ShapeMismatch,
@@ -35,10 +36,13 @@ DEFAULT_TAU = 0.01
 
 @dataclass(frozen=True)
 class EncoderConfig:
+    """Dimensions have no defaults here: the config schema
+    (``tima.config.SCHEMA``) is their one source."""
+
     input_dim: int
-    hidden_dims: Tuple[int, ...] = (128,)
-    embed_dim: int = 32
-    num_classes: int = 8
+    hidden_dims: Tuple[int, ...]
+    embed_dim: int
+    num_classes: int
     seed: int = 0
 
     def __post_init__(self):
@@ -238,6 +242,16 @@ class _Reader:
         return self.pos == len(self.blob)
 
 
+def _parameter_shapes(cfg: EncoderConfig) -> List[Tuple[int, ...]]:
+    """Shapes of ``DualEncoder.parameters()`` for ``cfg``, in order."""
+    widths = (cfg.input_dim,) + cfg.hidden_dims
+    shapes: List[Tuple[int, ...]] = []
+    for fan_in, width in zip(widths, widths[1:]):
+        shapes += [(fan_in, width), (width,)]
+    e = cfg.embed_dim
+    return shapes + [(widths[-1], e), (e,), (cfg.num_classes, e), (e, e)]
+
+
 def load_model(path) -> DualEncoder:
     try:
         with open(path, "rb") as fh:
@@ -258,16 +272,19 @@ def load_model(path) -> DualEncoder:
     tau = r.f64()
     cfg = EncoderConfig(input_dim=input_dim, hidden_dims=hidden,
                         embed_dim=embed_dim, num_classes=num_classes, seed=seed)
+    shapes = _parameter_shapes(cfg)
+    count = r.u32()
+    if count != len(shapes):
+        raise TruncatedFile(f"{path}: expected {len(shapes)} tensors, found {count}")
     tensors = []
-    for _ in range(r.u32()):
-        rank = r.u32()
-        dims = tuple(r.u32() for _ in range(rank))
-        count = int(np.prod(dims)) if dims else 1
-        arr = np.frombuffer(r.take(8 * count), dtype="<f8").reshape(dims).copy()
+    for i, shape in enumerate(shapes):
+        dims = tuple(r.u32() for _ in range(r.u32()))
+        if dims != shape:
+            raise CorruptFile(f"{path}: tensor {i} has shape {dims}, header implies {shape}")
+        arr = np.frombuffer(r.take(8 * int(np.prod(dims))), dtype="<f8").reshape(dims).copy()
         tensors.append(Tensor(arr, op="leaf"))
-    expected = 2 * len(hidden) + 4
-    if len(tensors) != expected:
-        raise TruncatedFile(f"{path}: expected {expected} tensors, found {len(tensors)}")
+    if not r.done():
+        raise CorruptFile(f"{path}: {len(blob) - r.pos} trailing bytes after offset {r.pos}")
     layers = [(tensors[2 * i], tensors[2 * i + 1]) for i in range(len(hidden))]
     k = 2 * len(hidden)
     return DualEncoder(cfg, layers, (tensors[k], tensors[k + 1]),

@@ -1,41 +1,24 @@
 import time
-from types import SimpleNamespace
 
 import pytest
 
 from tima.config import parse_config
-from tima.data import generate_synthetic
-from tima.harness import finetune, pretrain_clean
-from tima.model import init_model, snapshot_teacher
-
-TREND_SEEDS = (0, 1, 2)
+from tima.harness import TREND_SEEDS, TREND_VARIANTS, run_grid
 
 
 @pytest.fixture(scope="session")
 def trend_runs():
     """The default recipe trained end-to-end for the acceptance seeds.
 
-    Per seed: pretrained teacher plus tecoa and tima students; the mhe_only
-    ablation is trained on the default seed only (where the geometry
-    criterion is checked). Shared session-wide because training dominates
-    the acceptance suite's runtime budget.
+    Per seed: one `run_grid` cell with the pretrained teacher plus tecoa and
+    tima students; the mhe_only ablation is trained on the default seed only
+    (where the geometry criterion is checked). Shared session-wide because
+    training dominates the acceptance suite's runtime budget.
     """
     t0 = time.time()
     runs = {}
     for seed in TREND_SEEDS:
-        cfg = parse_config("").with_seed(seed)
-        train, test = generate_synthetic(cfg.synthetic_spec())
-        model = init_model(cfg.encoder_config(), tau=cfg["tau"])
-        model, pre_trace = pretrain_clean(model, train, cfg.pretrain_config())
-        teacher = snapshot_teacher(model)
-        students = {}
-        variants = ("tecoa", "tima", "mhe_only") if seed == TREND_SEEDS[0] else ("tecoa", "tima")
-        for variant in variants:
-            student = model.clone()
-            student, _ = finetune(student, teacher, train, cfg.finetune_config(variant=variant))
-            students[variant] = student
-        runs[seed] = SimpleNamespace(cfg=cfg, train=train, test=test,
-                                     pretrained=model, pre_trace=pre_trace,
-                                     teacher=teacher, students=students)
+        extra = ("mhe_only",) if seed == TREND_SEEDS[0] else ()
+        runs[seed] = run_grid(parse_config("").with_seed(seed), TREND_VARIANTS + extra)
     runs["train_seconds"] = time.time() - t0
     return runs

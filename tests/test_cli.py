@@ -1,11 +1,14 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from tima.attacks import robust_accuracy
 from tima.cli import main
+from tima.config import load_config
 from tima.data import load_dataset
-from tima.harness import read_report
+from tima.harness import TREND_SEEDS, TREND_VARIANTS, read_report, run_grid
 
 # small, fast recipe: linear encoder, tiny images, short training
 FAST_CONFIG = """
@@ -28,6 +31,30 @@ sweep_m = 0.1
 sweep_eta = 0.95
 sweep_eps = 1/255
 """
+
+
+# trend recipe: like FAST_CONFIG, but trained far enough above chance that the
+# robust numbers differ across seeds, variants and eps
+TREND_CONFIG = """
+num_superclasses = 2
+subclasses_per_superclass = 2
+image_side = 8
+train_count = 200
+test_count = 300
+hidden_dims =
+embed_dim = 6
+pretrain_epochs = 10
+finetune_epochs = 2
+batch_size = 32
+eval_steps = 2
+"""
+
+
+@pytest.fixture()
+def trend_config(tmp_path):
+    path = tmp_path / "trend.cfg"
+    path.write_text(TREND_CONFIG)
+    return path
 
 
 @pytest.fixture()
@@ -114,6 +141,45 @@ class TestSubcommands:
         assert main(["export-matrices", "--config", str(config_file),
                      "--out", str(out)]) == 0
         assert (out / "matrices" / "student_text_text.csv").exists()
+
+    def test_non_utf8_config(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"seed = 1\n\xff\n")
+        code = main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_trend(self, trend_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["trend", "--config", str(trend_config), "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        reports = sorted((out / "trend").rglob("report.json"))
+        assert len(reports) == len(TREND_SEEDS) * len(TREND_VARIANTS) == 6
+        cfg = load_config(trend_config)
+        for eps_text, _ in cfg.eval_eps():
+            assert f"tima - tecoa robust gap @ {eps_text}: " in printed
+        robust = set()
+        for seed in TREND_SEEDS:
+            cell = run_grid(cfg.with_seed(seed), TREND_VARIANTS)
+            for variant, student in cell.students.items():
+                payload = read_report(out / "trend" / f"seed{seed}_{variant}" / "report.json")
+                assert payload["config"]["variant"] == variant
+                for eps_text, eps in cell.cfg.eval_eps():
+                    attack = dataclasses.replace(cell.cfg.eval_attack(), eps=eps)
+                    assert payload["robust_accuracy"][eps_text] == \
+                        robust_accuracy(student, cell.teacher, cell.test, attack)
+                    robust.add(payload["robust_accuracy"][eps_text])
+        assert len(robust) > 6
+
+    def test_trend_seed_runs_one_seed(self, trend_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["trend", "--config", str(trend_config), "--out", str(out),
+                     "--seed", "5"]) == 0
+        assert "means over seeds [5]" in capsys.readouterr().out
+        assert sorted(p.name for p in (out / "trend").iterdir()) == \
+            ["seed5_tecoa", "seed5_tima"]
 
     def test_sweep_reports(self, config_file, tmp_path):
         out = tmp_path / "out"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,14 @@ from tima.data import (
     load_dataset,
     save_dataset,
 )
-from tima.errors import BadMagic, InvalidSpec, TruncatedFile, UnsupportedVersion
+from tima.errors import (
+    BadMagic,
+    CorruptFile,
+    InvalidSpec,
+    LabelOutOfRange,
+    TruncatedFile,
+    UnsupportedVersion,
+)
 
 
 def small_spec(**kw):
@@ -132,4 +141,32 @@ class TestDatasetFile:
         blob[4:8] = (7).to_bytes(4, "little")
         path.write_bytes(bytes(blob))
         with pytest.raises(UnsupportedVersion):
+            load_dataset(path)
+
+    def saved(self, tmp_path, **fields):
+        train, _ = generate_synthetic(small_spec())
+        path = tmp_path / "d.timd"
+        save_dataset(dataclasses.replace(train, **fields), path)
+        return train, path
+
+    def test_label_out_of_range(self, tmp_path):
+        train, _ = generate_synthetic(small_spec())
+        labels = train.labels.copy()
+        labels[3] = 40
+        _, path = self.saved(tmp_path, labels=labels)
+        with pytest.raises(LabelOutOfRange):
+            load_dataset(path)
+
+    def test_superclass_ids_contradict_header(self, tmp_path):
+        train, path = self.saved(tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[12:16] = (int(train.superclass_of.max()) + 2).to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptFile):
+            load_dataset(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        _, path = self.saved(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\x00\x00")
+        with pytest.raises(CorruptFile):
             load_dataset(path)

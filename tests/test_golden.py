@@ -1,16 +1,19 @@
-"""Golden bits: student fingerprints of short default-recipe runs.
+"""Golden bits: student fingerprints of short default-recipe runs, and the
+output bytes of a tiny CLI pipeline.
 
-Any change to the tape, the losses, the attack or the training loop that is
-meant to be a pure speed-up must leave these digests unchanged. A short run is
-the default config at seed 0 with 2 pretrain and 2 fine-tune epochs.
+Any change to the tape, the losses, the attack, the training loop or the
+evaluation that is meant to keep results unchanged must leave these digests
+unchanged. A short run is the default config at seed 0 with 2 pretrain and 2
+fine-tune epochs.
 """
+
+import hashlib
+from pathlib import Path
 
 import pytest
 
 from tima.config import parse_config
-from tima.data import generate_synthetic
-from tima.harness import VARIANTS, finetune, pretrain_clean
-from tima.model import init_model, snapshot_teacher
+from tima.harness import VARIANTS, run_grid
 
 SHORT_RUN = "pretrain_epochs = 2\nfinetune_epochs = 2\n"
 
@@ -25,17 +28,8 @@ GOLDEN_MLP_TIMA = "e16665e1954f68989007f8ea2fec9a6b3ff1887f64a32b05fcfec41a27789
 
 
 def short_run(extra_config, variants):
-    cfg = parse_config(SHORT_RUN + extra_config).with_seed(0)
-    train, _ = generate_synthetic(cfg.synthetic_spec())
-    model = init_model(cfg.encoder_config(), tau=cfg["tau"])
-    model, _ = pretrain_clean(model, train, cfg.pretrain_config())
-    teacher = snapshot_teacher(model)
-    out = {}
-    for variant in variants:
-        student, _ = finetune(model.clone(), teacher, train,
-                              cfg.finetune_config(variant=variant))
-        out[variant] = student.fingerprint()
-    return out
+    cell = run_grid(parse_config(SHORT_RUN + extra_config).with_seed(0), variants)
+    return {variant: student.fingerprint() for variant, student in cell.students.items()}
 
 
 @pytest.fixture(scope="module")
@@ -50,3 +44,56 @@ def test_linear_encoder_fingerprint(linear_fingerprints, variant):
 
 def test_mlp_encoder_fingerprint():
     assert short_run("hidden_dims = 128\n", ("tima",))["tima"] == GOLDEN_MLP_TIMA
+
+
+# A tiny CLI pipeline: three test batches of the 128-row attack, one restart,
+# and a 2 x 1 x 2 sweep, so per-batch seeds, restarts and the per-point
+# reports all feed the digests below.
+CLI_CONFIG = """
+num_superclasses = 2
+subclasses_per_superclass = 2
+image_side = 8
+train_count = 200
+test_count = 300
+hidden_dims =
+embed_dim = 6
+pretrain_epochs = 10
+finetune_epochs = 2
+batch_size = 32
+eval_eps_list = 0,1/255,4/255,8/255
+eval_steps = 2
+eval_restarts = 1
+sweep_m = 0.05,0.1
+sweep_eta = 0.95
+sweep_eps = 1/255,4/255
+"""
+
+GOLDEN_CLI = {
+    "report.json": "5013fc05d8c83206a5ad3194d63f678fbbfe0d49fc80f5ff82db32557bfc3b2c",
+    "matrices": "9ac2098a5f53b2dd416038518deb0c60e5e5fdbae0ee128009a39f90cf318f4d",
+    "sweep": "8a662ff32494f2ab5499d34a7fa710803a24f241b409e204f626b68edfbfab3a",
+}
+
+
+def tree_sha256(root):
+    """sha256 over every file under ``root`` (relative path and bytes, in path
+    order); a plain file hashes as a one-file tree."""
+    root = Path(root)
+    files = [root] if root.is_file() else sorted(p for p in root.rglob("*") if p.is_file())
+    h = hashlib.sha256()
+    for path in files:
+        blob = path.read_bytes()
+        h.update(f"{path.relative_to(root.parent).as_posix()}\0{len(blob)}\0".encode())
+        h.update(blob)
+    return h.hexdigest()
+
+
+def test_cli_pipeline_digests(tmp_path):
+    from tima.cli import main
+
+    config = tmp_path / "run.cfg"
+    config.write_text(CLI_CONFIG)
+    out = tmp_path / "out"
+    for argv in (["gen-data"], ["pretrain"], ["finetune"], ["eval"], ["sweep"]):
+        assert main(argv + ["--config", str(config), "--out", str(out)]) == 0
+    assert {name: tree_sha256(out / name) for name in GOLDEN_CLI} == GOLDEN_CLI

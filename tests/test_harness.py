@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from tima.attacks import AttackConfig
+from tima import attacks
+from tima.attacks import AttackConfig, robust_accuracy
+from tima.config import parse_config
 from tima.data import SyntheticSpec, generate_synthetic
 from tima.errors import EmptyDataset, InvalidVariant, ReportSchemaError, TooFewClasses
 from tima.harness import (
@@ -305,3 +307,57 @@ class TestReports:
         assert report.text_min_distance["student"] == report.text_min_distance["teacher"]
         write_report(report, tmp_path / "report.json")
         assert read_report(tmp_path / "report.json")["seed"] == 0
+
+
+class TestSingleAttackPass:
+    """evaluate attacks each (model, eps) once: the student's robust numbers
+    and adversarial matrices come from the same adversarial batches."""
+
+    def setup_method(self):
+        # 300 test rows: three 128-row attack batches with distinct seeds
+        spec = SyntheticSpec(num_superclasses=2, subclasses_per_superclass=2,
+                             image_side=5, within_super_shift=0.08, noise_sigma=0.06,
+                             train_count=160, test_count=300, seed=0)
+        self.train, self.test = generate_synthetic(spec)
+        pretrained, _ = pretrain_clean(small_model(), self.train, fast_train_cfg(epochs=5))
+        self.teacher = snapshot_teacher(pretrained)
+        self.student, _ = finetune(pretrained.clone(), self.teacher, self.train,
+                                   fast_train_cfg(variant="tima", epochs=1))
+        self.eps_list = parse_config("").eval_eps()
+
+    @pytest.mark.parametrize("text_source", ["student", "teacher"])
+    def test_matches_separate_attacks(self, tmp_path, text_source):
+        attack = AttackConfig(steps=2, restarts=1, seed=3, text_source=text_source)
+        report = evaluate(self.student, self.teacher, self.test, self.eps_list,
+                          attack=attack, matrices_dir=tmp_path / "joint")
+        for eps_text, eps in self.eps_list:
+            alone = robust_accuracy(self.student, self.teacher, self.test,
+                                    dataclasses.replace(attack, eps=eps))
+            assert report.robust_accuracy[eps_text] == alone
+        export_similarity_matrices(self.student, self.teacher, self.test, self.eps_list,
+                                   tmp_path / "alone", attack)
+        joint = sorted((tmp_path / "joint").iterdir())
+        alone = sorted((tmp_path / "alone").iterdir())
+        assert [p.name for p in joint] == [p.name for p in alone]
+        for a, b in zip(joint, alone):
+            assert a.read_bytes() == b.read_bytes()
+
+    def test_default_grid_attacks_each_batch_once(self, tmp_path, monkeypatch):
+        # 500 rows = 4 batches; 4 eps x 4 batches for the student, and again
+        # for the teacher: 32 attacks, where attacking twice took 48
+        spec = SyntheticSpec(num_superclasses=2, subclasses_per_superclass=2,
+                             image_side=5, within_super_shift=0.08, noise_sigma=0.06,
+                             train_count=1, test_count=500, seed=0)
+        _, test = generate_synthetic(spec)
+        keys = []
+        original = attacks.pgd_attack
+
+        def spy(encoder, text, x, y, cfg):
+            keys.append((id(encoder), cfg.eps, cfg.seed))
+            return original(encoder, text, x, y, cfg)
+
+        monkeypatch.setattr(attacks, "pgd_attack", spy)
+        evaluate(self.student, self.teacher, test, self.eps_list,
+                 attack=AttackConfig(steps=1), matrices_dir=tmp_path)
+        assert len(keys) == 32
+        assert len(set(keys)) == 32

@@ -1,7 +1,16 @@
+import struct
+
 import numpy as np
 import pytest
 
-from tima.errors import BadMagic, InvalidConfig, ShapeMismatch, TruncatedFile, UnsupportedVersion
+from tima.errors import (
+    BadMagic,
+    CorruptFile,
+    InvalidConfig,
+    ShapeMismatch,
+    TruncatedFile,
+    UnsupportedVersion,
+)
 from tima.model import (
     EncoderConfig,
     init_model,
@@ -152,4 +161,23 @@ class TestCheckpoint:
         blob[4:8] = (99).to_bytes(4, "little")
         path.write_bytes(bytes(blob))
         with pytest.raises(UnsupportedVersion):
+            load_model(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "model.timm"
+        save_model(init_model(tiny_cfg()), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(CorruptFile):
+            load_model(path)
+
+    def test_tensor_shape_contradicts_header(self, tmp_path):
+        # declare embed_dim 5 in the header; the tensors stay shaped for 4
+        path = tmp_path / "model.timm"
+        save_model(init_model(tiny_cfg(hidden=())), path)
+        blob = bytearray(path.read_bytes())
+        offset = 4 + 4 + 4 + 4  # magic, version, input_dim, hidden count
+        assert struct.unpack_from("<I", blob, offset)[0] == 4
+        struct.pack_into("<I", blob, offset, 5)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptFile):
             load_model(path)
