@@ -13,9 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AttackOutOfBounds, EmptyDataset, InvalidConfig
-from .losses import cosine_sim_matrix
-from .tensor import Tensor, backward, row_log_softmax
+from .errors import AttackOutOfBounds, EmptyDataset, InvalidConfig, ShapeMismatch
+from .losses import _check_unit_rows, cosine_sim_matrix
+from .tensor import (
+    check_finite,
+    check_temperature,
+    log_softmax_backward,
+    log_softmax_forward,
+    row_log_softmax,
+)
 
 Array = np.ndarray
 
@@ -62,13 +68,30 @@ def per_sample_ce(encoder, text_matrix: Array, x: Array, y: Array) -> Array:
     return -log_p.data[np.arange(len(y)), np.asarray(y)]
 
 
-def _ce_input_grad(encoder, text_matrix: Array, x: Array, y: Array) -> Array:
-    xt = Tensor(x, op="leaf")
-    z = encoder.encode_images(xt)
-    log_p = row_log_softmax(cosine_sim_matrix(z, text_matrix), encoder.tau)
-    mask = Tensor(_one_hot(np.asarray(y), log_p.shape[1]), op="const")
-    loss = (log_p * mask).sum() * -1.0
-    return backward(loss, [xt])[xt]
+def _checked_text(encoder, text_matrix) -> Array:
+    """The attacked class-text matrix, vetted as ``cosine_sim_matrix`` vets
+    its right operand (finite, width of the embeddings, unit rows)."""
+    check_temperature(encoder.tau)
+    text = check_finite(np.asarray(text_matrix, dtype=np.float64), "const")
+    if text.ndim != 2 or text.shape[1] != encoder.cfg.embed_dim:
+        raise ShapeMismatch(f"cosine_sim_matrix: (n, {encoder.cfg.embed_dim}) vs {text.shape}")
+    _check_unit_rows(text, "right")
+    return text
+
+
+def _ce_input_grad(encoder, text: Array, x: Array, y: Array) -> Array:
+    """Input gradient of the summed cross-entropy -sum_i log p(y_i | x_i) at
+    S = z text^T, in closed form: the value ``backward`` gives on the tape,
+    bit for bit. ``text`` comes from ``_checked_text``; z rows are unit by
+    construction."""
+    z, vjp = encoder.image_input_vjp(x)
+    s = check_finite(z @ text.T, "matmul")
+    log_p = check_finite(log_softmax_forward(s, encoder.tau), "row_log_softmax")
+    mask = _one_hot(y, s.shape[1])
+    if mask.shape != s.shape:
+        raise ShapeMismatch(f"mul: {s.shape} vs {mask.shape}")
+    g_s = log_softmax_backward(-mask, log_p, encoder.tau)
+    return vjp(g_s @ text)
 
 
 def pgd_steps(encoder, text_matrix: Array, x_center: Array, x_start: Array,
@@ -76,10 +99,14 @@ def pgd_steps(encoder, text_matrix: Array, x_center: Array, x_start: Array,
     """The bare iteration, memoryless in x: running k steps and then k' more
     from the result equals a single (k+k')-step run."""
     x = np.array(x_start, dtype=np.float64)
+    if steps == 0:
+        return x
+    text = _checked_text(encoder, text_matrix)
+    y = np.asarray(y)
     lo = np.maximum(x_center - eps, 0.0)
     hi = np.minimum(x_center + eps, 1.0)
     for _ in range(steps):
-        grad = _ce_input_grad(encoder, text_matrix, x, y)
+        grad = _ce_input_grad(encoder, text, x, y)
         x = np.clip(x + step_size * np.sign(grad), lo, hi)
     return x
 

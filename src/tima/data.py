@@ -25,6 +25,7 @@ from .errors import (
     TruncatedFile,
     UnsupportedVersion,
 )
+from .files import write_atomic
 
 Array = np.ndarray
 
@@ -156,11 +157,7 @@ def save_dataset(d: Dataset, path) -> None:
     supers = d.superclass_of.astype("<u2").tobytes()
     labels = d.labels.astype("<u2").tobytes()
     pixels = np.round(d.images * 255.0).astype(np.uint8).tobytes()
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header + supers + labels + pixels)
-    except OSError as exc:
-        raise IoFailure(f"cannot write dataset {path}: {exc}") from exc
+    write_atomic(path, header + supers + labels + pixels, "dataset")
 
 
 def load_dataset(path, split: str = "") -> Dataset:

@@ -17,7 +17,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .attacks import AttackConfig, attack_pass, attack_text, classify, pgd_attack
+from .attacks import AttackConfig, attack_pass, attack_text, pgd_attack
 from .data import Dataset, generate_synthetic
 from .errors import (
     EmptyDataset,
@@ -27,6 +27,7 @@ from .errors import (
     ReportSchemaError,
     TooFewClasses,
 )
+from .files import write_atomic
 from .losses import LossWeights, cosine_sim_matrix, teacher_targets, tima_loss
 from .model import DualEncoder, TeacherSnapshot, init_model, snapshot_teacher
 from .tensor import Tensor, backward, l2_normalize_rows, row_log_softmax
@@ -211,17 +212,38 @@ def run_grid(cfg, variants: Sequence[str]) -> GridCell:
     return GridCell(cfg, train, test, pretrained, pre_trace, teacher, students)
 
 
+def _clean_pass(model: DualEncoder, test_data: Dataset,
+                batch_size: int = 256) -> Tuple[Array, Array]:
+    """One clean encoding of the test set, ``batch_size`` rows at a time:
+    every sample's prediction (nearest text embedding, as in ``classify``)
+    and the per-class sums of the embeddings."""
+    text = model.encode_classes().data
+    preds = np.zeros(test_data.num_samples, dtype=np.int64)
+    sums = np.zeros((test_data.num_classes, model.cfg.embed_dim))
+    for lo in range(0, test_data.num_samples, batch_size):
+        z = model.encode_images(test_data.images[lo:lo + batch_size]).data
+        preds[lo:lo + batch_size] = np.argmax(cosine_sim_matrix(z, text).data, axis=1)
+        np.add.at(sums, test_data.labels[lo:lo + batch_size], z)
+    return preds, sums
+
+
+def _accuracy(preds: Array, labels: Array) -> float:
+    if len(labels) == 0:
+        raise EmptyDataset("cannot evaluate an empty dataset")
+    return int(np.sum(preds == labels)) / len(labels)
+
+
+def _superclass_counts(preds: Array, test_data: Dataset) -> List[List[int]]:
+    supers = test_data.superclass_of
+    s = int(supers.max()) + 1
+    counts = np.zeros((s, s), dtype=np.int64)
+    np.add.at(counts, (supers[test_data.labels], supers[preds]), 1)
+    return counts.tolist()
+
+
 def eval_clean(model: DualEncoder, test_data: Dataset, batch_size: int = 256) -> float:
     """Fraction classified correctly on clean images (nearest text embedding)."""
-    n = test_data.num_samples
-    if n == 0:
-        raise EmptyDataset("cannot evaluate an empty dataset")
-    text = model.encode_classes().data
-    correct = 0
-    for lo in range(0, n, batch_size):
-        preds = classify(model, text, test_data.images[lo:lo + batch_size])
-        correct += int(np.sum(preds == test_data.labels[lo:lo + batch_size]))
-    return correct / n
+    return _accuracy(_clean_pass(model, test_data, batch_size)[0], test_data.labels)
 
 
 def interclass_stats(t) -> Tuple[float, float]:
@@ -239,15 +261,7 @@ def interclass_stats(t) -> Tuple[float, float]:
 def superclass_confusion(model: DualEncoder, test_data: Dataset,
                          batch_size: int = 256) -> List[List[int]]:
     """Counts of (true superclass, predicted superclass) on clean images."""
-    supers = test_data.superclass_of
-    s = int(supers.max()) + 1
-    counts = np.zeros((s, s), dtype=np.int64)
-    text = model.encode_classes().data
-    for lo in range(0, test_data.num_samples, batch_size):
-        preds = classify(model, text, test_data.images[lo:lo + batch_size])
-        true = supers[test_data.labels[lo:lo + batch_size]]
-        np.add.at(counts, (true, supers[preds]), 1)
-    return counts.tolist()
+    return _superclass_counts(_clean_pass(model, test_data, batch_size)[0], test_data)
 
 
 # -- similarity-matrix diagnostics ---------------------------------------------
@@ -259,25 +273,16 @@ def _class_means(sums: Array, labels: Array) -> Array:
     return l2_normalize_rows(Tensor(sums / np.maximum(counts, 1.0)[:, None], op="const")).data
 
 
-def _clean_class_means(encoder: DualEncoder, test_data: Dataset,
-                       batch_size: int = 256) -> Array:
-    sums = np.zeros((test_data.num_classes, encoder.cfg.embed_dim))
-    for lo in range(0, test_data.num_samples, batch_size):
-        z = encoder.encode_images(test_data.images[lo:lo + batch_size]).data
-        np.add.at(sums, test_data.labels[lo:lo + batch_size], z)
-    return _class_means(sums, test_data.labels)
-
-
 def _write_csv(matrix: Array, path: Path) -> None:
     lines = [",".join(repr(float(v)) for v in row) for row in matrix]
-    path.write_text("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("ascii"), "matrix")
 
 
 def _write_pgm(matrix: Array, path: Path) -> None:
     # linear map [-1, 1] -> [0, 255]
     levels = np.clip(np.round((matrix + 1.0) * 127.5), 0, 255).astype(np.uint8)
     h, w = levels.shape
-    path.write_bytes(f"P5\n{w} {h}\n255\n".encode("ascii") + levels.tobytes())
+    write_atomic(path, f"P5\n{w} {h}\n255\n".encode("ascii") + levels.tobytes(), "matrix")
 
 
 def eps_tag(eps_text: str) -> str:
@@ -287,7 +292,8 @@ def eps_tag(eps_text: str) -> str:
 def export_similarity_matrices(model: DualEncoder, teacher: TeacherSnapshot,
                                test_data: Dataset, eps_list: Sequence[Tuple[str, float]],
                                out_dir, attack: Optional[AttackConfig] = None,
-                               student_adv_sums: Optional[Dict[str, Array]] = None
+                               student_adv_sums: Optional[Dict[str, Array]] = None,
+                               student_clean_sums: Optional[Array] = None
                                ) -> Dict[str, Dict[str, str]]:
     """Write class-level cosine-similarity matrices as CSV + PGM heatmaps.
 
@@ -296,7 +302,8 @@ def export_similarity_matrices(model: DualEncoder, teacher: TeacherSnapshot,
     adversarial image-image matrix per epsilon. The student is attacked
     against the text ``attack.text_source`` names, the teacher against its
     own. ``student_adv_sums`` (eps text -> per-class sums from
-    ``attack_pass``) reuses attacks already run on the student. Returns a
+    ``attack_pass``) reuses attacks already run on the student, and
+    ``student_clean_sums`` its per-class clean embedding sums. Returns a
     manifest of relative file paths keyed by matrix name.
     """
     attack = attack or AttackConfig()
@@ -309,19 +316,18 @@ def export_similarity_matrices(model: DualEncoder, teacher: TeacherSnapshot,
     manifest: Dict[str, Dict[str, str]] = {}
 
     def emit(name: str, matrix: Array) -> None:
-        try:
-            _write_csv(matrix, out_dir / f"{name}.csv")
-            _write_pgm(matrix, out_dir / f"{name}.pgm")
-        except OSError as exc:
-            raise IoFailure(f"cannot write matrix {name}: {exc}") from exc
+        _write_csv(matrix, out_dir / f"{name}.csv")
+        _write_pgm(matrix, out_dir / f"{name}.pgm")
         manifest[name] = {"csv": f"{name}.csv", "pgm": f"{name}.pgm"}
 
-    for who, encoder, text, adv_text, given in (
+    for who, encoder, text, adv_text, clean_sums, given in (
             ("student", model, model.encode_classes().data,
-             attack_text(model, teacher, attack), student_adv_sums),
-            ("teacher", teacher.model, teacher.t_hat, teacher.t_hat, {})):
+             attack_text(model, teacher, attack), student_clean_sums, student_adv_sums),
+            ("teacher", teacher.model, teacher.t_hat, teacher.t_hat, None, {})):
         emit(f"{who}_text_text", text @ text.T)
-        emit(f"{who}_image_text", _clean_class_means(encoder, test_data) @ text.T)
+        if clean_sums is None:
+            clean_sums = _clean_pass(encoder, test_data)[1]
+        emit(f"{who}_image_text", _class_means(clean_sums, test_data.labels) @ text.T)
         for eps_text, eps in eps_list:
             sums = given.get(eps_text)
             if sums is None:
@@ -353,11 +359,13 @@ def evaluate(model: DualEncoder, teacher: TeacherSnapshot, test_data: Dataset,
              seed: int = 0) -> EvalReport:
     """Full evaluation pass; eps_list entries are (display text, value).
 
-    The student is attacked once per epsilon: the same adversarial batches
-    give its robust accuracy and its adversarial similarity matrix.
+    The student is encoded clean once (its accuracy, superclass confusion
+    and clean class means) and attacked once per epsilon (its robust
+    accuracy and adversarial similarity matrix).
     """
     attack = attack or AttackConfig()
-    clean = eval_clean(model, test_data)
+    preds, clean_sums = _clean_pass(model, test_data)
+    clean = _accuracy(preds, test_data.labels)
     text = attack_text(model, teacher, attack)
     robust, adv_sums = {}, {}
     for eps_text, eps in eps_list:
@@ -369,13 +377,14 @@ def evaluate(model: DualEncoder, teacher: TeacherSnapshot, test_data: Dataset,
     matrices = {}
     if matrices_dir is not None:
         matrices = export_similarity_matrices(model, teacher, test_data, eps_list,
-                                              matrices_dir, attack, student_adv_sums=adv_sums)
+                                              matrices_dir, attack, student_adv_sums=adv_sums,
+                                              student_clean_sums=clean_sums)
     return EvalReport(
         clean_accuracy=clean,
         robust_accuracy=robust,
         text_min_distance={"student": s_min, "teacher": t_min},
         text_mean_distance={"student": s_mean, "teacher": t_mean},
-        superclass_confusion=superclass_confusion(model, test_data),
+        superclass_confusion=_superclass_counts(preds, test_data),
         matrices=matrices,
         config=dict(config_echo or {}),
         seed=seed,
@@ -394,10 +403,8 @@ def write_report(report: EvalReport, path) -> None:
         "matrices": report.matrices,
         "superclass_confusion": report.superclass_confusion,
     }
-    try:
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write report {path}: {exc}") from exc
+    write_atomic(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("ascii"),
+                 "report")
 
 
 def read_report(path) -> dict:

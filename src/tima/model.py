@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -24,7 +24,15 @@ from .errors import (
     TruncatedFile,
     UnsupportedVersion,
 )
-from .tensor import Tensor, add_rowvec, l2_normalize_rows
+from .files import write_atomic
+from .tensor import (
+    Tensor,
+    add_rowvec,
+    check_finite,
+    l2_normalize_rows,
+    normalize_rows_backward,
+    normalize_rows_forward,
+)
 
 Array = np.ndarray
 
@@ -104,6 +112,38 @@ class DualEncoder:
             h = add_rowvec(h @ w, b).tanh()
         out = add_rowvec(h @ self.out_w, self.out_b)
         return l2_normalize_rows(out)
+
+    def image_input_vjp(self, x) -> Tuple[Array, Callable[[Array], Array]]:
+        """``encode_images`` on plain arrays, plus its pullback to the pixels.
+
+        Returns ``(z, vjp)``: ``z`` equals ``encode_images(x).data`` bit for
+        bit, with the same finiteness checks under the same op names, and
+        ``vjp(g_z)`` is the input gradient ``backward`` would give for an
+        embedding gradient ``g_z``, term for term in the tape's order. No
+        weight gradient is formed.
+        """
+        x = check_finite(np.asarray(x, dtype=np.float64), "leaf")
+        if x.ndim != 2 or x.shape[1] != self.cfg.input_dim:
+            raise ShapeMismatch(
+                f"expected (n, {self.cfg.input_dim}) images, got {x.shape}")
+        acts = []
+        h = x
+        for w, b in self.layers:
+            pre = check_finite(check_finite(h @ w.data, "matmul") + b.data, "add_rowvec")
+            h = check_finite(np.tanh(pre), "tanh")
+            acts.append(h)
+        out = check_finite(check_finite(h @ self.out_w.data, "matmul") + self.out_b.data,
+                           "add_rowvec")
+        z, norms = normalize_rows_forward(out)
+        check_finite(z, "l2_normalize_rows")
+
+        def vjp(g_z: Array) -> Array:
+            g = normalize_rows_backward(g_z, z, norms) @ self.out_w.data.T
+            for (w, _), a in zip(reversed(self.layers), reversed(acts)):
+                g = (g * (1.0 - a * a)) @ w.data.T
+            return g
+
+        return z, vjp
 
     def encode_classes(self) -> Tensor:
         """Class-text embedding matrix (num_classes x embed_dim, unit rows)."""
@@ -209,11 +249,7 @@ def save_model(model: DualEncoder, path) -> None:
         for d in arr.shape:
             chunks.append(struct.pack("<I", d))
         chunks.append(arr.astype("<f8").tobytes())
-    try:
-        with open(path, "wb") as fh:
-            fh.write(b"".join(chunks))
-    except OSError as exc:
-        raise IoFailure(f"cannot write checkpoint {path}: {exc}") from exc
+    write_atomic(path, b"".join(chunks), "checkpoint")
 
 
 class _Reader:

@@ -41,9 +41,7 @@ class Tensor:
 
     def __init__(self, data, parents: Sequence["Tensor"] = (), op: str = "leaf",
                  backward_fn: Optional[Callable[[Array, int], Array]] = None):
-        self.data = np.asarray(data, dtype=np.float64)
-        if not np.isfinite(self.data).all():
-            raise NonFiniteValue(f"non-finite values produced by op '{op}'")
+        self.data = check_finite(np.asarray(data, dtype=np.float64), op)
         self.parents = tuple(parents)
         self.op = op
         self._backward = backward_fn
@@ -169,6 +167,13 @@ class Tensor:
                       lambda g, i: g * mask)
 
 
+def check_finite(a: Array, op: str) -> Array:
+    """``a`` itself, or NonFiniteValue naming ``op`` when any entry is inf/NaN."""
+    if not np.isfinite(a).all():
+        raise NonFiniteValue(f"non-finite values produced by op '{op}'")
+    return a
+
+
 def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x, op="const")
 
@@ -196,49 +201,70 @@ def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
                   lambda g, i: g if i == 0 else g.sum(axis=0))
 
 
-def l2_normalize_rows(m: Tensor) -> Tensor:
-    """Scale every row of a matrix to unit Euclidean norm.
+# -- array kernels: the math of the row ops, shared with tape-free callers -------
+
+
+def normalize_rows_forward(m: Array) -> tuple[Array, Array]:
+    """(unit rows, row norms) of a matrix.
 
     Raises DegenerateRow when any row norm falls below 1e-12: a zero vector
     has no direction, so normalizing it would silently fabricate one.
     """
-    m = _lift(m)
-    if m.ndim != 2:
-        raise ShapeMismatch(f"l2_normalize_rows needs a matrix, got {m.shape}")
-    norms = np.sqrt(np.sum(m.data * m.data, axis=1, keepdims=True))
+    norms = np.sqrt(np.sum(m * m, axis=1, keepdims=True))
     if np.any(norms < ROW_NORM_FLOOR):
         bad = int(np.argmin(norms))
         raise DegenerateRow(f"row {bad} has norm {norms[bad, 0]:.3e} < {ROW_NORM_FLOOR}")
-    out = m.data / norms
-
-    def backward_fn(g: Array, i: int) -> Array:
-        # per row: (g - y (g.y)) / ||x||
-        dots = np.sum(g * out, axis=1, keepdims=True)
-        return (g - out * dots) / norms
-
-    return Tensor(out, (m,), "l2_normalize_rows", backward_fn)
+    return m / norms, norms
 
 
-def row_log_softmax(s: Tensor, tau: float) -> Tensor:
+def normalize_rows_backward(g: Array, out: Array, norms: Array) -> Array:
+    """Input gradient of row normalization: per row (g - y (g.y)) / ||x||."""
+    dots = np.sum(g * out, axis=1, keepdims=True)
+    return (g - out * dots) / norms
+
+
+def check_temperature(tau) -> None:
+    if not (isinstance(tau, (int, float)) and tau > 0 and np.isfinite(tau)):
+        raise InvalidTemperature(f"tau must be a positive finite number, got {tau!r}")
+
+
+def log_softmax_forward(s: Array, tau: float) -> Array:
     """Log of the row-wise softmax of s / tau, computed stably.
 
     Uses max-subtraction so the result is exact even at tau = 0.01 with
     logits of magnitude 1e4, where the direct exp would overflow.
     """
-    if not (isinstance(tau, (int, float)) and tau > 0 and np.isfinite(tau)):
-        raise InvalidTemperature(f"tau must be a positive finite number, got {tau!r}")
+    a = s / tau
+    shifted = a - np.max(a, axis=1, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+
+
+def log_softmax_backward(g: Array, out: Array, tau: float) -> Array:
+    """Gradient with respect to s, given the gradient ``g`` of the log-probabilities ``out``."""
+    p = np.exp(out)
+    return (g - p * np.sum(g, axis=1, keepdims=True)) / tau
+
+
+def l2_normalize_rows(m: Tensor) -> Tensor:
+    """Scale every row of a matrix to unit Euclidean norm (see
+    ``normalize_rows_forward`` for the DegenerateRow floor)."""
+    m = _lift(m)
+    if m.ndim != 2:
+        raise ShapeMismatch(f"l2_normalize_rows needs a matrix, got {m.shape}")
+    out, norms = normalize_rows_forward(m.data)
+    return Tensor(out, (m,), "l2_normalize_rows",
+                  lambda g, i: normalize_rows_backward(g, out, norms))
+
+
+def row_log_softmax(s: Tensor, tau: float) -> Tensor:
+    """Row-wise log-softmax of s / tau (see ``log_softmax_forward``)."""
+    check_temperature(tau)
     s = _lift(s)
     if s.ndim != 2:
         raise ShapeMismatch(f"row_log_softmax needs a matrix, got {s.shape}")
-    a = s.data / tau
-    shifted = a - np.max(a, axis=1, keepdims=True)
-    out = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
-
-    def backward_fn(g: Array, i: int) -> Array:
-        p = np.exp(out)
-        return (g - p * np.sum(g, axis=1, keepdims=True)) / tau
-
-    return Tensor(out, (s,), "row_log_softmax", backward_fn)
+    out = log_softmax_forward(s.data, tau)
+    return Tensor(out, (s,), "row_log_softmax",
+                  lambda g, i: log_softmax_backward(g, out, tau))
 
 
 def backward(loss: Tensor, leaves: Optional[Iterable[Tensor]] = None) -> Dict[Tensor, Array]:
@@ -303,22 +329,3 @@ def backward(loss: Tensor, leaves: Optional[Iterable[Tensor]] = None) -> Dict[Te
         g = grads.get(leaf)
         out[leaf] = np.zeros_like(leaf.data) if g is None else np.asarray(g, dtype=np.float64)
     return out
-
-
-def finite_diff_grad(f: Callable[[Array], float], x, h: float = 1e-5) -> Array:
-    """Central-difference gradient oracle: (f(x+h e_i) - f(x-h e_i)) / 2h.
-
-    ``f`` receives a plain ndarray and must return a scalar. Kept independent
-    of the tape so it can cross-check backward().
-    """
-    if not h > 0:
-        raise ValueError(f"h must be positive, got {h}")
-    x = np.array(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    for idx in np.ndindex(x.shape):
-        xp = x.copy()
-        xp[idx] += h
-        xm = x.copy()
-        xm[idx] -= h
-        grad[idx] = (float(f(xp)) - float(f(xm))) / (2.0 * h)
-    return grad

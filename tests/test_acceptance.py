@@ -24,7 +24,9 @@ from tima.losses import (
     tima_loss,
 )
 from tima.model import EncoderConfig, init_model, snapshot_teacher
-from tima.tensor import Tensor, backward, finite_diff_grad, l2_normalize_rows
+from tima.tensor import Tensor, backward, l2_normalize_rows
+
+from oracles import finite_diff_grad
 
 REL_TOL = 1e-4
 ABS_FLOOR = 1e-7

@@ -7,9 +7,19 @@ from hypothesis import given, settings, strategies as st
 from tima import attacks
 from tima.attacks import AttackConfig, classify, per_sample_ce, pgd_attack, pgd_steps, robust_accuracy
 from tima.data import SyntheticSpec, generate_synthetic
-from tima.errors import AttackOutOfBounds, EmptyDataset, InvalidConfig
-from tima.model import EncoderConfig, init_model, snapshot_teacher
-from tima.tensor import Tensor, finite_diff_grad, l2_normalize_rows
+from tima.errors import (
+    AttackOutOfBounds,
+    DegenerateRow,
+    EmptyDataset,
+    InvalidConfig,
+    NonFiniteValue,
+    NotNormalized,
+    ShapeMismatch,
+)
+from tima.model import DualEncoder, EncoderConfig, init_model, snapshot_teacher
+from tima.tensor import Tensor, l2_normalize_rows, log_softmax_forward
+
+from oracles import finite_diff_grad, tape_ce_input_grad
 
 
 class LinearStub:
@@ -22,6 +32,15 @@ class LinearStub:
     def encode_images(self, x):
         xt = x if isinstance(x, Tensor) else Tensor(x)
         return l2_normalize_rows(xt @ Tensor(self.w, op="const"))
+
+
+def linear_encoder(w, tau=1.0):
+    """A real DualEncoder computing z = normalize(x W): no hidden layer, zero bias."""
+    w = np.asarray(w, dtype=np.float64)
+    d, e = w.shape
+    cfg = EncoderConfig(input_dim=d, hidden_dims=(), embed_dim=e, num_classes=e)
+    return DualEncoder(cfg, [], (Tensor(w), Tensor(np.zeros(e))),
+                       Tensor(np.eye(e)), Tensor(np.eye(e)), tau)
 
 
 def toy_model(seed=0):
@@ -66,7 +85,7 @@ class TestPgdAttack:
     def test_single_step_matches_sign_of_gradient(self):
         # 2-pixel example on a hand-built linear encoder; oracle gradient by
         # central finite differences of the attacked cross-entropy
-        stub = LinearStub(np.array([[1.0, 0.2], [-0.3, 1.0]]))
+        stub = linear_encoder(np.array([[1.0, 0.2], [-0.3, 1.0]]))
         text = np.array([[1.0, 0.0], [0.0, 1.0]])
         x = np.array([[0.4, 0.6]])
         y = np.array([0])
@@ -198,3 +217,90 @@ class TestRobustAccuracy:
         text = np.array([[1.0, 0.0], [1.0, 0.0]])  # identical rows: tie
         labels = classify(stub, text, np.array([[0.5, 0.0]]))
         assert labels[0] == 0
+
+
+def grad_case(hidden, tau, seed=0, n=12):
+    cfg = EncoderConfig(input_dim=6, hidden_dims=hidden, embed_dim=4, num_classes=3, seed=seed)
+    model = init_model(cfg, tau=tau)
+    x, y = toy_batch(seed=seed, n=n)
+    return model, model.encode_classes().data, x, y
+
+
+def closed_form_grad(model, text, x, y):
+    return attacks._ce_input_grad(model, attacks._checked_text(model, text), x, y)
+
+
+class TestClosedFormInputGradient:
+    """pgd_steps takes its input gradient without the tape; the tape is the
+    reference, bit for bit."""
+
+    @pytest.mark.parametrize("hidden", [(), (5,), (128,)])
+    @pytest.mark.parametrize("tau", [1.0, 0.1, 0.01])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_tape_bitwise(self, hidden, tau, seed):
+        model, text, x, y = grad_case(hidden, tau, seed)
+        assert np.array_equal(closed_form_grad(model, text, x, y),
+                              tape_ce_input_grad(model, text, x, y))
+
+    @pytest.mark.parametrize("hidden", [(), (5,), (128,)])
+    @pytest.mark.parametrize("tau", [0.01, 0.001])
+    def test_matches_tape_when_softmax_saturates(self, hidden, tau):
+        # labels = predicted classes: at small tau the target probability
+        # rounds to exactly 1 for some rows
+        model, text, x, _ = grad_case(hidden, tau)
+        s = model.encode_images(x).data @ text.T
+        y = np.argmax(s, axis=1)
+        assert np.any(np.exp(log_softmax_forward(s, tau)).max(axis=1) == 1.0)
+        assert np.array_equal(closed_form_grad(model, text, x, y),
+                              tape_ce_input_grad(model, text, x, y))
+
+    def test_pgd_steps_matches_tape_iteration(self):
+        model, text, x, y = grad_case((5,), 0.1)
+        eps, step = 4 / 255, 1 / 255
+        ref = x.copy()
+        lo, hi = np.maximum(x - eps, 0.0), np.minimum(x + eps, 1.0)
+        for _ in range(4):
+            ref = np.clip(ref + step * np.sign(tape_ce_input_grad(model, text, ref, y)), lo, hi)
+        assert np.array_equal(pgd_steps(model, text, x, x, y, eps, step, 4), ref)
+
+    def test_against_finite_differences(self):
+        model, text, x, y = grad_case((5,), 1.0, n=3)
+
+        def total_ce(v):
+            return float(per_sample_ce(model, text, v.reshape(x.shape), y).sum())
+
+        numeric = finite_diff_grad(total_ce, x.ravel(), h=1e-6).reshape(x.shape)
+        assert np.allclose(closed_form_grad(model, text, x, y), numeric, rtol=1e-5, atol=1e-8)
+
+    def _both_raise(self, error, model, text, x, y):
+        with pytest.raises(error) as tape_exc:
+            tape_ce_input_grad(model, text, x, y)
+        with pytest.raises(error) as new_exc:
+            pgd_steps(model, text, x, x, y, 4 / 255, 1 / 255, 1)
+        return str(tape_exc.value), str(new_exc.value)
+
+    def test_inf_weight_raises_non_finite(self):
+        model, text, x, y = grad_case((5,), 0.1)
+        model.layers[0][0].data[0, 0] = np.inf
+        tape_msg, new_msg = self._both_raise(NonFiniteValue, model, text, x, y)
+        assert new_msg == tape_msg
+
+    def test_non_finite_pixel_raises(self):
+        model, text, x, y = grad_case((), 0.1)
+        x[2, 1] = np.nan
+        tape_msg, new_msg = self._both_raise(NonFiniteValue, model, text, x, y)
+        assert new_msg == tape_msg
+
+    def test_zero_embedding_raises_degenerate_row(self):
+        model = linear_encoder(np.array([[1.0, 0.2], [-0.3, 1.0]]))
+        text = np.eye(2)
+        x = np.array([[0.4, 0.6], [0.0, 0.0]])
+        self._both_raise(DegenerateRow, model, text, x, np.array([0, 1]))
+
+    def test_wrong_image_width_raises_shape_mismatch(self):
+        model, text, x, y = grad_case((5,), 0.1)
+        self._both_raise(ShapeMismatch, model, text, x[:, :5], y)
+
+    def test_non_unit_text_raises_not_normalized(self):
+        model, text, x, y = grad_case((5,), 0.1)
+        self._both_raise(NotNormalized, model, 1.5 * text, x, y)

@@ -24,7 +24,7 @@ from tima.harness import (
     write_report,
 )
 from tima.losses import LossWeights
-from tima.model import EncoderConfig, TeacherSnapshot, init_model, snapshot_teacher
+from tima.model import DualEncoder, EncoderConfig, TeacherSnapshot, init_model, snapshot_teacher
 from tima.tensor import Tensor
 
 
@@ -361,3 +361,24 @@ class TestSingleAttackPass:
                  attack=AttackConfig(steps=1), matrices_dir=tmp_path)
         assert len(keys) == 32
         assert len(set(keys)) == 32
+
+    def test_student_clean_set_encoded_once(self, tmp_path, monkeypatch):
+        # 300 rows: one clean pass of 256 + 44 rows (accuracy, confusion and
+        # the clean class means all come from it) and 128 + 128 + 44 per eps
+        calls = []
+        original = DualEncoder.encode_images
+
+        def spy(encoder, x):
+            calls.append((encoder is self.student, len(x)))
+            return original(encoder, x)
+
+        monkeypatch.setattr(DualEncoder, "encode_images", spy)
+        attack = AttackConfig(steps=1)
+        report = evaluate(self.student, self.teacher, self.test, self.eps_list,
+                          attack=attack, matrices_dir=tmp_path)
+        assert calls.count((True, 256)) == 1
+        assert sum(student for student, _ in calls) == 2 + 3 * len(self.eps_list)
+        monkeypatch.undo()
+        assert report.clean_accuracy == eval_clean(self.student, self.test)
+        assert report.superclass_confusion == superclass_confusion(self.student, self.test)
+

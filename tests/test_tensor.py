@@ -13,10 +13,11 @@ from tima.tensor import (
     Tensor,
     add_rowvec,
     backward,
-    finite_diff_grad,
     l2_normalize_rows,
     row_log_softmax,
 )
+
+from oracles import finite_diff_grad
 
 REL_TOL = 1e-4
 ABS_FLOOR = 1e-7
