@@ -152,10 +152,13 @@ def classify(encoder, text_matrix: Array, x: Array) -> Array:
     return np.argmax(cosine_sim_matrix(z, text_matrix).data, axis=1)
 
 
-def attack_text(model, teacher, cfg: AttackConfig) -> Array:
-    """The class-text embeddings ``cfg.text_source`` names: the student's own,
-    or the frozen teacher's."""
-    return model.encode_classes().data if cfg.text_source == "student" else teacher.t_hat
+def attack_text(model, teacher, cfg: AttackConfig, student_text=None) -> Array:
+    """The class-text embeddings ``cfg.text_source`` names: the student's own
+    (``student_text``, this model's ``encode_classes()``, when the caller
+    already has it), or the frozen teacher's."""
+    if cfg.text_source != "student":
+        return teacher.t_hat
+    return (model.encode_classes() if student_text is None else student_text).data
 
 
 def attack_pass(encoder, text_matrix: Array, dataset, cfg: AttackConfig,

@@ -137,11 +137,16 @@ def cmd_sweep(args) -> int:
             weights = dataclasses.replace(cfg.loss_weights(), m=m, eta=eta)
             configs[m, eta] = dataclasses.replace(cfg.finetune_config(), loss_weights=weights)
     eps_list = [(t, parse_fraction(t)) for t in cfg["sweep_eps"]]
+
+    def cell(key):
+        m, eta = key
+        student = harness.finetune(pretrained.clone(), teacher, train, configs[key])[0]
+        return harness.evaluate(student, teacher, test, eps_list, attack=cfg.eval_attack(),
+                                config_echo=dict(cfg.echo(), m=repr(m), eta=repr(eta)),
+                                seed=cfg["seed"])
+
     count = 0
-    for (m, eta), student in harness.finetune_each(pretrained, teacher, train, configs):
-        echo = dict(cfg.echo(), m=repr(m), eta=repr(eta))
-        report = harness.evaluate(student, teacher, test, eps_list, attack=cfg.eval_attack(),
-                                  config_echo=echo, seed=cfg["seed"])
+    for (m, eta), report in zip(configs, harness.run_cells(cell, configs)):
         for eps_text, _ in eps_list:
             point = out / "sweep" / f"m{m}_eta{eta}_eps{harness.eps_tag(eps_text)}"
             point.mkdir(parents=True, exist_ok=True)
@@ -167,16 +172,22 @@ def cmd_trend(args) -> int:
     base = _resolve_config(args)
     seeds = harness.TREND_SEEDS if args.seed is None else (args.seed,)
     out = _out_dir(args) / "trend"
-    reports = {v: [] for v in harness.TREND_VARIANTS}
-    for seed in seeds:
+
+    def cell(seed):
         cfg = base.with_seed(seed)
-        cell = harness.run_grid(cfg, harness.TREND_VARIANTS)
-        print(f"seed {seed}: teacher clean {harness.eval_clean(cell.pretrained, cell.test):.3f} "
-              f"min text distance {harness.interclass_stats(cell.teacher.t_hat)[0]:.3f}")
-        for variant, student in cell.students.items():
-            report = harness.evaluate(student, cell.teacher, cell.test, cfg.eval_eps(),
-                                      attack=cfg.eval_attack(),
-                                      config_echo=dict(cfg.echo(), variant=variant), seed=seed)
+        grid = harness.run_grid(cfg, harness.TREND_VARIANTS)
+        head = (f"seed {seed}: teacher clean {harness.eval_clean(grid.pretrained, grid.test):.3f} "
+                f"min text distance {harness.interclass_stats(grid.teacher.t_hat)[0]:.3f}")
+        return head, {variant: harness.evaluate(student, grid.teacher, grid.test, cfg.eval_eps(),
+                                                attack=cfg.eval_attack(),
+                                                config_echo=dict(cfg.echo(), variant=variant),
+                                                seed=seed)
+                      for variant, student in grid.students.items()}
+
+    reports = {v: [] for v in harness.TREND_VARIANTS}
+    for seed, (head, cell_reports) in zip(seeds, harness.run_cells(cell, seeds)):
+        print(head)
+        for variant, report in cell_reports.items():
             point = out / f"seed{seed}_{variant}"
             point.mkdir(parents=True, exist_ok=True)
             harness.write_report(report, point / "report.json")

@@ -93,6 +93,11 @@ class ReportSchemaError(TimaError):
     """Report JSON is missing required keys or is not valid JSON."""
 
 
+# parallel cells
+class WorkerDied(TimaError):
+    """A worker process running grid cells ended without returning a result."""
+
+
 # config-file parsing
 class ConfigError(TimaError):
     """Base class for config-file parse errors (carries a line number)."""

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from .errors import (
     IoFailure,
     ReportSchemaError,
     TooFewClasses,
+    WorkerDied,
 )
 from .files import write_atomic
 from .losses import LossWeights, cosine_sim_matrix, teacher_targets, tima_loss
@@ -158,6 +161,9 @@ def finetune(model: DualEncoder, teacher: TeacherSnapshot, train_data: Dataset,
     # the teacher is frozen: its rows for each sample are fixed for the run
     targets = teacher_targets(teacher, train_data.images, train_data.labels, w,
                               batch_size=cfg.batch_size)
+    # the student's class text, encoded once per batch when the attack or
+    # the text branch of the loss needs it
+    own_text = attack.text_source == "student" or w.lam > 0.0
     trace = []
     n = train_data.num_samples
     for epoch in range(cfg.epochs):
@@ -165,24 +171,17 @@ def finetune(model: DualEncoder, teacher: TeacherSnapshot, train_data: Dataset,
         for bi, idx in enumerate(_batches(n, cfg.batch_size, rng)):
             xb = train_data.images[idx]
             yb = train_data.labels[idx]
-            text = attack_text(model, teacher, attack)
+            student_text = model.encode_classes() if own_text else None
+            text = attack_text(model, teacher, attack, student_text)
             batch_attack = dataclasses.replace(
                 attack, seed=attack.seed + 1000003 * epoch + bi)
             x_adv = pgd_attack(model, text, xb, yb, batch_attack)
             loss, _ = tima_loss(model, teacher, xb, x_adv, yb, w,
-                                targets=targets.take(idx))
+                                targets=targets.take(idx), student_text=student_text)
             opt.step(backward(loss, opt.params))
             total += loss.item() * len(idx)
         trace.append(total / n)
     return model, trace
-
-
-def finetune_each(pretrained: DualEncoder, teacher: TeacherSnapshot, train_data: Dataset,
-                  configs: Dict[object, TrainConfig]) -> Iterator[Tuple[object, DualEncoder]]:
-    """Yield (key, student) for each config, each student fine-tuned from a
-    fresh copy of ``pretrained``."""
-    for key, cfg in configs.items():
-        yield key, finetune(pretrained.clone(), teacher, train_data, cfg)[0]
 
 
 @dataclass
@@ -207,9 +206,77 @@ def run_grid(cfg, variants: Sequence[str]) -> GridCell:
     pretrained = init_model(cfg.encoder_config(), tau=cfg["tau"])
     pretrained, pre_trace = pretrain_clean(pretrained, train, cfg.pretrain_config())
     teacher = snapshot_teacher(pretrained)
-    configs = {v: cfg.finetune_config(variant=v) for v in variants}
-    students = dict(finetune_each(pretrained, teacher, train, configs))
+    students = {v: finetune(pretrained.clone(), teacher, train, cfg.finetune_config(variant=v))[0]
+                for v in variants}
     return GridCell(cfg, train, test, pretrained, pre_trace, teacher, students)
+
+
+# -- independent cells in forked workers -------------------------------------------
+
+# set in worker processes only: the function their cells run
+_cell_fn: Optional[Callable] = None
+
+
+def _init_worker(fn: Callable) -> None:
+    global _cell_fn
+    _cell_fn = fn
+
+
+def _run_cell(item):
+    return _cell_fn(item)
+
+
+# where BLAS libraries read their per-process thread count from
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _cell_workers(count: int) -> int:
+    """Worker processes for ``count`` cells: the CPUs this process may use,
+    divided by the threads each process's BLAS runs (all of those CPUs
+    unless ``BLAS_THREAD_VARS`` say fewer), and at most one per cell."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    pinned = [int(v) for v in map(os.environ.get, BLAS_THREAD_VARS)
+              if v and v.isdigit() and int(v) > 0]
+    return min(count, max(1, cpus // (max(pinned) if pinned else cpus)))
+
+
+def run_cells(fn: Callable, items: Sequence) -> List:
+    """``[fn(item) for item in items]``, spread over forked worker processes.
+
+    ``_cell_workers`` sets the worker count. With one worker, without Linux
+    ``fork``, or inside a cell, the same loop runs in-process. ``fn``
+    reaches the workers by fork inheritance; only each item and its result
+    are pickled. Cells must be independent, print nothing and write no
+    files: the caller reports their results. A ``TimaError`` raised in a
+    cell re-raises here; a worker that dies raises ``WorkerDied`` and
+    cancels the cells not yet started.
+    """
+    items = list(items)
+    workers = _cell_workers(len(items))
+    if workers <= 1 or _cell_fn is not None or not sys.platform.startswith("linux"):
+        return [fn(item) for item in items]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # a forked worker flushes the stdio buffers it inherits when it exits
+    sys.stdout.flush()
+    sys.stderr.flush()
+    # on the fork context the pool (Python 3.11+) forks every worker before
+    # it starts its manager thread, and hands the initializer's arguments
+    # to the forked workers unpickled
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_init_worker, initargs=(fn,))
+    try:
+        futures = [pool.submit(_run_cell, item) for item in items]
+        return [future.result() for future in futures]
+    except BrokenProcessPool as exc:
+        raise WorkerDied(f"a cell worker process died: {exc}") from None
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _clean_pass(model: DualEncoder, test_data: Dataset,

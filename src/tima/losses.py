@@ -285,8 +285,8 @@ def teacher_targets(teacher, x, y, w: LossWeights,
 
 
 def tima_loss(student, teacher, x_clean: Array, x_adv: Array, y,
-              w: LossWeights, *, targets: Optional[TeacherTargets] = None
-              ) -> tuple[Tensor, LossComponents]:
+              w: LossWeights, *, targets: Optional[TeacherTargets] = None,
+              student_text: Optional[Tensor] = None) -> tuple[Tensor, LossComponents]:
     """Combined loss: TAM + lam_v*TAKD + lam*(MHE + lam_t*IAKD).
 
     ``student`` is the trainable dual encoder, ``teacher`` the frozen
@@ -298,6 +298,8 @@ def tima_loss(student, teacher, x_clean: Array, x_adv: Array, y,
 
     ``targets`` are this batch's rows of ``teacher_targets`` under the same
     weights; when omitted they are computed from ``x_clean``.
+    ``student_text`` is ``student.encode_classes()`` when the caller already
+    has it for these weights; when omitted it is encoded here.
     """
     t_hat = teacher.t_hat
     y = _check_labels(y, t_hat.shape[0])
@@ -322,7 +324,7 @@ def tima_loss(student, teacher, x_clean: Array, x_adv: Array, y,
     mhe_val = 0.0
     iakd_val = 0.0
     if w.lam > 0.0:
-        student_t = student.encode_classes()
+        student_t = student.encode_classes() if student_text is None else student_text
         mhe = mhe_loss(student_t)
         text_branch = mhe
         mhe_val = mhe.item()

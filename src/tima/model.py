@@ -72,8 +72,8 @@ class DualEncoder:
     def __init__(self, cfg: EncoderConfig, layers: List[Tuple[Tensor, Tensor]],
                  out_layer: Tuple[Tensor, Tensor], class_table: Tensor,
                  text_proj: Tensor, tau: float = DEFAULT_TAU):
-        if tau <= 0:
-            raise InvalidConfig(f"model temperature must be positive, got {tau}")
+        if not 0.0 < tau < float("inf"):
+            raise InvalidConfig(f"model temperature must be positive and finite, got {tau}")
         self.cfg = cfg
         self.layers = layers
         self.out_w, self.out_b = out_layer
@@ -177,7 +177,8 @@ class TeacherSnapshot:
     """Deep, immutable copy of a dual encoder with its class-text matrix cached.
 
     The backing arrays are write-protected; nothing in the system mutates a
-    snapshot after construction, so it can be shared freely.
+    snapshot after construction, so it can be shared freely. Unpickling
+    snapshots the pickled weights again, so a copy is write-protected too.
     """
 
     def __init__(self, model: DualEncoder):
@@ -186,6 +187,9 @@ class TeacherSnapshot:
         t_hat = self.model.encode_classes().data
         t_hat.flags.writeable = False
         self.t_hat = t_hat
+
+    def __reduce__(self):
+        return TeacherSnapshot, (self.model,)
 
     def encode_images(self, x) -> Array:
         """Forward pass through the frozen weights; plain values, no graph."""

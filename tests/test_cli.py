@@ -1,13 +1,18 @@
 import dataclasses
 import json
+import os
+import signal
+import sys
 
 import numpy as np
 import pytest
 
+from tima import harness
 from tima.attacks import robust_accuracy
 from tima.cli import main
 from tima.config import load_config
 from tima.data import load_dataset
+from tima.errors import InvalidConfig
 from tima.harness import TREND_SEEDS, TREND_VARIANTS, read_report, run_grid
 
 # small, fast recipe: linear encoder, tiny images, short training
@@ -205,3 +210,61 @@ class TestDeterminism:
             assert a.read_bytes() == b.read_bytes()
         assert (out1 / "pretrained.timm").read_bytes() == (out2 / "pretrained.timm").read_bytes()
         assert (out1 / "finetuned_tima.timm").read_bytes() == (out2 / "finetuned_tima.timm").read_bytes()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="cells fork on Linux only")
+class TestSweepCells:
+    """`tima sweep` runs one cell per (m, eta); four cells here."""
+
+    @pytest.fixture()
+    def pretrained_out(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(FAST_CONFIG.replace("sweep_m = 0.1\n", "sweep_m = 0.05,0.1\n")
+                       .replace("sweep_eta = 0.95\n", "sweep_eta = 0.9,0.95\n"))
+        out = tmp_path / "out"
+        for argv in (["gen-data"], ["pretrain"]):
+            assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 0
+        return ["sweep", "--config", str(cfg), "--out", str(out)], out
+
+    def sweep(self, monkeypatch, capsys, argv, out, workers):
+        monkeypatch.setattr(harness, "_cell_workers", lambda count: min(count, workers))
+        code = main(argv)
+        printed = capsys.readouterr()
+        files = {p.relative_to(out).as_posix(): p.read_bytes()
+                 for p in sorted((out / "sweep").rglob("*")) if p.is_file()}
+        return code, printed, files
+
+    def test_one_worker_matches_forked_workers(self, pretrained_out, monkeypatch, capsys):
+        forked = self.sweep(monkeypatch, capsys, *pretrained_out, workers=2)
+        in_process = self.sweep(monkeypatch, capsys, *pretrained_out, workers=1)
+        assert forked[0] == in_process[0] == 0
+        assert forked[1].out == in_process[1].out
+        assert len(forked[2]) == 4
+        assert forked[2] == in_process[2]
+
+    def failing_cell(self, monkeypatch, fail):
+        original = harness.finetune
+
+        def finetune(model, teacher, train, cfg):
+            if cfg.loss_weights.m == 0.1:
+                fail()
+            return original(model, teacher, train, cfg)
+
+        monkeypatch.setattr(harness, "finetune", finetune)
+
+    def test_cell_error_reaches_cli(self, pretrained_out, monkeypatch, capsys):
+        def fail():
+            raise InvalidConfig("bad cell m=0.1")
+
+        self.failing_cell(monkeypatch, fail)
+        code, printed, _ = self.sweep(monkeypatch, capsys, *pretrained_out, workers=2)
+        assert code == 1
+        assert printed.err == "error: bad cell m=0.1\n"
+        assert printed.out == ""
+
+    def test_killed_worker_reaches_cli(self, pretrained_out, monkeypatch, capsys):
+        self.failing_cell(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        code, printed, _ = self.sweep(monkeypatch, capsys, *pretrained_out, workers=2)
+        assert code == 1
+        assert printed.err.startswith("error: a cell worker process died")
+        assert "Traceback" not in printed.err

@@ -1,15 +1,28 @@
 import dataclasses
+import faulthandler
 import json
+import os
+import signal
+import sys
+import time
 
 import numpy as np
 import pytest
 
-from tima import attacks
+from tima import attacks, harness
 from tima.attacks import AttackConfig, robust_accuracy
 from tima.config import parse_config
 from tima.data import SyntheticSpec, generate_synthetic
-from tima.errors import EmptyDataset, InvalidVariant, ReportSchemaError, TooFewClasses
+from tima.errors import (
+    EmptyDataset,
+    InvalidVariant,
+    LabelOutOfRange,
+    ReportSchemaError,
+    TooFewClasses,
+    WorkerDied,
+)
 from tima.harness import (
+    BLAS_THREAD_VARS,
     EvalReport,
     TrainConfig,
     eval_clean,
@@ -20,6 +33,7 @@ from tima.harness import (
     pretrain_clean,
     read_report,
     resolve_variant,
+    run_cells,
     superclass_confusion,
     write_report,
 )
@@ -124,6 +138,21 @@ class TestFinetuneVariants:
         finetune(self.pretrained.clone(), self.teacher, self.train,
                  fast_train_cfg(variant="tima", epochs=3))
         assert sum(rows) == self.train.num_samples
+
+    @pytest.mark.parametrize("variant, per_batch", [("tima", 1), ("tecoa", 0)])
+    def test_student_text_encoded_once_per_batch(self, monkeypatch, variant, per_batch):
+        calls = []
+        original = DualEncoder.encode_classes
+
+        def counting(model):
+            calls.append(1)
+            return original(model)
+
+        monkeypatch.setattr(DualEncoder, "encode_classes", counting)
+        finetune(self.pretrained.clone(), self.teacher, self.train,
+                 fast_train_cfg(variant=variant, epochs=3))
+        batches = 3 * -(-self.train.num_samples // 32)
+        assert len(calls) == per_batch * batches
 
     def test_teacher_unchanged_by_any_variant(self):
         before = self.teacher.fingerprint()
@@ -382,3 +411,63 @@ class TestSingleAttackPass:
         assert report.clean_accuracy == eval_clean(self.student, self.test)
         assert report.superclass_confusion == superclass_confusion(self.student, self.test)
 
+
+
+def test_cell_workers_share_cpus_with_blas_threads(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    assert harness._cell_workers(8) == 1  # BLAS may use every CPU
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    assert harness._cell_workers(8) == 4
+    assert harness._cell_workers(3) == 3
+    assert harness._cell_workers(0) == 0
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert harness._cell_workers(8) == 2
+
+
+def test_one_worker_runs_in_process(monkeypatch):
+    monkeypatch.setattr(harness, "_cell_workers", lambda count: 1)
+    assert run_cells(lambda _: os.getpid(), range(3)) == [os.getpid()] * 3
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="cells fork on Linux only")
+class TestForkedCells:
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        monkeypatch.setattr(harness, "_cell_workers", lambda count: min(count, 2))
+        # a hung pool fails the run instead of stalling it
+        faulthandler.dump_traceback_later(120, exit=True)
+        yield
+        faulthandler.cancel_dump_traceback_later()
+
+    def test_results_in_input_order(self):
+        assert run_cells(lambda x: x * x, range(7)) == [x * x for x in range(7)]
+
+    def test_cells_run_in_workers_and_do_not_nest(self):
+        pids = run_cells(lambda _: run_cells(lambda _: os.getpid(), range(3)), range(4))
+        assert all(len(set(inner)) == 1 and inner[0] != os.getpid() for inner in pids)
+
+    def test_tima_error_reraises_with_class_and_message(self):
+        def cell(x):
+            if x == 2:
+                raise LabelOutOfRange(f"label {x} in cell")
+            return x
+
+        with pytest.raises(LabelOutOfRange) as info:
+            run_cells(cell, range(4))
+        assert str(info.value) == "label 2 in cell"
+
+    @pytest.mark.parametrize("die", [lambda: os._exit(3),
+                                     lambda: os.kill(os.getpid(), signal.SIGKILL)])
+    def test_dead_worker_raises_and_cancels_pending_cells(self, tmp_path, die):
+        def cell(x):
+            if x == 0:
+                die()
+            time.sleep(0.5)
+            (tmp_path / str(x)).touch()
+            return x
+
+        with pytest.raises(WorkerDied):
+            run_cells(cell, range(10))
+        assert len(list(tmp_path.iterdir())) < 9

@@ -1,3 +1,4 @@
+import pickle
 import struct
 
 import numpy as np
@@ -119,6 +120,14 @@ class TestTeacherSnapshot:
         with pytest.raises(ValueError):
             teacher.model.class_table.data[0, 0] = 5.0
 
+    def test_pickled_snapshot_stays_read_only(self):
+        teacher = snapshot_teacher(init_model(tiny_cfg(seed=7)))
+        copy = pickle.loads(pickle.dumps(teacher))
+        assert copy.fingerprint() == teacher.fingerprint()
+        assert np.array_equal(copy.t_hat, teacher.t_hat)
+        assert not copy.t_hat.flags.writeable
+        assert not any(p.data.flags.writeable for p in copy.model.parameters())
+
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -180,4 +189,17 @@ class TestCheckpoint:
         struct.pack_into("<I", blob, offset, 5)
         path.write_bytes(bytes(blob))
         with pytest.raises(CorruptFile):
+            load_model(path)
+
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_temperature_rejected(self, tmp_path, tau):
+        path = tmp_path / "model.timm"
+        save_model(init_model(tiny_cfg(hidden=()), tau=0.02), path)
+        blob = bytearray(path.read_bytes())
+        # magic, version, input_dim, hidden count, embed_dim, num_classes, seed
+        offset = 4 + 4 + 4 + 4 + 4 + 4 + 8
+        assert struct.unpack_from("<d", blob, offset)[0] == 0.02
+        struct.pack_into("<d", blob, offset, tau)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(InvalidConfig):
             load_model(path)
