@@ -84,14 +84,14 @@ def _ce_input_grad(encoder, text: Array, x: Array, y: Array) -> Array:
     S = z text^T, in closed form: the value ``backward`` gives on the tape,
     bit for bit. ``text`` comes from ``_checked_text``; z rows are unit by
     construction."""
-    z, vjp = encoder.image_input_vjp(x)
-    s = check_finite(z @ text.T, "matmul")
+    image = encoder.image_forward(check_finite(np.asarray(x, dtype=np.float64), "leaf"))
+    s = check_finite(image.z @ text.T, "matmul")
     log_p = check_finite(log_softmax_forward(s, encoder.tau), "row_log_softmax")
     mask = _one_hot(y, s.shape[1])
     if mask.shape != s.shape:
         raise ShapeMismatch(f"mul: {s.shape} vs {mask.shape}")
     g_s = log_softmax_backward(-mask, log_p, encoder.tau)
-    return vjp(g_s @ text)
+    return image.pixels(g_s @ text)
 
 
 def pgd_steps(encoder, text_matrix: Array, x_center: Array, x_start: Array,

@@ -31,9 +31,17 @@ from .errors import (
     WorkerDied,
 )
 from .files import write_atomic
-from .losses import LossWeights, cosine_sim_matrix, teacher_targets, tima_loss
+from .losses import (
+    LossWeights,
+    _check_labels,
+    _student_loss_node,
+    _tam,
+    cosine_sim_matrix,
+    teacher_targets,
+    tima_loss,
+)
 from .model import DualEncoder, TeacherSnapshot, init_model, snapshot_teacher
-from .tensor import Tensor, backward, l2_normalize_rows, row_log_softmax
+from .tensor import Tensor, backward, check_finite, l2_normalize_rows, once_per_gradient
 
 Array = np.ndarray
 
@@ -98,14 +106,15 @@ def _batches(n: int, batch_size: int, rng) -> List[Array]:
 
 
 def contrastive_ce(model: DualEncoder, x: Array, y: Array) -> Tensor:
-    """Clean contrastive cross-entropy at the model temperature."""
-    z = model.encode_images(x)
+    """Clean contrastive cross-entropy at the model temperature, as one tape
+    node over the image parameters and the class-text node."""
+    image = model.image_forward(check_finite(np.asarray(x, dtype=np.float64), "const"))
     t = model.encode_classes()
-    log_p = row_log_softmax(cosine_sim_matrix(z, t), model.tau)
-    n, c = log_p.shape
-    one_hot = np.zeros((n, c))
-    one_hot[np.arange(n), y] = 1.0
-    return (log_p * Tensor(one_hot, op="const")).sum() * (-1.0 / n)
+    s = image.z @ t.data.T
+    value, vjp = _tam(s, None, _check_labels(y, s.shape[1]), model.tau)
+    g_s = once_per_gradient(vjp)
+    return _student_loss_node(value, "contrastive_ce", model, image, lambda g: g_s(g) @ t.data,
+                              t, lambda g: (image.z.T @ g_s(g)).T)
 
 
 def pretrain_clean(model: DualEncoder, train_data: Dataset,
@@ -368,10 +377,11 @@ def export_similarity_matrices(model: DualEncoder, teacher: TeacherSnapshot,
     image-text (per-class mean image embedding vs class text), and one
     adversarial image-image matrix per epsilon. The student is attacked
     against the text ``attack.text_source`` names, the teacher against its
-    own. ``student_adv_sums`` (eps text -> per-class sums from
-    ``attack_pass``) reuses attacks already run on the student, and
-    ``student_clean_sums`` its per-class clean embedding sums. Returns a
-    manifest of relative file paths keyed by matrix name.
+    own; at epsilon 0 against its own text, the attack returns the clean
+    images, so the clean sums stand in for it. ``student_adv_sums`` (eps
+    text -> per-class sums from ``attack_pass``) reuses attacks already run
+    on the student, and ``student_clean_sums`` its per-class clean embedding
+    sums. Returns a manifest of relative file paths keyed by matrix name.
     """
     attack = attack or AttackConfig()
     student_adv_sums = student_adv_sums or {}
@@ -387,16 +397,18 @@ def export_similarity_matrices(model: DualEncoder, teacher: TeacherSnapshot,
         _write_pgm(matrix, out_dir / f"{name}.pgm")
         manifest[name] = {"csv": f"{name}.csv", "pgm": f"{name}.pgm"}
 
-    for who, encoder, text, adv_text, clean_sums, given in (
-            ("student", model, model.encode_classes().data,
-             attack_text(model, teacher, attack), student_clean_sums, student_adv_sums),
-            ("teacher", teacher.model, teacher.t_hat, teacher.t_hat, None, {})):
+    for who, encoder, text, adv_text, own_text, clean_sums, given in (
+            ("student", model, model.encode_classes().data, attack_text(model, teacher, attack),
+             attack.text_source == "student", student_clean_sums, student_adv_sums),
+            ("teacher", teacher.model, teacher.t_hat, teacher.t_hat, True, None, {})):
         emit(f"{who}_text_text", text @ text.T)
         if clean_sums is None:
             clean_sums = _clean_pass(encoder, test_data)[1]
         emit(f"{who}_image_text", _class_means(clean_sums, test_data.labels) @ text.T)
         for eps_text, eps in eps_list:
             sums = given.get(eps_text)
+            if sums is None and eps == 0.0 and own_text:
+                sums = clean_sums
             if sums is None:
                 _, sums = attack_pass(encoder, adv_text, test_data,
                                       dataclasses.replace(attack, eps=eps))
@@ -427,8 +439,9 @@ def evaluate(model: DualEncoder, teacher: TeacherSnapshot, test_data: Dataset,
     """Full evaluation pass; eps_list entries are (display text, value).
 
     The student is encoded clean once (its accuracy, superclass confusion
-    and clean class means) and attacked once per epsilon (its robust
-    accuracy and adversarial similarity matrix).
+    and clean class means) and attacked once per nonzero epsilon (its robust
+    accuracy and adversarial similarity matrix). At epsilon 0 against its own
+    text the attack returns the clean images, so the clean pass stands in.
     """
     attack = attack or AttackConfig()
     preds, clean_sums = _clean_pass(model, test_data)
@@ -436,8 +449,11 @@ def evaluate(model: DualEncoder, teacher: TeacherSnapshot, test_data: Dataset,
     text = attack_text(model, teacher, attack)
     robust, adv_sums = {}, {}
     for eps_text, eps in eps_list:
-        correct, adv_sums[eps_text] = attack_pass(model, text, test_data,
-                                                  dataclasses.replace(attack, eps=eps))
+        if eps == 0.0 and attack.text_source == "student":
+            correct, adv_sums[eps_text] = int(np.sum(preds == test_data.labels)), clean_sums
+        else:
+            correct, adv_sums[eps_text] = attack_pass(model, text, test_data,
+                                                      dataclasses.replace(attack, eps=eps))
         robust[eps_text] = correct / test_data.num_samples
     s_min, s_mean = interclass_stats(model.encode_classes().data)
     t_min, t_mean = interclass_stats(teacher.t_hat)

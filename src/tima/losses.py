@@ -7,12 +7,20 @@ Image side: a text-distance adaptive margin (``adaptive_margin`` +
 ``tam_loss``) separates confusable classes in the adversarial image
 embeddings, and text-aware distillation (``takd_loss``) anchors them to the
 teacher's clean distribution. ``tima_loss`` composes all four.
+
+Each term has one array kernel: its value and its pullback, repeating the
+elementary tape operations the term is defined by, in the same order, so that
+values and gradients are the tape's bit for bit (``tests/oracles.py`` keeps
+that composition as the reference). The public term functions are one-node
+tape wrappers over the kernels; ``tima_loss`` runs the kernels on plain
+arrays and is one tape node too.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -26,7 +34,15 @@ from .errors import (
     ShapeMismatch,
     TooFewClasses,
 )
-from .tensor import Tensor, _lift, row_log_softmax
+from .tensor import (
+    Tensor,
+    _lift,
+    check_finite,
+    check_temperature,
+    log_softmax_backward,
+    log_softmax_forward,
+    once_per_gradient,
+)
 
 Array = np.ndarray
 
@@ -91,19 +107,126 @@ def _check_unit_rows(data: Array, name: str) -> None:
         raise NotNormalized(f"{name} rows deviate from unit norm by {worst:.3e}")
 
 
-def _const(x) -> Tensor:
-    """Treat an input as a constant: detach tensors, lift arrays."""
-    return x.detach() if isinstance(x, Tensor) else Tensor(x, op="const")
+def _check_sims_operands(a: Array, b: Array) -> None:
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise ShapeMismatch(f"cosine_sim_matrix: {a.shape} vs {b.shape}")
+    _check_unit_rows(a, "left")
+    _check_unit_rows(b, "right")
 
 
 def cosine_sim_matrix(a, b) -> Tensor:
     """All-pairs cosine similarities of two unit-row matrices: S = A B^T."""
     a, b = _lift(a), _lift(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ShapeMismatch(f"cosine_sim_matrix: {a.shape} vs {b.shape}")
-    _check_unit_rows(a.data, "left")
-    _check_unit_rows(b.data, "right")
+    _check_sims_operands(a.data, b.data)
     return a @ b.T
+
+
+def _const_data(x) -> Array:
+    """An input treated as a constant: its values, checked as a const node."""
+    return check_finite(np.asarray(getattr(x, "data", x), dtype=np.float64), "const")
+
+
+# -- array kernels: (value, pullback) of each term ----------------------------------
+
+
+def _log_softmax(s: Array, tau: float) -> Array:
+    """``row_log_softmax(s, tau).data``, with its checks."""
+    check_temperature(tau)
+    return check_finite(log_softmax_forward(s, tau), "row_log_softmax")
+
+
+def _tam(s: Array, margin: Optional[Array], y: Array, tau: float):
+    """Mean over rows of -log softmax((s - margin) / tau) at the checked
+    labels ``y``, and its pullback ``g -> gradient of s``. Without a margin
+    this is the plain contrastive cross-entropy."""
+    n, c = s.shape
+    log_p = _log_softmax(s if margin is None else s - margin, tau)
+    one_hot = np.zeros((n, c))
+    one_hot[np.arange(n), y] = 1.0
+    total = check_finite(np.sum(log_p * one_hot), "sum")
+
+    def vjp(g):
+        return log_softmax_backward(np.full((n, c), float(g * (-1.0 / n))) * one_hot,
+                                    log_p, tau)
+
+    return total * (-1.0 / n), vjp
+
+
+def _kl(log_p: Array, log_q: Array):
+    """Mean over rows of KL(exp(log_p) || exp(log_q)) for row log-probabilities,
+    and its pullback ``g -> (gradient of log_p, gradient of log_q)``."""
+    n = log_p.shape[0]
+    p = np.exp(log_p)
+    diff = log_p - log_q
+    total = check_finite(np.sum(p * diff), "sum")
+
+    def vjp(g):
+        g_terms = np.full(p.shape, float(g * (1.0 / n)))
+        g_diff = g_terms * p
+        return g_diff + g_terms * diff * p, -g_diff
+
+    return total * (1.0 / n), vjp
+
+
+def _distill(log_ref: Array, s: Array, tau: float):
+    """KL from the teacher's row log-probabilities ``log_ref`` to the rows of
+    softmax(s / tau) (TAKD and IAKD), and its pullback ``g -> gradient of s``."""
+    log_q = _log_softmax(s, tau)
+    value, vjp = _kl(log_ref, log_q)
+    return value, lambda g: log_softmax_backward(vjp(g)[1], log_q, tau)
+
+
+def _mhe(t: Array):
+    """Mean energy 1/(1 + d^2) over ordered pairs of rows of ``t``, and its
+    pullback ``(g, acc) -> acc + gradient of t``. ``acc`` is what reached
+    ``t`` before this term on the tape; the term's four contributions (two
+    from the Gram matrix, two from the squared norms) follow in the tape's
+    order."""
+    c, d = t.shape
+    ones_d1, ones_1c = np.ones((d, 1)), np.ones((1, c))
+    # ||t_j - t_k||^2 = |t_j|^2 + |t_k|^2 - 2 t_j.t_k, exact for any rows
+    gram = t @ t.T
+    by_row = (t * t) @ ones_d1 @ ones_1c
+    denom = by_row + by_row.T - gram * 2.0 + 1.0
+    off_diag = 1.0 - np.eye(c)
+    scale = 1.0 / (c * (c - 1))
+    value = np.sum(1.0 / denom * off_diag) * scale
+
+    def vjp(g, acc: Optional[Array] = None) -> Array:
+        g_dist = -(np.full((c, c), float(g * scale)) * off_diag) / (denom * denom)
+        g_sq = (g_dist + g_dist.T) @ ones_1c.T @ ones_d1.T
+        g_gram = -g_dist * 2.0
+        for term in (g_gram @ t, (t.T @ g_gram).T, g_sq * t, g_sq * t):
+            acc = term if acc is None else acc + term
+        return acc
+
+    return value, vjp
+
+
+def _weighted(total, term, weight):
+    """``total + term * weight``, checked as the tape's const, mul and add
+    nodes check it."""
+    check_finite(np.asarray(weight, dtype=np.float64), "const")
+    return check_finite(total + check_finite(term * weight, "mul"), "add")
+
+
+def _student_loss_node(value, op: str, student, image, z_grad: Callable,
+                       text: Optional[Tensor] = None,
+                       text_grad: Optional[Callable] = None) -> Tensor:
+    """One tape node for a loss of the embeddings ``image`` (an
+    ``ImagePass``) of the ``student``'s image branch.
+
+    Its parents are the student's image parameters, whose gradients are
+    ``image.weights(z_grad(g))`` (run once per backward pass), and the
+    class-text node ``text``, whose gradient is ``text_grad(g)``.
+    """
+    params = student.image_parameters()
+    image_grads = once_per_gradient(lambda g: image.weights(z_grad(g)))
+    return Tensor(value, params + ([] if text is None else [text]), op,
+                  lambda g, i: image_grads(g)[i] if i < len(params) else text_grad(g))
+
+
+# -- the terms as one-node tape ops ----------------------------------------------------
 
 
 def mhe_loss(t) -> Tensor:
@@ -116,32 +239,27 @@ def mhe_loss(t) -> Tensor:
     t = _lift(t)
     if t.ndim != 2:
         raise ShapeMismatch(f"mhe_loss needs a matrix, got {t.shape}")
-    c, d = t.shape
+    c = t.shape[0]
     if c < 2:
         raise TooFewClasses(f"need at least 2 class embeddings, got {c}")
-    # ||t_j - t_k||^2 = |t_j|^2 + |t_k|^2 - 2 t_j.t_k, exact for any rows
-    gram = t @ t.T
-    sq = (t * t) @ Tensor(np.ones((d, 1)), op="const")
-    by_row = sq @ Tensor(np.ones((1, c)), op="const")
-    dist_sq = by_row + by_row.T - gram * 2.0
-    energy = Tensor(np.ones((c, c)), op="const") / (dist_sq + 1.0)
-    off_diag = Tensor(1.0 - np.eye(c), op="const")
-    return (energy * off_diag).sum() * (1.0 / (c * (c - 1)))
+    value, vjp = _mhe(t.data)
+    return Tensor(value, (t,), "mhe_loss", lambda g, i: vjp(g))
 
 
 def kl_rows(logits_p, logits_q, tau: float) -> Tensor:
     """Mean over rows of KL(softmax(p/tau) || softmax(q/tau)), in log space.
 
     Gradients flow into whichever logits still carry graph history; callers
-    that want a frozen reference distribution detach it first.
+    that want a frozen reference distribution pass its values as an array.
     """
     logits_p, logits_q = _lift(logits_p), _lift(logits_q)
     if logits_p.ndim != 2 or logits_p.shape != logits_q.shape:
         raise ShapeMismatch(f"kl_rows: {logits_p.shape} vs {logits_q.shape}")
-    log_p = row_log_softmax(logits_p, tau)
-    log_q = row_log_softmax(logits_q, tau)
-    n = logits_p.shape[0]
-    return (log_p.exp() * (log_p - log_q)).sum() * (1.0 / n)
+    logs = (_log_softmax(logits_p.data, tau), _log_softmax(logits_q.data, tau))
+    value, vjp = _kl(*logs)
+    vjp = once_per_gradient(vjp)
+    return Tensor(value, (logits_p, logits_q), "kl_rows",
+                  lambda g, i: log_softmax_backward(vjp(g)[i], logs[i], tau))
 
 
 def iakd_loss(teacher_z, teacher_t, student_t, tau: float) -> Tensor:
@@ -150,14 +268,14 @@ def iakd_loss(teacher_z, teacher_t, student_t, tau: float) -> Tensor:
     Both distributions are conditioned on the frozen teacher image embeddings,
     so gradients reach only the student text embeddings.
     """
-    tz = _const(teacher_z)
-    tt = _const(teacher_t)
+    tz, tt = _const_data(teacher_z), _const_data(teacher_t)
     st = _lift(student_t)
     if tt.shape != st.shape:
         raise ShapeMismatch(f"iakd_loss: teacher text {tt.shape} vs student text {st.shape}")
-    p = cosine_sim_matrix(tz, tt)
-    q = cosine_sim_matrix(tz, st)
-    return kl_rows(p, q, tau)
+    _check_sims_operands(tz, tt)
+    _check_sims_operands(tz, st.data)
+    value, vjp = _distill(_log_softmax(tz @ tt.T, tau), tz @ st.data.T, tau)
+    return Tensor(value, (st,), "iakd_loss", lambda g, i: (tz.T @ vjp(g)).T)
 
 
 def takd_loss(teacher_z, teacher_t, student_adv_z, tau: float) -> Tensor:
@@ -166,14 +284,14 @@ def takd_loss(teacher_z, teacher_t, student_adv_z, tau: float) -> Tensor:
     Teacher image and text embeddings are constants; gradients reach only the
     student's adversarial image embeddings.
     """
-    tz = _const(teacher_z)
-    tt = _const(teacher_t)
+    tz, tt = _const_data(teacher_z), _const_data(teacher_t)
     sz = _lift(student_adv_z)
     if tz.shape != sz.shape:
         raise ShapeMismatch(f"takd_loss: teacher z {tz.shape} vs student z {sz.shape}")
-    p = cosine_sim_matrix(tz, tt)
-    r = cosine_sim_matrix(sz, tt)
-    return kl_rows(p, r, tau)
+    _check_sims_operands(tz, tt)
+    _check_sims_operands(sz.data, tt)
+    value, vjp = _distill(_log_softmax(tz @ tt.T, tau), sz.data @ tt.T, tau)
+    return Tensor(value, (sz,), "takd_loss", lambda g, i: vjp(g) @ tt)
 
 
 def _check_labels(y: Array, num_classes: int) -> Array:
@@ -222,6 +340,13 @@ def adaptive_margin(s_it, s_tt, y, m: float, eta: float,
     return margins
 
 
+def _checked_margin(margin, shape: tuple) -> Array:
+    margin = np.asarray(getattr(margin, "data", margin), dtype=np.float64)
+    if margin.shape != shape:
+        raise ShapeMismatch(f"margin shape {margin.shape} != sims shape {shape}")
+    return check_finite(margin, "const")
+
+
 def tam_loss(s_adv, margin: Array, y, tau: float) -> Tensor:
     """Margin-adjusted contrastive cross-entropy on adversarial similarities.
 
@@ -231,16 +356,9 @@ def tam_loss(s_adv, margin: Array, y, tau: float) -> Tensor:
     s = _lift(s_adv)
     if s.ndim != 2:
         raise ShapeMismatch(f"tam_loss needs a similarity matrix, got {s.shape}")
-    n, c = s.shape
-    y = _check_labels(y, c)
-    margin = np.asarray(getattr(margin, "data", margin), dtype=np.float64)
-    if margin.shape != (n, c):
-        raise ShapeMismatch(f"margin shape {margin.shape} != sims shape {(n, c)}")
-    logits = s - Tensor(margin, op="const")
-    log_probs = row_log_softmax(logits, tau)
-    one_hot = np.zeros((n, c))
-    one_hot[np.arange(n), y] = 1.0
-    return (log_probs * Tensor(one_hot, op="const")).sum() * (-1.0 / n)
+    y = _check_labels(y, s.shape[1])
+    value, vjp = _tam(s.data, _checked_margin(margin, s.shape), y, tau)
+    return Tensor(value, (s,), "tam_loss", lambda g, i: vjp(g))
 
 
 class TeacherTargets(NamedTuple):
@@ -296,6 +414,10 @@ def tima_loss(student, teacher, x_clean: Array, x_adv: Array, y,
     Gradients reach the image encoder through TAM + TAKD only and the text
     encoder through MHE + IAKD only.
 
+    The loss is one tape node. Its parents are the student's image
+    parameters and, when the text branch is on, the student's class-text
+    node; ``backward`` gets their gradients in closed form.
+
     ``targets`` are this batch's rows of ``teacher_targets`` under the same
     weights; when omitted they are computed from ``x_clean``.
     ``student_text`` is ``student.encode_classes()`` when the caller already
@@ -306,37 +428,61 @@ def tima_loss(student, teacher, x_clean: Array, x_adv: Array, y,
     n = np.asarray(x_adv).shape[0]
     if targets is None:
         targets = teacher_targets(teacher, x_clean, y, w)
-    teacher_z, margin = targets
-    if teacher_z.shape[0] != n:
-        raise ShapeMismatch(f"tima_loss: {teacher_z.shape[0]} teacher rows for {n} samples")
+    tz = np.asarray(targets.z, dtype=np.float64)
+    if tz.shape[0] != n:
+        raise ShapeMismatch(f"tima_loss: {tz.shape[0]} teacher rows for {n} samples")
 
-    z_adv = student.encode_images(x_adv)
-    s_adv = cosine_sim_matrix(z_adv, Tensor(t_hat, op="const"))
-    tam = tam_loss(s_adv, margin, y, w.tau)
+    image = student.image_forward(check_finite(np.asarray(x_adv, dtype=np.float64), "const"))
+    z = image.z
+    if z.shape[1] != t_hat.shape[1]:
+        raise ShapeMismatch(f"cosine_sim_matrix: {z.shape} vs {t_hat.shape}")
+    s = z @ t_hat.T
+    tam, tam_vjp = _tam(s, _checked_margin(targets.margin, s.shape), y, w.tau)
     total = tam
 
-    takd_val = 0.0
-    if w.lam_v > 0.0:
-        takd = takd_loss(teacher_z, t_hat, z_adv, w.tau)
-        total = total + takd * w.lam_v
-        takd_val = takd.item()
+    @functools.cache
+    def teacher_log_probs() -> Array:
+        """The teacher's clean distribution over its text, shared by TAKD and IAKD."""
+        _check_unit_rows(check_finite(tz, "const"), "left")
+        return _log_softmax(tz @ t_hat.T, w.tau)
 
-    mhe_val = 0.0
-    iakd_val = 0.0
+    takd = 0.0
+    if w.lam_v > 0.0:
+        if tz.shape != z.shape:
+            raise ShapeMismatch(f"takd_loss: teacher z {tz.shape} vs student z {z.shape}")
+        takd, takd_vjp = _distill(teacher_log_probs(), s, w.tau)
+        total = _weighted(total, takd, w.lam_v)
+
+    def z_grad(g):
+        # on the tape TAKD's contribution reaches z before TAM's
+        tam_term = tam_vjp(g) @ t_hat
+        return takd_vjp(g * w.lam_v) @ t_hat + tam_term if w.lam_v > 0.0 else tam_term
+
+    mhe = iakd = 0.0
+    student_t = None
     if w.lam > 0.0:
         student_t = student.encode_classes() if student_text is None else student_text
-        mhe = mhe_loss(student_t)
-        text_branch = mhe
-        mhe_val = mhe.item()
+        if student_t.shape[0] < 2:
+            raise TooFewClasses(f"need at least 2 class embeddings, got {student_t.shape[0]}")
+        mhe, mhe_vjp = _mhe(student_t.data)
+        text = mhe
         if w.lam_t > 0.0:
-            iakd = iakd_loss(teacher_z, t_hat, student_t, w.tau)
-            text_branch = text_branch + iakd * w.lam_t
-            iakd_val = iakd.item()
-        total = total + text_branch * w.lam
+            if t_hat.shape != student_t.shape:
+                raise ShapeMismatch(f"iakd_loss: teacher text {t_hat.shape} "
+                                    f"vs student text {student_t.shape}")
+            iakd, iakd_vjp = _distill(teacher_log_probs(), tz @ student_t.data.T, w.tau)
+            text = _weighted(mhe, iakd, w.lam_t)
+        total = _weighted(total, text, w.lam)
 
-    comps = LossComponents(total=total.item(), tam=tam.item(),
-                           takd=takd_val, mhe=mhe_val, iakd=iakd_val)
-    return total, comps
+    def text_grad(g):
+        g_text = g * w.lam
+        acc = (tz.T @ iakd_vjp(g_text * w.lam_t)).T if w.lam_t > 0.0 else None
+        return mhe_vjp(g_text, acc)
+
+    comps = LossComponents(total=float(total), tam=float(tam), takd=float(takd),
+                           mhe=float(mhe), iakd=float(iakd))
+    loss = _student_loss_node(total, "tima_loss", student, image, z_grad, student_t, text_grad)
+    return loss, comps
 
 
 __all__ = [

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .tensor import (
     l2_normalize_rows,
     normalize_rows_backward,
     normalize_rows_forward,
+    once_per_gradient,
 )
 
 Array = np.ndarray
@@ -60,6 +61,16 @@ class EncoderConfig:
             raise InvalidConfig(f"all dimensions must be >= 1: {self}")
         if self.embed_dim < 2:
             raise InvalidConfig(f"embed_dim must be >= 2, got {self.embed_dim}")
+
+
+class ImagePass(NamedTuple):
+    """``DualEncoder.image_forward``'s unit-row embeddings and their two
+    pullbacks: ``weights(g_z)`` gives one gradient per ``image_parameters()``
+    entry, ``pixels(g_z)`` the gradient of the input pixels."""
+
+    z: Array
+    weights: Callable[[Array], List[Array]]
+    pixels: Callable[[Array], Array]
 
 
 class DualEncoder:
@@ -113,41 +124,52 @@ class DualEncoder:
         out = add_rowvec(h @ self.out_w, self.out_b)
         return l2_normalize_rows(out)
 
-    def image_input_vjp(self, x) -> Tuple[Array, Callable[[Array], Array]]:
-        """``encode_images`` on plain arrays, plus its pullback to the pixels.
+    def image_forward(self, x: Array) -> "ImagePass":
+        """``encode_images`` on a float64 pixel array, without the tape.
 
-        Returns ``(z, vjp)``: ``z`` equals ``encode_images(x).data`` bit for
-        bit, with the same finiteness checks under the same op names, and
-        ``vjp(g_z)`` is the input gradient ``backward`` would give for an
-        embedding gradient ``g_z``, term for term in the tape's order. No
-        weight gradient is formed.
+        ``z`` equals ``encode_images(x).data`` bit for bit, with the same
+        checks under the same op names; the caller checks that ``x`` itself
+        is finite, under its own op name. Each pullback gives, term for term,
+        what ``backward`` gives on the tape for an embedding gradient ``g_z``:
+        the pixel gradient forms no weight gradient, and the weight gradients
+        form none for the pixels.
         """
-        x = check_finite(np.asarray(x, dtype=np.float64), "leaf")
         if x.ndim != 2 or x.shape[1] != self.cfg.input_dim:
             raise ShapeMismatch(
                 f"expected (n, {self.cfg.input_dim}) images, got {x.shape}")
-        acts = []
-        h = x
+        affine = self.layers + [(self.out_w, self.out_b)]
+        inputs = [x]  # what each affine layer multiplies: x, then each tanh output
         for w, b in self.layers:
-            pre = check_finite(check_finite(h @ w.data, "matmul") + b.data, "add_rowvec")
-            h = check_finite(np.tanh(pre), "tanh")
-            acts.append(h)
-        out = check_finite(check_finite(h @ self.out_w.data, "matmul") + self.out_b.data,
+            pre = check_finite(check_finite(inputs[-1] @ w.data, "matmul") + b.data, "add_rowvec")
+            inputs.append(check_finite(np.tanh(pre), "tanh"))
+        out = check_finite(check_finite(inputs[-1] @ self.out_w.data, "matmul") + self.out_b.data,
                            "add_rowvec")
         z, norms = normalize_rows_forward(out)
         check_finite(z, "l2_normalize_rows")
 
-        def vjp(g_z: Array) -> Array:
-            g = normalize_rows_backward(g_z, z, norms) @ self.out_w.data.T
-            for (w, _), a in zip(reversed(self.layers), reversed(acts)):
-                g = (g * (1.0 - a * a)) @ w.data.T
-            return g
+        def pullback(g_z: Array, to_pixels: bool):
+            g = normalize_rows_backward(g_z, z, norms)
+            grads: List[Array] = []
+            for k in range(len(affine) - 1, 0, -1):
+                if not to_pixels:
+                    grads[:0] = [inputs[k].T @ g, g.sum(axis=0)]
+                a = inputs[k]
+                g = (g @ affine[k][0].data.T) * (1.0 - a * a)
+            if to_pixels:
+                return g @ affine[0][0].data.T
+            return [inputs[0].T @ g, g.sum(axis=0)] + grads
 
-        return z, vjp
+        return ImagePass(z, lambda g_z: pullback(g_z, False), lambda g_z: pullback(g_z, True))
 
     def encode_classes(self) -> Tensor:
-        """Class-text embedding matrix (num_classes x embed_dim, unit rows)."""
-        return l2_normalize_rows(self.class_table @ self.text_proj)
+        """Class-text embedding matrix (num_classes x embed_dim, unit rows):
+        ``class_table @ text_proj`` with its rows normalized, as one tape
+        node whose backward gives both weights' gradients in closed form."""
+        table, proj = self.class_table, self.text_proj
+        t, norms = normalize_rows_forward(check_finite(table.data @ proj.data, "matmul"))
+        g_m = once_per_gradient(lambda g: normalize_rows_backward(g, t, norms))
+        return Tensor(t, (table, proj), "encode_classes",
+                      lambda g, i: g_m(g) @ proj.data.T if i == 0 else table.data.T @ g_m(g))
 
     # -- copying / hashing ----------------------------------------------------
 

@@ -7,11 +7,13 @@ nothing is cached on the nodes, so repeated calls give identical results.
 Only gradients along paths to the requested leaves are computed: an operation
 is asked for one parent's contribution at a time, and never for a parent with
 no path to a requested leaf (a constant input, or a weight nobody asked for).
+Besides the elementary operations here, a node may be a whole loss in closed
+form over the weights it depends on (``losses.tima_loss``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional, Sequence
+from typing import Callable, Dict, Iterable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from .errors import (
 )
 
 Array = np.ndarray
+T = TypeVar("T")
 
 ROW_NORM_FLOOR = 1e-12
 
@@ -62,10 +65,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.data.shape})"
 
-    def detach(self) -> "Tensor":
-        """A new leaf with the same values and no graph history."""
-        return Tensor(self.data, op="const")
-
     # -- elementwise arithmetic --------------------------------------------
 
     def __add__(self, other):
@@ -74,16 +73,11 @@ class Tensor:
         return Tensor(self.data + other.data, (self, other), "add",
                       lambda g, i: _fit(g, self.shape if i == 0 else other.shape))
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         other = _lift(other)
         _check_elementwise(self, other, "sub")
         return Tensor(self.data - other.data, (self, other), "sub",
                       lambda g, i: _fit(g, self.shape) if i == 0 else _fit(-g, other.shape))
-
-    def __rsub__(self, other):
-        return _lift(other).__sub__(self)
 
     def __mul__(self, other):
         other = _lift(other)
@@ -91,8 +85,6 @@ class Tensor:
         return Tensor(self.data * other.data, (self, other), "mul",
                       lambda g, i: (_fit(g * other.data, self.shape) if i == 0
                                     else _fit(g * self.data, other.shape)))
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = _lift(other)
@@ -103,12 +95,6 @@ class Tensor:
                       lambda g, i: (_fit(g / other.data, self.shape) if i == 0
                                     else _fit(-g * self.data / (other.data * other.data),
                                               other.shape)))
-
-    def __rtruediv__(self, other):
-        return _lift(other).__truediv__(self)
-
-    def __neg__(self):
-        return Tensor(-self.data, (self,), "neg", lambda g, i: -g)
 
     # -- linear algebra ------------------------------------------------------
 
@@ -146,25 +132,11 @@ class Tensor:
         t._backward = lambda g, i: g * out
         return t
 
-    def log(self) -> "Tensor":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.log(self.data)
-        return Tensor(out, (self,), "log", lambda g, i: g / self.data)
-
     def tanh(self) -> "Tensor":
         out = np.tanh(self.data)
         t = Tensor(out, (self,), "tanh", None)
         t._backward = lambda g, i: g * (1.0 - out * out)
         return t
-
-    def relu(self) -> "Tensor":
-        return Tensor(np.maximum(self.data, 0.0), (self,), "relu",
-                      lambda g, i: g * (self.data > 0.0))
-
-    def clamp(self, lo: float, hi: float) -> "Tensor":
-        mask = (self.data >= lo) & (self.data <= hi)
-        return Tensor(np.clip(self.data, lo, hi), (self,), "clamp",
-                      lambda g, i: g * mask)
 
 
 def check_finite(a: Array, op: str) -> Array:
@@ -265,6 +237,20 @@ def row_log_softmax(s: Tensor, tau: float) -> Tensor:
     out = log_softmax_forward(s.data, tau)
     return Tensor(out, (s,), "row_log_softmax",
                   lambda g, i: log_softmax_backward(g, out, tau))
+
+
+def once_per_gradient(fn: Callable[[Array], T]) -> Callable[[Array], T]:
+    """``fn`` computed once per gradient array: ``backward`` asks an op for one
+    parent's contribution at a time, each time with the same ``g``, so parents
+    of a closed-form op that share work share one call of ``fn(g)``."""
+    last: list = []
+
+    def call(g: Array) -> T:
+        if not last or last[0] is not g:
+            last[:] = [g, fn(g)]
+        return last[1]
+
+    return call
 
 
 def backward(loss: Tensor, leaves: Optional[Iterable[Tensor]] = None) -> Dict[Tensor, Array]:

@@ -1,9 +1,14 @@
 """Reference implementations the tests check the package against.
 
 ``finite_diff_grad`` is independent of the tape, so it can cross-check
-``backward``; ``tape_ce_input_grad`` is the attack's input gradient taken
-through the tape, which the closed-form ``attacks._ce_input_grad`` must match
-bit for bit.
+``backward``. The ``tape_*`` functions build the package's closed forms out of
+elementary tape operations, which is how the package computed them before:
+
+- ``tape_ce_input_grad`` is the attack's input gradient, which the closed-form
+  ``attacks._ce_input_grad`` must match bit for bit;
+- ``tape_tima_loss`` and ``tape_contrastive_ce`` are the training losses,
+  which the fused ``losses.tima_loss`` and ``harness.contrastive_ce`` must
+  match bit for bit in value and in every parameter gradient.
 """
 
 from typing import Callable
@@ -11,8 +16,14 @@ from typing import Callable
 import numpy as np
 
 from tima.attacks import _one_hot
-from tima.losses import cosine_sim_matrix
-from tima.tensor import Tensor, backward, row_log_softmax
+from tima.errors import ShapeMismatch, TooFewClasses
+from tima.losses import (
+    LossComponents,
+    _check_labels,
+    cosine_sim_matrix,
+    teacher_targets,
+)
+from tima.tensor import Tensor, _lift, backward, l2_normalize_rows, row_log_softmax
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x, h: float = 1e-5) -> np.ndarray:
@@ -41,3 +52,124 @@ def tape_ce_input_grad(encoder, text_matrix, x, y) -> np.ndarray:
     mask = Tensor(_one_hot(np.asarray(y), log_p.shape[1]), op="const")
     loss = (log_p * mask).sum() * -1.0
     return backward(loss, [xt])[xt]
+
+
+# -- the training losses on the tape ----------------------------------------------
+
+
+def tape_encode_classes(model) -> Tensor:
+    """``model.encode_classes()`` as two elementary tape ops."""
+    return l2_normalize_rows(model.class_table @ model.text_proj)
+
+
+def _const(x) -> Tensor:
+    return Tensor(x.data if isinstance(x, Tensor) else x, op="const")
+
+
+def _mhe(t) -> Tensor:
+    t = _lift(t)
+    if t.ndim != 2:
+        raise ShapeMismatch(f"mhe_loss needs a matrix, got {t.shape}")
+    c, d = t.shape
+    if c < 2:
+        raise TooFewClasses(f"need at least 2 class embeddings, got {c}")
+    gram = t @ t.T
+    sq = (t * t) @ Tensor(np.ones((d, 1)), op="const")
+    by_row = sq @ Tensor(np.ones((1, c)), op="const")
+    dist_sq = by_row + by_row.T - gram * 2.0
+    energy = Tensor(np.ones((c, c)), op="const") / (dist_sq + 1.0)
+    off_diag = Tensor(1.0 - np.eye(c), op="const")
+    return (energy * off_diag).sum() * (1.0 / (c * (c - 1)))
+
+
+def _kl(logits_p, logits_q, tau: float) -> Tensor:
+    logits_p, logits_q = _lift(logits_p), _lift(logits_q)
+    if logits_p.ndim != 2 or logits_p.shape != logits_q.shape:
+        raise ShapeMismatch(f"kl_rows: {logits_p.shape} vs {logits_q.shape}")
+    log_p = row_log_softmax(logits_p, tau)
+    log_q = row_log_softmax(logits_q, tau)
+    n = logits_p.shape[0]
+    return (log_p.exp() * (log_p - log_q)).sum() * (1.0 / n)
+
+
+def _iakd(teacher_z, teacher_t, student_t, tau: float) -> Tensor:
+    tz, tt, st = _const(teacher_z), _const(teacher_t), _lift(student_t)
+    if tt.shape != st.shape:
+        raise ShapeMismatch(f"iakd_loss: teacher text {tt.shape} vs student text {st.shape}")
+    return _kl(cosine_sim_matrix(tz, tt), cosine_sim_matrix(tz, st), tau)
+
+
+def _takd(teacher_z, teacher_t, student_adv_z, tau: float) -> Tensor:
+    tz, tt, sz = _const(teacher_z), _const(teacher_t), _lift(student_adv_z)
+    if tz.shape != sz.shape:
+        raise ShapeMismatch(f"takd_loss: teacher z {tz.shape} vs student z {sz.shape}")
+    return _kl(cosine_sim_matrix(tz, tt), cosine_sim_matrix(sz, tt), tau)
+
+
+def _tam(s_adv, margin, y, tau: float) -> Tensor:
+    s = _lift(s_adv)
+    if s.ndim != 2:
+        raise ShapeMismatch(f"tam_loss needs a similarity matrix, got {s.shape}")
+    n, c = s.shape
+    y = _check_labels(y, c)
+    margin = np.asarray(getattr(margin, "data", margin), dtype=np.float64)
+    if margin.shape != (n, c):
+        raise ShapeMismatch(f"margin shape {margin.shape} != sims shape {(n, c)}")
+    log_probs = row_log_softmax(s - Tensor(margin, op="const"), tau)
+    one_hot = np.zeros((n, c))
+    one_hot[np.arange(n), y] = 1.0
+    return (log_probs * Tensor(one_hot, op="const")).sum() * (-1.0 / n)
+
+
+def tape_tima_loss(student, teacher, x_clean, x_adv, y, w, *, targets=None,
+                   student_text=None):
+    """``losses.tima_loss`` on the tape: TAM + lam_v*TAKD + lam*(MHE + lam_t*IAKD),
+    zero-weighted branches skipped. ``student_text``, when given, should come
+    from ``tape_encode_classes``."""
+    t_hat = teacher.t_hat
+    y = _check_labels(y, t_hat.shape[0])
+    n = np.asarray(x_adv).shape[0]
+    if targets is None:
+        targets = teacher_targets(teacher, x_clean, y, w)
+    teacher_z, margin = targets
+    if teacher_z.shape[0] != n:
+        raise ShapeMismatch(f"tima_loss: {teacher_z.shape[0]} teacher rows for {n} samples")
+
+    z_adv = student.encode_images(x_adv)
+    s_adv = cosine_sim_matrix(z_adv, Tensor(t_hat, op="const"))
+    tam = _tam(s_adv, margin, y, w.tau)
+    total = tam
+
+    takd_val = 0.0
+    if w.lam_v > 0.0:
+        takd = _takd(teacher_z, t_hat, z_adv, w.tau)
+        total = total + takd * w.lam_v
+        takd_val = takd.item()
+
+    mhe_val = 0.0
+    iakd_val = 0.0
+    if w.lam > 0.0:
+        student_t = tape_encode_classes(student) if student_text is None else student_text
+        mhe = _mhe(student_t)
+        text_branch = mhe
+        mhe_val = mhe.item()
+        if w.lam_t > 0.0:
+            iakd = _iakd(teacher_z, t_hat, student_t, w.tau)
+            text_branch = text_branch + iakd * w.lam_t
+            iakd_val = iakd.item()
+        total = total + text_branch * w.lam
+
+    comps = LossComponents(total=total.item(), tam=tam.item(),
+                           takd=takd_val, mhe=mhe_val, iakd=iakd_val)
+    return total, comps
+
+
+def tape_contrastive_ce(model, x, y) -> Tensor:
+    """``harness.contrastive_ce`` on the tape."""
+    z = model.encode_images(x)
+    t = tape_encode_classes(model)
+    log_p = row_log_softmax(cosine_sim_matrix(z, t), model.tau)
+    n, c = log_p.shape
+    one_hot = np.zeros((n, c))
+    one_hot[np.arange(n), y] = 1.0
+    return (log_p * Tensor(one_hot, op="const")).sum() * (-1.0 / n)

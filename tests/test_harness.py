@@ -372,8 +372,8 @@ class TestSingleAttackPass:
             assert a.read_bytes() == b.read_bytes()
 
     def test_default_grid_attacks_each_batch_once(self, tmp_path, monkeypatch):
-        # 500 rows = 4 batches; 4 eps x 4 batches for the student, and again
-        # for the teacher: 32 attacks, where attacking twice took 48
+        # 500 rows = 4 batches; 3 nonzero eps x 4 batches for the student, and
+        # again for the teacher: 24 attacks, where attacking twice took 48
         spec = SyntheticSpec(num_superclasses=2, subclasses_per_superclass=2,
                              image_side=5, within_super_shift=0.08, noise_sigma=0.06,
                              train_count=1, test_count=500, seed=0)
@@ -388,12 +388,13 @@ class TestSingleAttackPass:
         monkeypatch.setattr(attacks, "pgd_attack", spy)
         evaluate(self.student, self.teacher, test, self.eps_list,
                  attack=AttackConfig(steps=1), matrices_dir=tmp_path)
-        assert len(keys) == 32
-        assert len(set(keys)) == 32
+        assert len(keys) == 24
+        assert len(set(keys)) == 24
 
     def test_student_clean_set_encoded_once(self, tmp_path, monkeypatch):
-        # 300 rows: one clean pass of 256 + 44 rows (accuracy, confusion and
-        # the clean class means all come from it) and 128 + 128 + 44 per eps
+        # 300 rows: one clean pass of 256 + 44 rows (accuracy, confusion, the
+        # clean class means and eps 0 all come from it) and 128 + 128 + 44 per
+        # nonzero eps
         calls = []
         original = DualEncoder.encode_images
 
@@ -406,10 +407,36 @@ class TestSingleAttackPass:
         report = evaluate(self.student, self.teacher, self.test, self.eps_list,
                           attack=attack, matrices_dir=tmp_path)
         assert calls.count((True, 256)) == 1
-        assert sum(student for student, _ in calls) == 2 + 3 * len(self.eps_list)
+        assert sum(student for student, _ in calls) == 2 + 3 * (len(self.eps_list) - 1)
         monkeypatch.undo()
         assert report.clean_accuracy == eval_clean(self.student, self.test)
         assert report.superclass_confusion == superclass_confusion(self.student, self.test)
+
+    @pytest.mark.parametrize("text_source, attacked", [("student", 0), ("teacher", 3)])
+    def test_eps_zero_reuses_the_clean_pass(self, tmp_path, monkeypatch, text_source, attacked):
+        # against its own text the eps-0 "attack" returns the clean images:
+        # no PGD run and no encoding beyond each model's clean 256 + 44 rows;
+        # against the teacher's text the student's 3 batches are still run
+        attacked_batches, encoded = [], []
+        original_attack, original_encode = attacks.pgd_attack, DualEncoder.encode_images
+
+        def spy_attack(encoder, text, x, y, cfg):
+            attacked_batches.append(len(x))
+            return original_attack(encoder, text, x, y, cfg)
+
+        def spy_encode(encoder, x):
+            encoded.append(len(x))
+            return original_encode(encoder, x)
+
+        monkeypatch.setattr(attacks, "pgd_attack", spy_attack)
+        monkeypatch.setattr(DualEncoder, "encode_images", spy_encode)
+        report = evaluate(self.student, self.teacher, self.test, [("0", 0.0)],
+                          attack=AttackConfig(text_source=text_source),
+                          matrices_dir=tmp_path)
+        assert len(attacked_batches) == attacked
+        assert len(encoded) == 4 + attacked
+        if text_source == "student":
+            assert report.robust_accuracy["0"] == report.clean_accuracy
 
 
 

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tima.attacks import AttackConfig
 from tima.config import parse_config
 from tima.data import generate_synthetic
 from tima.errors import (
+    DegenerateRow,
     InvalidConfig,
     InvalidEta,
     InvalidTemperature,
     LabelNotInteger,
     LabelOutOfRange,
+    NonFiniteValue,
     NotNormalized,
     ShapeMismatch,
     TooFewClasses,
@@ -28,10 +31,16 @@ from tima.losses import (
     teacher_targets,
     tima_loss,
 )
+from tima.harness import VARIANTS, contrastive_ce, resolve_variant
 from tima.model import EncoderConfig, init_model, snapshot_teacher
 from tima.tensor import Tensor, backward, l2_normalize_rows, row_log_softmax
 
-from oracles import finite_diff_grad
+from oracles import (
+    finite_diff_grad,
+    tape_contrastive_ce,
+    tape_encode_classes,
+    tape_tima_loss,
+)
 
 REL_TOL = 1e-4
 ABS_FLOOR = 1e-7
@@ -453,3 +462,159 @@ class TestTeacherTargets:
         rows = teacher_targets(teacher, x_clean[:3], y[:3], w)
         with pytest.raises(ShapeMismatch):
             tima_loss(student, teacher, x_clean, x_adv, y, w, targets=rows)
+
+
+# -- the fused closed forms against the tape they replace ---------------------------
+
+
+def fused_case(hidden, tau, seed=0, n=9):
+    cfg = EncoderConfig(input_dim=12, hidden_dims=hidden, embed_dim=6, num_classes=5, seed=seed)
+    student = init_model(cfg, tau=tau)
+    teacher = snapshot_teacher(init_model(dataclasses.replace(cfg, seed=seed + 50), tau=tau))
+    rng = np.random.default_rng(seed + 5)
+    x_clean = rng.uniform(0, 1, size=(n, 12))
+    x_adv = np.clip(x_clean + rng.uniform(-0.02, 0.02, size=(n, 12)), 0, 1)
+    y = rng.integers(0, 5, size=n)
+    return student, teacher, x_clean, x_adv, y
+
+
+BASE_WEIGHTS = {
+    "default": {},
+    "reweighted": dict(m=0.3, eta=0.5, lam=2.0, lam_t=0.5, lam_v=3.0,
+                       margin_sign="negate_negatives"),
+}
+
+
+def assert_same_node(fused, tape, params):
+    assert np.array_equal(fused.data, tape.data)
+    g_fused, g_tape = backward(fused, params), backward(tape, params)
+    for p in params:
+        assert np.array_equal(g_fused[p], g_tape[p])
+
+
+class TestFusedMatchesTape:
+    """``tima_loss`` and ``contrastive_ce`` are closed forms of the tape
+    compositions in ``oracles``: the same value, loss components and
+    parameter gradients, bit for bit."""
+
+    @pytest.mark.parametrize("hidden", [(), (5,), (128,)])
+    @pytest.mark.parametrize("tau", [1.0, 0.1, 0.01])
+    @pytest.mark.parametrize("base", sorted(BASE_WEIGHTS))
+    def test_tima_loss_bitwise(self, hidden, tau, base):
+        student, teacher, x_clean, x_adv, y = fused_case(hidden, tau)
+        base_w = LossWeights(tau=tau, **BASE_WEIGHTS[base])
+        for variant in VARIANTS:
+            w, _, _ = resolve_variant(variant, base_w, False, AttackConfig())
+            for given in (False, True):
+                targets = teacher_targets(teacher, x_clean, y, w) if given else None
+                fused, fused_comps = tima_loss(
+                    student, teacher, x_clean, x_adv, y, w, targets=targets,
+                    student_text=student.encode_classes() if given else None)
+                tape, tape_comps = tape_tima_loss(
+                    student, teacher, x_clean, x_adv, y, w, targets=targets,
+                    student_text=tape_encode_classes(student) if given else None)
+                assert dataclasses.astuple(fused_comps) == dataclasses.astuple(tape_comps)
+                # with frozen text only the image parameters are asked for
+                for params in (student.image_parameters(), student.parameters()):
+                    assert_same_node(fused, tape, params)
+
+    @pytest.mark.parametrize("hidden", [(), (5,), (128,)])
+    @pytest.mark.parametrize("tau", [1.0, 0.1, 0.01])
+    def test_contrastive_ce_bitwise(self, hidden, tau):
+        student, _, x, _, y = fused_case(hidden, tau, seed=1)
+        for params in (student.parameters(), student.text_parameters()):
+            assert_same_node(contrastive_ce(student, x, y), tape_contrastive_ce(student, x, y),
+                             params)
+
+
+def _inf_image_weight(case):
+    case["student"].layers[0][0].data[0, 0] = np.inf
+
+
+def _inf_text_weight(case):
+    case["student"].class_table.data[0, 0] = np.inf
+
+
+def _nan_pixel(case):
+    case["x_adv"][2, 1] = np.nan
+
+
+def _zero_embedding(case):
+    # a black image through a linear encoder with zero bias embeds to 0
+    student = case["student"]
+    student.layers = []
+    student.out_w.data = np.ones((12, 6))
+    case["x_adv"][3] = 0.0
+
+
+def _nan_margin_row(case):
+    case["targets"].margin[1] = np.nan
+
+
+def _non_unit_teacher_z(case):
+    case["targets"].z[0] *= 1.5
+
+
+def _teacher_row_count(case):
+    case["targets"] = case["targets"].take(np.arange(len(case["y"]) - 1))
+
+
+def _label_out_of_range(case):
+    case["y"][0] = 5
+
+
+class TestFusedErrorParity:
+    """A single fault raises the same TimaError, with the same message, from
+    the fused ops as from the tape composition."""
+
+    def make(self, fault):
+        student, teacher, x_clean, x_adv, y = fused_case((5,), 0.1, seed=2)
+        w = LossWeights(tau=0.1)
+        case = dict(student=student, teacher=teacher, x_clean=x_clean, x_adv=x_adv, y=y, w=w,
+                    targets=teacher_targets(teacher, x_clean, y, w))
+        fault(case)
+        return case
+
+    def assert_same_error(self, error, fused_call, tape_call):
+        with pytest.raises(error) as fused_exc:
+            fused_call()
+        with pytest.raises(error) as tape_exc:
+            tape_call()
+        assert str(fused_exc.value) == str(tape_exc.value)
+
+    @pytest.mark.parametrize("fault, error", [
+        (_inf_image_weight, NonFiniteValue),
+        (_inf_text_weight, NonFiniteValue),
+        (_nan_pixel, NonFiniteValue),
+        (_nan_margin_row, NonFiniteValue),
+        (_zero_embedding, DegenerateRow),
+        (_non_unit_teacher_z, NotNormalized),
+        (_teacher_row_count, ShapeMismatch),
+        (_label_out_of_range, LabelOutOfRange),
+    ])
+    @pytest.mark.parametrize("variant", ["tima", "iat_only"])
+    def test_tima_loss(self, fault, error, variant):
+        c = self.make(fault)
+        w, _, _ = resolve_variant(variant, c["w"], False, AttackConfig())
+        args = (c["student"], c["teacher"], c["x_clean"], c["x_adv"], c["y"], w)
+        self.assert_same_error(error, lambda: tima_loss(*args, targets=c["targets"]),
+                               lambda: tape_tima_loss(*args, targets=c["targets"]))
+
+    @pytest.mark.parametrize("fault, error", [
+        (_inf_image_weight, NonFiniteValue),
+        (_inf_text_weight, NonFiniteValue),
+        (_nan_pixel, NonFiniteValue),
+        (_zero_embedding, DegenerateRow),
+    ])
+    def test_contrastive_ce(self, fault, error):
+        c = self.make(fault)
+        self.assert_same_error(error, lambda: contrastive_ce(c["student"], c["x_adv"], c["y"]),
+                               lambda: tape_contrastive_ce(c["student"], c["x_adv"], c["y"]))
+
+    @pytest.mark.parametrize("label", [5, -1])
+    def test_contrastive_ce_rejects_out_of_range_labels(self, label):
+        # the tape composition raised IndexError for 5 and wrapped -1 silently
+        student, _, x, _, y = fused_case((5,), 0.1, seed=2)
+        y[0] = label
+        with pytest.raises(LabelOutOfRange):
+            contrastive_ce(student, x, y)
