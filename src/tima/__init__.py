@@ -31,7 +31,7 @@ from .model import (
     save_model,
     snapshot_teacher,
 )
-from .tensor import Tensor, backward, l2_normalize_rows, row_log_softmax
+from .tensor import Tensor, backward, l2_normalize_rows
 
 __version__ = "0.1.0"
 
@@ -43,5 +43,5 @@ __all__ = [
     "iakd_loss", "kl_rows", "mhe_loss", "takd_loss", "tam_loss", "tima_loss",
     "DualEncoder", "EncoderConfig", "TeacherSnapshot", "init_model",
     "load_model", "save_model", "snapshot_teacher",
-    "Tensor", "backward", "l2_normalize_rows", "row_log_softmax",
+    "Tensor", "backward", "l2_normalize_rows",
 ]

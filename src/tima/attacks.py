@@ -14,14 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AttackOutOfBounds, EmptyDataset, InvalidConfig, ShapeMismatch
-from .losses import _check_unit_rows, cosine_sim_matrix
-from .tensor import (
-    check_finite,
-    check_temperature,
-    log_softmax_backward,
-    log_softmax_forward,
-    row_log_softmax,
-)
+from .losses import _checked_text, _log_softmax
+from .tensor import check_finite, log_softmax_backward
 
 Array = np.ndarray
 
@@ -61,35 +55,28 @@ def _one_hot(y: Array, c: int) -> Array:
     return out
 
 
+def _log_probs(z: Array, text: Array, tau: float) -> Array:
+    """Row log-softmax of S = z text^T at temperature ``tau``, checked. ``text``
+    comes from ``_checked_text``; z rows are unit by construction."""
+    return _log_softmax(check_finite(z @ text.T, "matmul"), tau)
+
+
 def per_sample_ce(encoder, text_matrix: Array, x: Array, y: Array) -> Array:
     """Contrastive cross-entropy of each sample at the encoder's temperature."""
-    z = encoder.encode_images(np.asarray(x, dtype=np.float64))
-    log_p = row_log_softmax(cosine_sim_matrix(z, text_matrix), encoder.tau)
-    return -log_p.data[np.arange(len(y)), np.asarray(y)]
-
-
-def _checked_text(encoder, text_matrix) -> Array:
-    """The attacked class-text matrix, vetted as ``cosine_sim_matrix`` vets
-    its right operand (finite, width of the embeddings, unit rows)."""
-    check_temperature(encoder.tau)
-    text = check_finite(np.asarray(text_matrix, dtype=np.float64), "const")
-    if text.ndim != 2 or text.shape[1] != encoder.cfg.embed_dim:
-        raise ShapeMismatch(f"cosine_sim_matrix: (n, {encoder.cfg.embed_dim}) vs {text.shape}")
-    _check_unit_rows(text, "right")
-    return text
+    text = _checked_text(encoder, text_matrix)
+    log_p = _log_probs(encoder.encode_images(x).data, text, encoder.tau)
+    return -log_p[np.arange(len(y)), np.asarray(y)]
 
 
 def _ce_input_grad(encoder, text: Array, x: Array, y: Array) -> Array:
     """Input gradient of the summed cross-entropy -sum_i log p(y_i | x_i) at
     S = z text^T, in closed form: the value ``backward`` gives on the tape,
-    bit for bit. ``text`` comes from ``_checked_text``; z rows are unit by
-    construction."""
+    bit for bit. ``text`` comes from ``_checked_text``."""
     image = encoder.image_forward(check_finite(np.asarray(x, dtype=np.float64), "leaf"))
-    s = check_finite(image.z @ text.T, "matmul")
-    log_p = check_finite(log_softmax_forward(s, encoder.tau), "row_log_softmax")
-    mask = _one_hot(y, s.shape[1])
-    if mask.shape != s.shape:
-        raise ShapeMismatch(f"mul: {s.shape} vs {mask.shape}")
+    log_p = _log_probs(image.z, text, encoder.tau)
+    mask = _one_hot(y, log_p.shape[1])
+    if mask.shape != log_p.shape:
+        raise ShapeMismatch(f"mul: {log_p.shape} vs {mask.shape}")
     g_s = log_softmax_backward(-mask, log_p, encoder.tau)
     return image.pixels(g_s @ text)
 
@@ -148,8 +135,8 @@ def pgd_attack(encoder, text_matrix: Array, x: Array, y: Array,
 
 def classify(encoder, text_matrix: Array, x: Array) -> Array:
     """argmax_k cosine(z, t_k); np.argmax breaks ties toward the lowest index."""
-    z = encoder.encode_images(np.asarray(x, dtype=np.float64))
-    return np.argmax(cosine_sim_matrix(z, text_matrix).data, axis=1)
+    text = _checked_text(encoder, text_matrix)
+    return np.argmax(encoder.encode_images(x).data @ text.T, axis=1)
 
 
 def attack_text(model, teacher, cfg: AttackConfig, student_text=None) -> Array:
@@ -169,15 +156,15 @@ def attack_pass(encoder, text_matrix: Array, dataset, cfg: AttackConfig,
     of samples still classified correctly (nearest text row, as in
     ``classify``) and the per-class sums of their adversarial embeddings.
     """
+    text = _checked_text(encoder, text_matrix)
     sums = np.zeros((dataset.num_classes, encoder.cfg.embed_dim))
     correct = 0
     for lo in range(0, dataset.num_samples, batch_size):
         xb = dataset.images[lo:lo + batch_size]
         yb = dataset.labels[lo:lo + batch_size]
-        x_adv = pgd_attack(encoder, text_matrix, xb, yb,
-                           dataclasses.replace(cfg, seed=cfg.seed + lo))
+        x_adv = pgd_attack(encoder, text, xb, yb, dataclasses.replace(cfg, seed=cfg.seed + lo))
         z = encoder.encode_images(x_adv).data
-        correct += int(np.sum(np.argmax(cosine_sim_matrix(z, text_matrix).data, axis=1) == yb))
+        correct += int(np.sum(np.argmax(z @ text.T, axis=1) == yb))
         np.add.at(sums, yb, z)
     return correct, sums
 

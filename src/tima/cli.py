@@ -19,8 +19,6 @@ from . import harness, model as model_mod
 from .config import RunConfig, load_config, parse_config, parse_fraction
 from .errors import IoFailure, TimaError
 
-ZERO_SHOT_SEED_OFFSET = 7919  # fresh prototype stream for the shifted probe set
-
 
 def _resolve_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else parse_config("")
@@ -50,16 +48,11 @@ def _load_model(path: Path) -> model_mod.DualEncoder:
 def cmd_gen_data(args) -> int:
     cfg = _resolve_config(args)
     out = _out_dir(args)
-    spec = cfg.synthetic_spec()
-    train, test = data_mod.generate_synthetic(spec)
+    train, test = data_mod.generate_synthetic(cfg.synthetic_spec())
     data_mod.save_dataset(train, out / "train.timd")
     data_mod.save_dataset(test, out / "test.timd")
-    shifted_spec = dataclasses.replace(spec, seed=spec.seed + ZERO_SHOT_SEED_OFFSET)
-    _, shifted = data_mod.generate_synthetic(shifted_spec)
-    data_mod.save_dataset(shifted, out / "shifted.timd")
     print(f"wrote {out / 'train.timd'} ({train.num_samples} samples), "
-          f"{out / 'test.timd'} ({test.num_samples}), "
-          f"{out / 'shifted.timd'} ({shifted.num_samples})")
+          f"{out / 'test.timd'} ({test.num_samples})")
     return 0
 
 

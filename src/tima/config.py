@@ -1,12 +1,14 @@
 """`key = value` run configuration with a strict documented schema.
 
-Unknown keys are rejected, every value is type- and range-checked with the
-offending line number in the error, and epsilons are written as integer
-fractions (e.g. ``1/255``) to match pixel granularity without decimal drift.
+Unknown keys are rejected, every value is type- and range-checked (every
+real number must be finite) with the offending line number in the error, and
+epsilons are written as integer fractions (e.g. ``1/255``) to match pixel
+granularity without decimal drift.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -65,6 +67,15 @@ _positive = lambda v: None if v > 0 else "must be positive"
 _at_least_1 = lambda v: None if v >= 1 else "must be >= 1"
 
 
+def _finite(kind: str, value) -> str | None:
+    """The problem with a float-valued key holding inf or NaN, or None."""
+    if kind in ("float", "frac"):
+        value = (value,)
+    elif kind != "float_list":
+        return None  # frac_list texts: see _frac_list_ok
+    return None if all(math.isfinite(v) for v in value) else "must be finite"
+
+
 def _choice(options):
     return lambda v: None if v in options else f"must be one of {', '.join(options)}"
 
@@ -73,8 +84,10 @@ def _frac_list_ok(texts):
     for t in texts:
         try:
             v = parse_fraction(t)
-        except (ValueError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError, OverflowError):
             return f"bad fraction {t!r}"
+        if not math.isfinite(v):
+            return f"fraction {t!r} must be finite"
         if v < 0:
             return f"fraction {t!r} must be >= 0"
     return None
@@ -238,9 +251,9 @@ def parse_config(text: str) -> RunConfig:
         where = f"line {lineno}: " if lineno else ""
         try:
             value = _PARSERS[kind](raw)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ConfigTypeError(f"{where}key {key!r}: cannot parse {raw!r} as {kind} ({exc})")
-        problem = check(value)
+        problem = _finite(kind, value) or check(value)
         if problem:
             raise ConfigRangeError(f"{where}key {key!r} {problem} (got {raw!r})")
         values[key] = value

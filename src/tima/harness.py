@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,17 +31,9 @@ from .errors import (
     WorkerDied,
 )
 from .files import write_atomic
-from .losses import (
-    LossWeights,
-    _check_labels,
-    _student_loss_node,
-    _tam,
-    cosine_sim_matrix,
-    teacher_targets,
-    tima_loss,
-)
+from .losses import LossWeights, _check_labels, _checked_text, _tam, teacher_targets, tima_loss
 from .model import DualEncoder, TeacherSnapshot, init_model, snapshot_teacher
-from .tensor import Tensor, backward, check_finite, l2_normalize_rows, once_per_gradient
+from .tensor import Tensor, backward, normalize_rows_forward, once_per_gradient
 
 Array = np.ndarray
 
@@ -107,14 +99,14 @@ def _batches(n: int, batch_size: int, rng) -> List[Array]:
 
 def contrastive_ce(model: DualEncoder, x: Array, y: Array) -> Tensor:
     """Clean contrastive cross-entropy at the model temperature, as one tape
-    node over the image parameters and the class-text node."""
-    image = model.image_forward(check_finite(np.asarray(x, dtype=np.float64), "const"))
+    node over the image-embedding node and the class-text node."""
+    z = model.encode_images(x)
     t = model.encode_classes()
-    s = image.z @ t.data.T
+    s = z.data @ t.data.T
     value, vjp = _tam(s, None, _check_labels(y, s.shape[1]), model.tau)
     g_s = once_per_gradient(vjp)
-    return _student_loss_node(value, "contrastive_ce", model, image, lambda g: g_s(g) @ t.data,
-                              t, lambda g: (image.z.T @ g_s(g)).T)
+    return Tensor(value, (z, t), "contrastive_ce",
+                  lambda g, i: g_s(g) @ t.data if i == 0 else (z.data.T @ g_s(g)).T)
 
 
 def pretrain_clean(model: DualEncoder, train_data: Dataset,
@@ -293,12 +285,12 @@ def _clean_pass(model: DualEncoder, test_data: Dataset,
     """One clean encoding of the test set, ``batch_size`` rows at a time:
     every sample's prediction (nearest text embedding, as in ``classify``)
     and the per-class sums of the embeddings."""
-    text = model.encode_classes().data
+    text = _checked_text(model, model.encode_classes().data)
     preds = np.zeros(test_data.num_samples, dtype=np.int64)
     sums = np.zeros((test_data.num_classes, model.cfg.embed_dim))
     for lo in range(0, test_data.num_samples, batch_size):
         z = model.encode_images(test_data.images[lo:lo + batch_size]).data
-        preds[lo:lo + batch_size] = np.argmax(cosine_sim_matrix(z, text).data, axis=1)
+        preds[lo:lo + batch_size] = np.argmax(z @ text.T, axis=1)
         np.add.at(sums, test_data.labels[lo:lo + batch_size], z)
     return preds, sums
 
@@ -346,7 +338,7 @@ def superclass_confusion(model: DualEncoder, test_data: Dataset,
 def _class_means(sums: Array, labels: Array) -> Array:
     """Unit-norm per-class means from per-class embedding sums."""
     counts = np.bincount(labels, minlength=len(sums))
-    return l2_normalize_rows(Tensor(sums / np.maximum(counts, 1.0)[:, None], op="const")).data
+    return normalize_rows_forward(sums / np.maximum(counts, 1.0)[:, None])[0]
 
 
 def _write_csv(matrix: Array, path: Path) -> None:
@@ -365,26 +357,44 @@ def eps_tag(eps_text: str) -> str:
     return eps_text.replace("/", "_")
 
 
-def export_similarity_matrices(model: DualEncoder, teacher: TeacherSnapshot,
-                               test_data: Dataset, eps_list: Sequence[Tuple[str, float]],
-                               out_dir, attack: Optional[AttackConfig] = None,
-                               student_adv_sums: Optional[Dict[str, Array]] = None,
-                               student_clean_sums: Optional[Array] = None
-                               ) -> Dict[str, Dict[str, str]]:
-    """Write class-level cosine-similarity matrices as CSV + PGM heatmaps.
+class _ModelPass(NamedTuple):
+    """One model over the test set: its clean predictions and per-class
+    embedding sums, and per epsilon text the attack's count of samples still
+    classified correctly and its per-class adversarial embedding sums."""
 
-    For both the student and the frozen teacher: text-text, clean
-    image-text (per-class mean image embedding vs class text), and one
-    adversarial image-image matrix per epsilon. The student is attacked
-    against the text ``attack.text_source`` names, the teacher against its
-    own; at epsilon 0 against its own text, the attack returns the clean
-    images, so the clean sums stand in for it. ``student_adv_sums`` (eps
-    text -> per-class sums from ``attack_pass``) reuses attacks already run
-    on the student, and ``student_clean_sums`` its per-class clean embedding
-    sums. Returns a manifest of relative file paths keyed by matrix name.
-    """
-    attack = attack or AttackConfig()
-    student_adv_sums = student_adv_sums or {}
+    preds: Array
+    clean_sums: Array
+    adv: Dict[str, Tuple[int, Array]]
+
+
+def _model_pass(encoder: DualEncoder, text: Array, own_text: bool, test_data: Dataset,
+                eps_list: Sequence[Tuple[str, float]], attack: AttackConfig) -> _ModelPass:
+    """Encode the test set clean once, then attack it once per epsilon against
+    ``text``. At epsilon 0 against the model's own text (``own_text``) the
+    attack returns the clean images, so the clean pass stands in for it."""
+    preds, clean_sums = _clean_pass(encoder, test_data)
+    adv = {}
+    for eps_text, eps in eps_list:
+        if eps == 0.0 and own_text:
+            adv[eps_text] = int(np.sum(preds == test_data.labels)), clean_sums
+        else:
+            adv[eps_text] = attack_pass(encoder, text, test_data,
+                                        dataclasses.replace(attack, eps=eps))
+    return _ModelPass(preds, clean_sums, adv)
+
+
+def _student_pass(model: DualEncoder, teacher: TeacherSnapshot, test_data: Dataset,
+                  eps_list: Sequence[Tuple[str, float]], attack: AttackConfig) -> _ModelPass:
+    """The student attacked against the text ``attack.text_source`` names."""
+    return _model_pass(model, attack_text(model, teacher, attack),
+                       attack.text_source == "student", test_data, eps_list, attack)
+
+
+def _write_matrices(out_dir, model: DualEncoder, teacher: TeacherSnapshot, student: _ModelPass,
+                    test_data: Dataset, eps_list: Sequence[Tuple[str, float]],
+                    attack: AttackConfig) -> Dict[str, Dict[str, str]]:
+    """The matrices of ``export_similarity_matrices``: the student's from its
+    pass ``student``, the teacher's from a pass run here against its own text."""
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -397,24 +407,32 @@ def export_similarity_matrices(model: DualEncoder, teacher: TeacherSnapshot,
         _write_pgm(matrix, out_dir / f"{name}.pgm")
         manifest[name] = {"csv": f"{name}.csv", "pgm": f"{name}.pgm"}
 
-    for who, encoder, text, adv_text, own_text, clean_sums, given in (
-            ("student", model, model.encode_classes().data, attack_text(model, teacher, attack),
-             attack.text_source == "student", student_clean_sums, student_adv_sums),
-            ("teacher", teacher.model, teacher.t_hat, teacher.t_hat, True, None, {})):
+    teacher_pass = _model_pass(teacher.model, teacher.t_hat, True, test_data, eps_list, attack)
+    for who, text, run in (("student", model.encode_classes().data, student),
+                           ("teacher", teacher.t_hat, teacher_pass)):
         emit(f"{who}_text_text", text @ text.T)
-        if clean_sums is None:
-            clean_sums = _clean_pass(encoder, test_data)[1]
-        emit(f"{who}_image_text", _class_means(clean_sums, test_data.labels) @ text.T)
-        for eps_text, eps in eps_list:
-            sums = given.get(eps_text)
-            if sums is None and eps == 0.0 and own_text:
-                sums = clean_sums
-            if sums is None:
-                _, sums = attack_pass(encoder, adv_text, test_data,
-                                      dataclasses.replace(attack, eps=eps))
-            adv_means = _class_means(sums, test_data.labels)
+        emit(f"{who}_image_text", _class_means(run.clean_sums, test_data.labels) @ text.T)
+        for eps_text, _ in eps_list:
+            adv_means = _class_means(run.adv[eps_text][1], test_data.labels)
             emit(f"{who}_adv_adv_eps_{eps_tag(eps_text)}", adv_means @ adv_means.T)
     return manifest
+
+
+def export_similarity_matrices(model: DualEncoder, teacher: TeacherSnapshot,
+                               test_data: Dataset, eps_list: Sequence[Tuple[str, float]],
+                               out_dir, attack: Optional[AttackConfig] = None
+                               ) -> Dict[str, Dict[str, str]]:
+    """Write class-level cosine-similarity matrices as CSV + PGM heatmaps.
+
+    For both the student and the frozen teacher: text-text, clean
+    image-text (per-class mean image embedding vs class text), and one
+    adversarial image-image matrix per epsilon. The student is attacked
+    against the text ``attack.text_source`` names, the teacher against its
+    own. Returns a manifest of relative file paths keyed by matrix name.
+    """
+    attack = attack or AttackConfig()
+    student = _student_pass(model, teacher, test_data, eps_list, attack)
+    return _write_matrices(out_dir, model, teacher, student, test_data, eps_list, attack)
 
 
 # -- reports --------------------------------------------------------------------
@@ -444,30 +462,22 @@ def evaluate(model: DualEncoder, teacher: TeacherSnapshot, test_data: Dataset,
     text the attack returns the clean images, so the clean pass stands in.
     """
     attack = attack or AttackConfig()
-    preds, clean_sums = _clean_pass(model, test_data)
-    clean = _accuracy(preds, test_data.labels)
-    text = attack_text(model, teacher, attack)
-    robust, adv_sums = {}, {}
-    for eps_text, eps in eps_list:
-        if eps == 0.0 and attack.text_source == "student":
-            correct, adv_sums[eps_text] = int(np.sum(preds == test_data.labels)), clean_sums
-        else:
-            correct, adv_sums[eps_text] = attack_pass(model, text, test_data,
-                                                      dataclasses.replace(attack, eps=eps))
-        robust[eps_text] = correct / test_data.num_samples
+    student = _student_pass(model, teacher, test_data, eps_list, attack)
+    clean = _accuracy(student.preds, test_data.labels)
+    robust = {eps_text: correct / test_data.num_samples
+              for eps_text, (correct, _) in student.adv.items()}
     s_min, s_mean = interclass_stats(model.encode_classes().data)
     t_min, t_mean = interclass_stats(teacher.t_hat)
     matrices = {}
     if matrices_dir is not None:
-        matrices = export_similarity_matrices(model, teacher, test_data, eps_list,
-                                              matrices_dir, attack, student_adv_sums=adv_sums,
-                                              student_clean_sums=clean_sums)
+        matrices = _write_matrices(matrices_dir, model, teacher, student, test_data, eps_list,
+                                   attack)
     return EvalReport(
         clean_accuracy=clean,
         robust_accuracy=robust,
         text_min_distance={"student": s_min, "teacher": t_min},
         text_mean_distance={"student": s_mean, "teacher": t_mean},
-        superclass_confusion=_superclass_counts(preds, test_data),
+        superclass_confusion=_superclass_counts(student.preds, test_data),
         matrices=matrices,
         config=dict(config_echo or {}),
         seed=seed,

@@ -13,14 +13,15 @@ elementary tape operations the term is defined by, in the same order, so that
 values and gradients are the tape's bit for bit (``tests/oracles.py`` keeps
 that composition as the reference). The public term functions are one-node
 tape wrappers over the kernels; ``tima_loss`` runs the kernels on plain
-arrays and is one tape node too.
+arrays and is one tape node over the student's image embeddings (the
+``encode_images`` node) and class text (the ``encode_classes`` node).
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -79,12 +80,12 @@ class LossWeights:
             raise InvalidTemperature(f"tau must be positive, got {self.tau}")
         if not 0.0 < self.eta < 1.0:
             raise InvalidEta(f"eta must lie in (0, 1), got {self.eta}")
-        if self.m < 0:
-            raise InvalidConfig(f"margin m must be >= 0, got {self.m}")
+        if not (np.isfinite(self.m) and self.m >= 0):
+            raise InvalidConfig(f"margin m must be finite and >= 0, got {self.m}")
         if self.alpha != 2:
             raise InvalidConfig(f"alpha is fixed at 2, got {self.alpha}")
-        if min(self.lam, self.lam_t, self.lam_v) < 0:
-            raise InvalidConfig("loss weights lam, lam_t, lam_v must be >= 0")
+        if not all(np.isfinite(v) and v >= 0 for v in (self.lam, self.lam_t, self.lam_v)):
+            raise InvalidConfig("loss weights lam, lam_t, lam_v must be finite and >= 0")
         if self.margin_sign not in (MARGIN_SIGN_LITERAL, MARGIN_SIGN_NEGATE):
             raise InvalidConfig(f"unknown margin_sign {self.margin_sign!r}")
 
@@ -114,6 +115,19 @@ def _check_sims_operands(a: Array, b: Array) -> None:
     _check_unit_rows(b, "right")
 
 
+def _checked_text(encoder, text_matrix) -> Array:
+    """A class-text matrix to score ``encoder``'s embeddings against, vetted
+    once per call as ``cosine_sim_matrix`` vets its right operand (finite,
+    the width of the embeddings, unit rows), with the encoder's temperature.
+    The embeddings need no vetting: their rows are unit by construction."""
+    check_temperature(encoder.tau)
+    text = check_finite(np.asarray(text_matrix, dtype=np.float64), "const")
+    if text.ndim != 2 or text.shape[1] != encoder.cfg.embed_dim:
+        raise ShapeMismatch(f"cosine_sim_matrix: (n, {encoder.cfg.embed_dim}) vs {text.shape}")
+    _check_unit_rows(text, "right")
+    return text
+
+
 def cosine_sim_matrix(a, b) -> Tensor:
     """All-pairs cosine similarities of two unit-row matrices: S = A B^T."""
     a, b = _lift(a), _lift(b)
@@ -130,9 +144,10 @@ def _const_data(x) -> Array:
 
 
 def _log_softmax(s: Array, tau: float) -> Array:
-    """``row_log_softmax(s, tau).data``, with its checks."""
+    """Row log-softmax of ``s / tau``, with the temperature and the result
+    checked."""
     check_temperature(tau)
-    return check_finite(log_softmax_forward(s, tau), "row_log_softmax")
+    return check_finite(log_softmax_forward(s, tau), "log_softmax")
 
 
 def _tam(s: Array, margin: Optional[Array], y: Array, tau: float):
@@ -208,22 +223,6 @@ def _weighted(total, term, weight):
     nodes check it."""
     check_finite(np.asarray(weight, dtype=np.float64), "const")
     return check_finite(total + check_finite(term * weight, "mul"), "add")
-
-
-def _student_loss_node(value, op: str, student, image, z_grad: Callable,
-                       text: Optional[Tensor] = None,
-                       text_grad: Optional[Callable] = None) -> Tensor:
-    """One tape node for a loss of the embeddings ``image`` (an
-    ``ImagePass``) of the ``student``'s image branch.
-
-    Its parents are the student's image parameters, whose gradients are
-    ``image.weights(z_grad(g))`` (run once per backward pass), and the
-    class-text node ``text``, whose gradient is ``text_grad(g)``.
-    """
-    params = student.image_parameters()
-    image_grads = once_per_gradient(lambda g: image.weights(z_grad(g)))
-    return Tensor(value, params + ([] if text is None else [text]), op,
-                  lambda g, i: image_grads(g)[i] if i < len(params) else text_grad(g))
 
 
 # -- the terms as one-node tape ops ----------------------------------------------------
@@ -388,14 +387,16 @@ def teacher_targets(teacher, x, y, w: LossWeights,
     y = _check_labels(y, c)
     n = x.shape[0]
     step = batch_size or max(n, 1)
-    s_tt = cosine_sim_matrix(t_hat, t_hat).data if w.m != 0.0 else None
+    if w.m != 0.0:  # the margin scores against the text: vet it once
+        t_hat = _checked_text(teacher.model, t_hat)
+        s_tt = t_hat @ t_hat.T
     zs, margins = [], []
     for lo in range(0, max(n, 1), step):
         z = teacher.encode_images(x[lo:lo + step])
         if w.m == 0.0:
             margin = np.zeros((z.shape[0], c))
         else:
-            s_it = cosine_sim_matrix(z, t_hat).data
+            s_it = z @ t_hat.T
             margin = adaptive_margin(s_it, s_tt, y[lo:lo + step], w.m, w.eta, w.margin_sign)
         zs.append(z)
         margins.append(margin)
@@ -414,8 +415,8 @@ def tima_loss(student, teacher, x_clean: Array, x_adv: Array, y,
     Gradients reach the image encoder through TAM + TAKD only and the text
     encoder through MHE + IAKD only.
 
-    The loss is one tape node. Its parents are the student's image
-    parameters and, when the text branch is on, the student's class-text
+    The loss is one tape node. Its parents are the student's
+    ``encode_images`` node and, when the text branch is on, its class-text
     node; ``backward`` gets their gradients in closed form.
 
     ``targets`` are this batch's rows of ``teacher_targets`` under the same
@@ -432,8 +433,8 @@ def tima_loss(student, teacher, x_clean: Array, x_adv: Array, y,
     if tz.shape[0] != n:
         raise ShapeMismatch(f"tima_loss: {tz.shape[0]} teacher rows for {n} samples")
 
-    image = student.image_forward(check_finite(np.asarray(x_adv, dtype=np.float64), "const"))
-    z = image.z
+    z_node = student.encode_images(x_adv)
+    z = z_node.data
     if z.shape[1] != t_hat.shape[1]:
         raise ShapeMismatch(f"cosine_sim_matrix: {z.shape} vs {t_hat.shape}")
     s = z @ t_hat.T
@@ -481,7 +482,8 @@ def tima_loss(student, teacher, x_clean: Array, x_adv: Array, y,
 
     comps = LossComponents(total=float(total), tam=float(tam), takd=float(takd),
                            mhe=float(mhe), iakd=float(iakd))
-    loss = _student_loss_node(total, "tima_loss", student, image, z_grad, student_t, text_grad)
+    parents = (z_node,) if student_t is None else (z_node, student_t)
+    loss = Tensor(total, parents, "tima_loss", lambda g, i: z_grad(g) if i == 0 else text_grad(g))
     return loss, comps
 
 

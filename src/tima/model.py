@@ -27,9 +27,7 @@ from .errors import (
 from .files import write_atomic
 from .tensor import (
     Tensor,
-    add_rowvec,
     check_finite,
-    l2_normalize_rows,
     normalize_rows_backward,
     normalize_rows_forward,
     once_per_gradient,
@@ -112,27 +110,28 @@ class DualEncoder:
     # -- forward -------------------------------------------------------------
 
     def encode_images(self, x) -> Tensor:
-        """Batch of images -> unit-norm embeddings, differentiable in both
-        the parameters and the input pixels (the latter drives the attack)."""
-        xt = x if isinstance(x, Tensor) else Tensor(x, op="const")
-        if xt.ndim != 2 or xt.shape[1] != self.cfg.input_dim:
-            raise ShapeMismatch(
-                f"expected (n, {self.cfg.input_dim}) images, got {xt.shape}")
-        h = xt
-        for w, b in self.layers:
-            h = add_rowvec(h @ w, b).tanh()
-        out = add_rowvec(h @ self.out_w, self.out_b)
-        return l2_normalize_rows(out)
+        """Batch of images -> unit-norm embeddings, as one tape node over the
+        image parameters and, when ``x`` is a Tensor, its pixels. ``backward``
+        gets their gradients from ``image_forward``'s pullbacks, the weights'
+        once per gradient."""
+        xt = x if isinstance(x, Tensor) else None
+        image = self.image_forward(
+            xt.data if xt is not None else check_finite(np.asarray(x, dtype=np.float64), "const"))
+        params = self.image_parameters()
+        weights = once_per_gradient(image.weights)
+        return Tensor(image.z, params + ([] if xt is None else [xt]), "encode_images",
+                      lambda g, i: weights(g)[i] if i < len(params) else image.pixels(g))
 
     def image_forward(self, x: Array) -> "ImagePass":
-        """``encode_images`` on a float64 pixel array, without the tape.
+        """The image branch on a float64 pixel array, without the tape: the
+        one image forward that ``encode_images`` and the attack build on.
 
-        ``z`` equals ``encode_images(x).data`` bit for bit, with the same
-        checks under the same op names; the caller checks that ``x`` itself
-        is finite, under its own op name. Each pullback gives, term for term,
-        what ``backward`` gives on the tape for an embedding gradient ``g_z``:
-        the pixel gradient forms no weight gradient, and the weight gradients
-        form none for the pixels.
+        ``z`` and the pullbacks equal, bit for bit and with the same checks
+        under the same op names, what the elementary tape composition (affine
+        layers, tanh, row normalization) gives; the caller checks that ``x``
+        itself is finite, under its own op name. For an embedding gradient
+        ``g_z`` the pixel pullback forms no weight gradient, and the weight
+        pullback forms none for the pixels.
         """
         if x.ndim != 2 or x.shape[1] != self.cfg.input_dim:
             raise ShapeMismatch(
@@ -140,10 +139,10 @@ class DualEncoder:
         affine = self.layers + [(self.out_w, self.out_b)]
         inputs = [x]  # what each affine layer multiplies: x, then each tanh output
         for w, b in self.layers:
-            pre = check_finite(check_finite(inputs[-1] @ w.data, "matmul") + b.data, "add_rowvec")
+            pre = check_finite(check_finite(inputs[-1] @ w.data, "matmul") + b.data, "add_bias")
             inputs.append(check_finite(np.tanh(pre), "tanh"))
         out = check_finite(check_finite(inputs[-1] @ self.out_w.data, "matmul") + self.out_b.data,
-                           "add_rowvec")
+                           "add_bias")
         z, norms = normalize_rows_forward(out)
         check_finite(z, "l2_normalize_rows")
 
@@ -214,7 +213,7 @@ class TeacherSnapshot:
         return TeacherSnapshot, (self.model,)
 
     def encode_images(self, x) -> Array:
-        """Forward pass through the frozen weights; plain values, no graph."""
+        """Forward pass through the frozen weights; plain values."""
         return self.model.encode_images(np.asarray(x, dtype=np.float64)).data
 
     def encode_classes(self) -> Array:

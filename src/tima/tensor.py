@@ -7,8 +7,10 @@ nothing is cached on the nodes, so repeated calls give identical results.
 Only gradients along paths to the requested leaves are computed: an operation
 is asked for one parent's contribution at a time, and never for a parent with
 no path to a requested leaf (a constant input, or a weight nobody asked for).
-Besides the elementary operations here, a node may be a whole loss in closed
-form over the weights it depends on (``losses.tima_loss``).
+Besides the elementary operations here, a node may be a whole closed form
+over its direct inputs: the image encoder over its weights and pixels
+(``DualEncoder.encode_images``), or a loss over the embeddings
+(``losses.tima_loss``).
 """
 
 from __future__ import annotations
@@ -164,15 +166,6 @@ def _fit(grad: Array, shape: tuple) -> Array:
     return np.sum(grad).reshape(shape)
 
 
-def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
-    """Row-wise broadcast add: (n, d) matrix plus a length-d vector."""
-    m, v = _lift(m), _lift(v)
-    if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise ShapeMismatch(f"add_rowvec: {m.shape} + {v.shape}")
-    return Tensor(m.data + v.data, (m, v), "add_rowvec",
-                  lambda g, i: g if i == 0 else g.sum(axis=0))
-
-
 # -- array kernels: the math of the row ops, shared with tape-free callers -------
 
 
@@ -226,17 +219,6 @@ def l2_normalize_rows(m: Tensor) -> Tensor:
     out, norms = normalize_rows_forward(m.data)
     return Tensor(out, (m,), "l2_normalize_rows",
                   lambda g, i: normalize_rows_backward(g, out, norms))
-
-
-def row_log_softmax(s: Tensor, tau: float) -> Tensor:
-    """Row-wise log-softmax of s / tau (see ``log_softmax_forward``)."""
-    check_temperature(tau)
-    s = _lift(s)
-    if s.ndim != 2:
-        raise ShapeMismatch(f"row_log_softmax needs a matrix, got {s.shape}")
-    out = log_softmax_forward(s.data, tau)
-    return Tensor(out, (s,), "row_log_softmax",
-                  lambda g, i: log_softmax_backward(g, out, tau))
 
 
 def once_per_gradient(fn: Callable[[Array], T]) -> Callable[[Array], T]:

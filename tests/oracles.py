@@ -4,11 +4,18 @@
 ``backward``. The ``tape_*`` functions build the package's closed forms out of
 elementary tape operations, which is how the package computed them before:
 
+- ``tape_encode_images`` and ``tape_encode_classes`` are the two encoders,
+  which ``DualEncoder.encode_images`` and ``DualEncoder.encode_classes`` must
+  match bit for bit in value and in every parameter and pixel gradient;
 - ``tape_ce_input_grad`` is the attack's input gradient, which the closed-form
   ``attacks._ce_input_grad`` must match bit for bit;
 - ``tape_tima_loss`` and ``tape_contrastive_ce`` are the training losses,
   which the fused ``losses.tima_loss`` and ``harness.contrastive_ce`` must
   match bit for bit in value and in every parameter gradient.
+
+``add_rowvec`` and ``row_log_softmax`` are the two elementary row ops those
+compositions need beyond ``tima.tensor``; their op names are the ones the
+package's closed forms report in their errors.
 """
 
 from typing import Callable
@@ -23,7 +30,15 @@ from tima.losses import (
     cosine_sim_matrix,
     teacher_targets,
 )
-from tima.tensor import Tensor, _lift, backward, l2_normalize_rows, row_log_softmax
+from tima.tensor import (
+    Tensor,
+    _lift,
+    backward,
+    check_temperature,
+    l2_normalize_rows,
+    log_softmax_backward,
+    log_softmax_forward,
+)
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x, h: float = 1e-5) -> np.ndarray:
@@ -44,10 +59,51 @@ def finite_diff_grad(f: Callable[[np.ndarray], float], x, h: float = 1e-5) -> np
     return grad
 
 
+# -- elementary row ops and the encoders on the tape --------------------------------
+
+
+def add_rowvec(m, v) -> Tensor:
+    """Row-wise broadcast add: (n, d) matrix plus a length-d vector."""
+    m, v = _lift(m), _lift(v)
+    if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
+        raise ShapeMismatch(f"add_rowvec: {m.shape} + {v.shape}")
+    return Tensor(m.data + v.data, (m, v), "add_bias",
+                  lambda g, i: g if i == 0 else g.sum(axis=0))
+
+
+def row_log_softmax(s, tau: float) -> Tensor:
+    """Row-wise log-softmax of s / tau (see ``log_softmax_forward``)."""
+    check_temperature(tau)
+    s = _lift(s)
+    if s.ndim != 2:
+        raise ShapeMismatch(f"row_log_softmax needs a matrix, got {s.shape}")
+    out = log_softmax_forward(s.data, tau)
+    return Tensor(out, (s,), "log_softmax",
+                  lambda g, i: log_softmax_backward(g, out, tau))
+
+
+def tape_encode_images(encoder, x) -> Tensor:
+    """``encoder.encode_images(x)`` as elementary tape ops: affine layers with
+    tanh, an affine output layer, then row normalization."""
+    xt = x if isinstance(x, Tensor) else Tensor(x, op="const")
+    if xt.ndim != 2 or xt.shape[1] != encoder.cfg.input_dim:
+        raise ShapeMismatch(
+            f"expected (n, {encoder.cfg.input_dim}) images, got {xt.shape}")
+    h = xt
+    for w, b in encoder.layers:
+        h = add_rowvec(h @ w, b).tanh()
+    return l2_normalize_rows(add_rowvec(h @ encoder.out_w, encoder.out_b))
+
+
+def tape_encode_classes(model) -> Tensor:
+    """``model.encode_classes()`` as two elementary tape ops."""
+    return l2_normalize_rows(model.class_table @ model.text_proj)
+
+
 def tape_ce_input_grad(encoder, text_matrix, x, y) -> np.ndarray:
     """d/dx of -sum_i log softmax(z_i text^T / tau)[y_i], through ``backward``."""
     xt = Tensor(x, op="leaf")
-    z = encoder.encode_images(xt)
+    z = tape_encode_images(encoder, xt)
     log_p = row_log_softmax(cosine_sim_matrix(z, text_matrix), encoder.tau)
     mask = Tensor(_one_hot(np.asarray(y), log_p.shape[1]), op="const")
     loss = (log_p * mask).sum() * -1.0
@@ -55,11 +111,6 @@ def tape_ce_input_grad(encoder, text_matrix, x, y) -> np.ndarray:
 
 
 # -- the training losses on the tape ----------------------------------------------
-
-
-def tape_encode_classes(model) -> Tensor:
-    """``model.encode_classes()`` as two elementary tape ops."""
-    return l2_normalize_rows(model.class_table @ model.text_proj)
 
 
 def _const(x) -> Tensor:
@@ -135,7 +186,7 @@ def tape_tima_loss(student, teacher, x_clean, x_adv, y, w, *, targets=None,
     if teacher_z.shape[0] != n:
         raise ShapeMismatch(f"tima_loss: {teacher_z.shape[0]} teacher rows for {n} samples")
 
-    z_adv = student.encode_images(x_adv)
+    z_adv = tape_encode_images(student, x_adv)
     s_adv = cosine_sim_matrix(z_adv, Tensor(t_hat, op="const"))
     tam = _tam(s_adv, margin, y, w.tau)
     total = tam
@@ -166,7 +217,7 @@ def tape_tima_loss(student, teacher, x_clean, x_adv, y, w, *, targets=None,
 
 def tape_contrastive_ce(model, x, y) -> Tensor:
     """``harness.contrastive_ce`` on the tape."""
-    z = model.encode_images(x)
+    z = tape_encode_images(model, x)
     t = tape_encode_classes(model)
     log_p = row_log_softmax(cosine_sim_matrix(z, t), model.tau)
     n, c = log_p.shape

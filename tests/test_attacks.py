@@ -17,21 +17,9 @@ from tima.errors import (
     ShapeMismatch,
 )
 from tima.model import DualEncoder, EncoderConfig, init_model, snapshot_teacher
-from tima.tensor import Tensor, l2_normalize_rows, log_softmax_forward
+from tima.tensor import Tensor, log_softmax_forward
 
 from oracles import finite_diff_grad, tape_ce_input_grad
-
-
-class LinearStub:
-    """Hand-built linear encoder: z = normalize(x W)."""
-
-    def __init__(self, w, tau=1.0):
-        self.w = np.asarray(w, dtype=np.float64)
-        self.tau = tau
-
-    def encode_images(self, x):
-        xt = x if isinstance(x, Tensor) else Tensor(x)
-        return l2_normalize_rows(xt @ Tensor(self.w, op="const"))
 
 
 def linear_encoder(w, tau=1.0):
@@ -213,9 +201,9 @@ class TestRobustAccuracy:
         assert 0.0 <= acc <= 1.0
 
     def test_classify_ties_break_low(self):
-        stub = LinearStub(np.eye(2))
+        encoder = linear_encoder(np.eye(2))
         text = np.array([[1.0, 0.0], [1.0, 0.0]])  # identical rows: tie
-        labels = classify(stub, text, np.array([[0.5, 0.0]]))
+        labels = classify(encoder, text, np.array([[0.5, 0.0]]))
         assert labels[0] == 0
 
 

@@ -1,6 +1,8 @@
+import re
+
 import pytest
 
-from tima.config import parse_config, parse_fraction
+from tima.config import SCHEMA, parse_config, parse_fraction
 from tima.errors import ConfigRangeError, ConfigTypeError, UnknownKey
 
 
@@ -77,6 +79,19 @@ class TestErrors:
     def test_bad_fraction_in_list(self):
         with pytest.raises(ConfigRangeError):
             parse_config("eval_eps_list = 0,zzz/255")
+
+    @pytest.mark.parametrize("key", [k for k, (kind, _, _) in SCHEMA.items()
+                                     if kind in ("float", "frac", "float_list", "frac_list")])
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_rejected(self, key, bad):
+        kind, default, _ = SCHEMA[key]
+        value = f"{default},{bad}" if kind.endswith("_list") else bad
+        with pytest.raises(ConfigRangeError, match=re.escape(f"line 2: key {key!r}")):
+            parse_config(f"seed = 1\n{key} = {value}\n")
+
+    def test_fraction_too_large_for_a_float(self):
+        with pytest.raises(ConfigTypeError, match="line 1"):
+            parse_config("train_eps = 1" + "0" * 400 + "/1")
 
 
 class TestBuilders:

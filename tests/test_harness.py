@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from tima import attacks, harness
+from tima import attacks, harness, losses
 from tima.attacks import AttackConfig, robust_accuracy
 from tima.config import parse_config
 from tima.data import SyntheticSpec, generate_synthetic
@@ -437,6 +437,25 @@ class TestSingleAttackPass:
         assert len(encoded) == 4 + attacked
         if text_source == "student":
             assert report.robust_accuracy["0"] == report.clean_accuracy
+
+    def test_training_and_evaluation_never_call_cosine_sim_matrix(self, tmp_path, monkeypatch):
+        # image embeddings are unit by construction: training and evaluation
+        # score them against class text vetted once per call, with a matmul
+        calls = []
+        original = losses.cosine_sim_matrix
+
+        def spy(a, b):
+            calls.append(1)
+            return original(a, b)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "tima" and getattr(module, "cosine_sim_matrix", None) is original:
+                monkeypatch.setattr(module, "cosine_sim_matrix", spy)
+        finetune(self.student.clone(), self.teacher, self.train,
+                 fast_train_cfg(variant="tima", epochs=1))
+        evaluate(self.student, self.teacher, self.test, self.eps_list,
+                 attack=AttackConfig(steps=1, restarts=1), matrices_dir=tmp_path)
+        assert calls == []
 
 
 

@@ -33,10 +33,11 @@ from tima.losses import (
 )
 from tima.harness import VARIANTS, contrastive_ce, resolve_variant
 from tima.model import EncoderConfig, init_model, snapshot_teacher
-from tima.tensor import Tensor, backward, l2_normalize_rows, row_log_softmax
+from tima.tensor import Tensor, backward, l2_normalize_rows
 
 from oracles import (
     finite_diff_grad,
+    row_log_softmax,
     tape_contrastive_ce,
     tape_encode_classes,
     tape_tima_loss,
@@ -80,6 +81,12 @@ class TestLossWeights:
             LossWeights(lam=-1.0)
         with pytest.raises(InvalidConfig):
             LossWeights(m=-0.1)
+
+    @pytest.mark.parametrize("field", ["m", "lam", "lam_t", "lam_v"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_weights_rejected(self, field, value):
+        with pytest.raises(InvalidConfig):
+            LossWeights(**{field: value})
 
 
 class TestCosineSimMatrix:

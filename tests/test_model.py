@@ -7,7 +7,9 @@ import pytest
 from tima.errors import (
     BadMagic,
     CorruptFile,
+    DegenerateRow,
     InvalidConfig,
+    NonFiniteValue,
     ShapeMismatch,
     TruncatedFile,
     UnsupportedVersion,
@@ -20,6 +22,8 @@ from tima.model import (
     snapshot_teacher,
 )
 from tima.tensor import Tensor, backward
+
+from oracles import tape_encode_images
 
 
 def tiny_cfg(seed=0, hidden=(5,)):
@@ -91,6 +95,70 @@ class TestEncode:
         xt = Tensor(self.x)
         loss = self.model.encode_images(xt).sum()
         assert np.any(backward(loss, [xt])[xt] != 0.0)
+
+
+def encoder_case(hidden, seed):
+    cfg = EncoderConfig(input_dim=6, hidden_dims=hidden, embed_dim=4, num_classes=3, seed=seed)
+    rng = np.random.default_rng(seed + 100)
+    x = rng.uniform(0.05, 0.95, size=(9, 6))
+    return init_model(cfg), x, rng.normal(size=(9, 4))
+
+
+class TestEncodeImagesMatchesTape:
+    """``encode_images`` is one closed-form node over the image weights and
+    the pixels; the elementary tape composition is the reference, bit for
+    bit."""
+
+    @pytest.mark.parametrize("hidden", [(), (5,), (128,)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("requested", ["weights", "pixels", "both"])
+    def test_value_and_gradients_bitwise(self, hidden, seed, requested):
+        model, x, g_z = encoder_case(hidden, seed)
+        xt = Tensor(x, op="leaf")
+        leaves = {"weights": model.image_parameters(), "pixels": [xt],
+                  "both": model.image_parameters() + [xt]}[requested]
+        results = []
+        for encode in (model.encode_images, lambda x: tape_encode_images(model, x)):
+            z = encode(xt)
+            grads = backward((z * Tensor(g_z, op="const")).sum(), leaves)
+            results.append((z.data, [grads[leaf] for leaf in leaves]))
+        (z_closed, g_closed), (z_tape, g_tape) = results
+        assert np.array_equal(z_closed, z_tape)
+        for a, b in zip(g_closed, g_tape):
+            assert np.array_equal(a, b)
+
+    def test_plain_array_input_has_no_pixel_parent(self):
+        model, x, _ = encoder_case((5,), 0)
+        z = model.encode_images(x)
+        assert list(z.parents) == model.image_parameters()
+        assert np.array_equal(z.data, tape_encode_images(model, x).data)
+
+    def _both_raise(self, error, model, x):
+        with pytest.raises(error) as closed_exc:
+            model.encode_images(x)
+        with pytest.raises(error) as tape_exc:
+            tape_encode_images(model, x)
+        assert str(closed_exc.value) == str(tape_exc.value)
+
+    def test_inf_weight(self):
+        model, x, _ = encoder_case((5,), 0)
+        model.layers[0][0].data[0, 0] = np.inf
+        self._both_raise(NonFiniteValue, model, x)
+
+    def test_nan_pixel(self):
+        model, x, _ = encoder_case((5,), 0)
+        x[2, 1] = np.nan
+        self._both_raise(NonFiniteValue, model, x)
+
+    def test_zero_output_row(self):
+        # a black image through a linear encoder with zero bias embeds to 0
+        model, x, _ = encoder_case((), 0)
+        x[3] = 0.0
+        self._both_raise(DegenerateRow, model, x)
+
+    def test_wrong_width(self):
+        model, x, _ = encoder_case((5,), 0)
+        self._both_raise(ShapeMismatch, model, x[:, :5])
 
 
 class TestTeacherSnapshot:

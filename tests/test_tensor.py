@@ -9,15 +9,9 @@ from tima.errors import (
     NonScalarLoss,
     ShapeMismatch,
 )
-from tima.tensor import (
-    Tensor,
-    add_rowvec,
-    backward,
-    l2_normalize_rows,
-    row_log_softmax,
-)
+from tima.tensor import Tensor, backward, l2_normalize_rows
 
-from oracles import finite_diff_grad
+from oracles import add_rowvec, finite_diff_grad, row_log_softmax
 
 REL_TOL = 1e-4
 ABS_FLOOR = 1e-7
