@@ -9,12 +9,13 @@ clean input and into the valid pixel range.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AttackOutOfBounds, EmptyDataset, InvalidConfig, ShapeMismatch
-from .losses import _checked_text, _log_softmax
+from .losses import _check_labels, _checked_text, _log_softmax, _one_hot
 from .tensor import check_finite, log_softmax_backward
 
 Array = np.ndarray
@@ -39,20 +40,14 @@ class AttackConfig:
     text_source: str = "student"
 
     def __post_init__(self):
-        if self.eps < 0:
-            raise InvalidConfig(f"eps must be >= 0, got {self.eps}")
+        if not 0 <= self.eps < math.inf:
+            raise InvalidConfig(f"eps must be finite and >= 0, got {self.eps}")
         if self.steps < 0 or self.restarts < 0:
             raise InvalidConfig("steps and restarts must be >= 0")
-        if self.steps > 0 and not self.step_size > 0:
-            raise InvalidConfig(f"step_size must be positive, got {self.step_size}")
+        if self.steps > 0 and not 0 < self.step_size < math.inf:
+            raise InvalidConfig(f"step_size must be finite and positive, got {self.step_size}")
         if self.text_source not in TEXT_SOURCES:
             raise InvalidConfig(f"text_source must be one of {TEXT_SOURCES}")
-
-
-def _one_hot(y: Array, c: int) -> Array:
-    out = np.zeros((len(y), c))
-    out[np.arange(len(y)), y] = 1.0
-    return out
 
 
 def _log_probs(z: Array, text: Array, tau: float) -> Array:
@@ -61,11 +56,21 @@ def _log_probs(z: Array, text: Array, tau: float) -> Array:
     return _log_softmax(check_finite(z @ text.T, "matmul"), tau)
 
 
+def _checked_labels(y, x, text: Array) -> Array:
+    """``y`` vetted as one class index per image of ``x``, over the rows of
+    ``text``."""
+    y = _check_labels(y, len(text))
+    if len(y) != len(x):
+        raise ShapeMismatch(f"{len(y)} labels for {len(x)} images")
+    return y
+
+
 def per_sample_ce(encoder, text_matrix: Array, x: Array, y: Array) -> Array:
     """Contrastive cross-entropy of each sample at the encoder's temperature."""
     text = _checked_text(encoder, text_matrix)
+    y = _checked_labels(y, x, text)
     log_p = _log_probs(encoder.encode_images(x).data, text, encoder.tau)
-    return -log_p[np.arange(len(y)), np.asarray(y)]
+    return -log_p[np.arange(len(y)), y]
 
 
 def _ce_input_grad(encoder, text: Array, x: Array, y: Array) -> Array:
@@ -110,9 +115,10 @@ def pgd_attack(encoder, text_matrix: Array, x: Array, y: Array,
     Raises AttackOutOfBounds if the result leaves the ball or [0, 1].
     """
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y)
     if cfg.eps == 0.0:
         return x.copy()
+    text_matrix = _checked_text(encoder, text_matrix)
+    y = _checked_labels(y, x, text_matrix)
     best_x = pgd_steps(encoder, text_matrix, x, x.copy(), y,
                        cfg.eps, cfg.step_size, cfg.steps)
     if cfg.restarts:

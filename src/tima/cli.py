@@ -18,6 +18,7 @@ from . import data as data_mod
 from . import harness, model as model_mod
 from .config import RunConfig, load_config, parse_config, parse_fraction
 from .errors import IoFailure, TimaError
+from .files import make_dir
 
 
 def _resolve_config(args) -> RunConfig:
@@ -28,9 +29,7 @@ def _resolve_config(args) -> RunConfig:
 
 
 def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return make_dir(args.out)
 
 
 def _load_dataset(path: Path, split: str) -> data_mod.Dataset:
@@ -141,8 +140,7 @@ def cmd_sweep(args) -> int:
     count = 0
     for (m, eta), report in zip(configs, harness.run_cells(cell, configs)):
         for eps_text, _ in eps_list:
-            point = out / "sweep" / f"m{m}_eta{eta}_eps{harness.eps_tag(eps_text)}"
-            point.mkdir(parents=True, exist_ok=True)
+            point = make_dir(out / "sweep" / f"m{m}_eta{eta}_eps{harness.eps_tag(eps_text)}")
             robust = report.robust_accuracy[eps_text]
             harness.write_report(dataclasses.replace(report, robust_accuracy={eps_text: robust}),
                                  point / "report.json")
@@ -181,8 +179,7 @@ def cmd_trend(args) -> int:
     for seed, (head, cell_reports) in zip(seeds, harness.run_cells(cell, seeds)):
         print(head)
         for variant, report in cell_reports.items():
-            point = out / f"seed{seed}_{variant}"
-            point.mkdir(parents=True, exist_ok=True)
+            point = make_dir(out / f"seed{seed}_{variant}")
             harness.write_report(report, point / "report.json")
             reports[variant].append(report)
             print(f"  {_trend_row(variant, [report])}")
@@ -231,10 +228,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except TimaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (TimaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,6 +15,7 @@ from typing import Dict, List, Tuple
 from .attacks import AttackConfig, TEXT_SOURCES
 from .data import SyntheticSpec
 from .errors import ConfigRangeError, ConfigTypeError, UnknownKey
+from .files import read_file
 from .harness import VARIANTS, TrainConfig
 from .losses import MARGIN_SIGN_LITERAL, MARGIN_SIGN_NEGATE, LossWeights
 from .model import EncoderConfig
@@ -263,8 +264,7 @@ def parse_config(text: str) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = read_file(path, "config").decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigTypeError(f"{path}: not UTF-8 text ({exc})") from exc
     return parse_config(text)

@@ -16,16 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadMagic,
-    CorruptFile,
-    InvalidSpec,
-    IoFailure,
-    LabelOutOfRange,
-    TruncatedFile,
-    UnsupportedVersion,
-)
-from .files import write_atomic
+from .errors import CorruptFile, InvalidSpec, LabelOutOfRange
+from .files import Reader, read_file, write_atomic
 
 Array = np.ndarray
 
@@ -161,31 +153,12 @@ def save_dataset(d: Dataset, path) -> None:
 
 
 def load_dataset(path, split: str = "") -> Dataset:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read dataset {path}: {exc}") from exc
-
-    def take(pos: int, n: int) -> tuple[bytes, int]:
-        if pos + n > len(blob):
-            raise TruncatedFile(f"{path}: expected {n} more bytes at offset {pos}")
-        return blob[pos:pos + n], pos + n
-
-    head, pos = take(0, 24)
-    magic, version, num_classes, num_supers, side, n = struct.unpack("<4sIIIII", head)
-    if magic != DATASET_MAGIC:
-        raise BadMagic(f"{path}: not a dataset file")
-    if version != DATASET_VERSION:
-        raise UnsupportedVersion(f"{path}: version {version}")
-    raw, pos = take(pos, 2 * num_classes)
-    superclass_of = np.frombuffer(raw, dtype="<u2").astype(np.int64)
-    raw, pos = take(pos, 2 * n)
-    labels = np.frombuffer(raw, dtype="<u2").astype(np.int64)
-    raw, pos = take(pos, n * side * side)
-    images = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / 255.0
-    if pos != len(blob):
-        raise CorruptFile(f"{path}: {len(blob) - pos} trailing bytes after offset {pos}")
+    r = Reader(read_file(path, "dataset"), path, DATASET_MAGIC, DATASET_VERSION, "dataset file")
+    num_classes, num_supers, side, n = r.unpack("<IIII")
+    superclass_of = np.frombuffer(r.take(2 * num_classes), dtype="<u2").astype(np.int64)
+    labels = np.frombuffer(r.take(2 * n), dtype="<u2").astype(np.int64)
+    images = np.frombuffer(r.take(n * side * side), dtype=np.uint8).astype(np.float64) / 255.0
+    r.finish()
     if n and labels.max() >= num_classes:
         raise LabelOutOfRange(f"{path}: label {labels.max()} in a {num_classes}-class file")
     supers_used = int(superclass_of.max()) + 1 if num_classes else 0

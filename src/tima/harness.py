@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -25,12 +26,11 @@ from .errors import (
     EmptyDataset,
     InvalidConfig,
     InvalidVariant,
-    IoFailure,
     ReportSchemaError,
     TooFewClasses,
     WorkerDied,
 )
-from .files import write_atomic
+from .files import make_dir, read_file, write_atomic
 from .losses import LossWeights, _check_labels, _checked_text, _tam, teacher_targets, tima_loss
 from .model import DualEncoder, TeacherSnapshot, init_model, snapshot_teacher
 from .tensor import Tensor, backward, normalize_rows_forward, once_per_gradient
@@ -43,10 +43,6 @@ VARIANTS = ("tima", "tecoa", "iat_only", "tai_only", "mhe_only")
 # acceptance suite train
 TREND_SEEDS = (0, 1, 2)
 TREND_VARIANTS = ("tecoa", "tima")
-
-REPORT_KEYS = ("config", "seed", "clean_accuracy", "robust_accuracy",
-               "text_min_distance", "text_mean_distance", "matrices",
-               "superclass_confusion")
 
 
 def _default_train_attack() -> AttackConfig:
@@ -66,8 +62,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise InvalidConfig(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise InvalidConfig(f"learning_rate must be finite and positive, "
+                                f"got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise InvalidConfig(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.epochs < 1:
@@ -395,11 +392,7 @@ def _write_matrices(out_dir, model: DualEncoder, teacher: TeacherSnapshot, stude
                     attack: AttackConfig) -> Dict[str, Dict[str, str]]:
     """The matrices of ``export_similarity_matrices``: the student's from its
     pass ``student``, the teacher's from a pass run here against its own text."""
-    out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(f"cannot create {out_dir}: {exc}") from exc
+    out_dir = make_dir(out_dir)
     manifest: Dict[str, Dict[str, str]] = {}
 
     def emit(name: str, matrix: Array) -> None:
@@ -440,14 +433,19 @@ def export_similarity_matrices(model: DualEncoder, teacher: TeacherSnapshot,
 
 @dataclass
 class EvalReport:
+    """What ``write_report`` writes: its fields are the report's keys."""
+
+    config: Dict[str, str]
+    seed: int
     clean_accuracy: float
     robust_accuracy: Dict[str, float]            # eps text -> accuracy
     text_min_distance: Dict[str, float]          # student / teacher
     text_mean_distance: Dict[str, float]
-    superclass_confusion: List[List[int]]
     matrices: Dict[str, Dict[str, str]]
-    config: Dict[str, str]
-    seed: int
+    superclass_confusion: List[List[int]]
+
+
+REPORT_KEYS = tuple(f.name for f in dataclasses.fields(EvalReport))
 
 
 def evaluate(model: DualEncoder, teacher: TeacherSnapshot, test_data: Dataset,
@@ -486,30 +484,20 @@ def evaluate(model: DualEncoder, teacher: TeacherSnapshot, test_data: Dataset,
 
 def write_report(report: EvalReport, path) -> None:
     """Serialize to JSON; identical reports produce byte-identical files."""
-    payload = {
-        "config": report.config,
-        "seed": report.seed,
-        "clean_accuracy": report.clean_accuracy,
-        "robust_accuracy": report.robust_accuracy,
-        "text_min_distance": report.text_min_distance,
-        "text_mean_distance": report.text_mean_distance,
-        "matrices": report.matrices,
-        "superclass_confusion": report.superclass_confusion,
-    }
-    write_atomic(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("ascii"),
-                 "report")
+    text = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True) + "\n"
+    write_atomic(path, text.encode("ascii"), "report")
 
 
 def read_report(path) -> dict:
-    """Parse a report file, checking the documented key set."""
+    """Parse a report file: a UTF-8 JSON object holding every report key."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise IoFailure(f"cannot read report {path}: {exc}") from exc
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+        payload = json.loads(read_file(path, "report").decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ReportSchemaError(f"{path}: not UTF-8 text ({exc})") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ReportSchemaError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ReportSchemaError(f"{path}: expected a JSON object, got {type(payload).__name__}")
     missing = [k for k in REPORT_KEYS if k not in payload]
     if missing:
         raise ReportSchemaError(f"{path}: missing required keys {missing}")

@@ -150,14 +150,19 @@ def _log_softmax(s: Array, tau: float) -> Array:
     return check_finite(log_softmax_forward(s, tau), "log_softmax")
 
 
+def _one_hot(y: Array, c: int) -> Array:
+    out = np.zeros((len(y), c))
+    out[np.arange(len(y)), y] = 1.0
+    return out
+
+
 def _tam(s: Array, margin: Optional[Array], y: Array, tau: float):
     """Mean over rows of -log softmax((s - margin) / tau) at the checked
     labels ``y``, and its pullback ``g -> gradient of s``. Without a margin
     this is the plain contrastive cross-entropy."""
     n, c = s.shape
     log_p = _log_softmax(s if margin is None else s - margin, tau)
-    one_hot = np.zeros((n, c))
-    one_hot[np.arange(n), y] = 1.0
+    one_hot = _one_hot(y, c)
     total = check_finite(np.sum(log_p * one_hot), "sum")
 
     def vjp(g):

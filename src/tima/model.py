@@ -15,16 +15,8 @@ from typing import Callable, List, NamedTuple, Tuple
 
 import numpy as np
 
-from .errors import (
-    BadMagic,
-    CorruptFile,
-    InvalidConfig,
-    IoFailure,
-    ShapeMismatch,
-    TruncatedFile,
-    UnsupportedVersion,
-)
-from .files import write_atomic
+from .errors import CorruptFile, InvalidConfig, ShapeMismatch, TruncatedFile
+from .files import Reader, read_file, write_atomic
 from .tensor import (
     Tensor,
     check_finite,
@@ -261,46 +253,17 @@ def snapshot_teacher(model: DualEncoder) -> TeacherSnapshot:
 def save_model(model: DualEncoder, path) -> None:
     cfg = model.cfg
     chunks = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
-    chunks.append(struct.pack("<II", cfg.input_dim, len(cfg.hidden_dims)))
-    for h in cfg.hidden_dims:
-        chunks.append(struct.pack("<I", h))
+    hidden = cfg.hidden_dims
+    chunks.append(struct.pack(f"<II{len(hidden)}I", cfg.input_dim, len(hidden), *hidden))
     chunks.append(struct.pack("<IIQd", cfg.embed_dim, cfg.num_classes,
                               cfg.seed, model.tau))
     tensors = model.parameters()
     chunks.append(struct.pack("<I", len(tensors)))
     for t in tensors:
         arr = t.data
-        chunks.append(struct.pack("<I", arr.ndim))
-        for d in arr.shape:
-            chunks.append(struct.pack("<I", d))
+        chunks.append(struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape))
         chunks.append(arr.astype("<f8").tobytes())
     write_atomic(path, b"".join(chunks), "checkpoint")
-
-
-class _Reader:
-    def __init__(self, blob: bytes, path):
-        self.blob = blob
-        self.pos = 0
-        self.path = path
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise TruncatedFile(f"{self.path}: expected {n} more bytes at offset {self.pos}")
-        out = self.blob[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def f64(self) -> float:
-        return struct.unpack("<d", self.take(8))[0]
-
-    def done(self) -> bool:
-        return self.pos == len(self.blob)
 
 
 def _parameter_shapes(cfg: EncoderConfig) -> List[Tuple[int, ...]]:
@@ -314,38 +277,26 @@ def _parameter_shapes(cfg: EncoderConfig) -> List[Tuple[int, ...]]:
 
 
 def load_model(path) -> DualEncoder:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read checkpoint {path}: {exc}") from exc
-    r = _Reader(blob, path)
-    if r.take(4) != CHECKPOINT_MAGIC:
-        raise BadMagic(f"{path}: not a model checkpoint")
-    version = r.u32()
-    if version != CHECKPOINT_VERSION:
-        raise UnsupportedVersion(f"{path}: version {version}")
-    input_dim = r.u32()
-    hidden = tuple(r.u32() for _ in range(r.u32()))
-    embed_dim = r.u32()
-    num_classes = r.u32()
-    seed = r.u64()
-    tau = r.f64()
+    r = Reader(read_file(path, "checkpoint"), path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+               "model checkpoint")
+    input_dim, n_hidden = r.unpack("<II")
+    hidden = r.unpack(f"<{n_hidden}I")
+    embed_dim, num_classes, seed, tau = r.unpack("<IIQd")
     cfg = EncoderConfig(input_dim=input_dim, hidden_dims=hidden,
                         embed_dim=embed_dim, num_classes=num_classes, seed=seed)
     shapes = _parameter_shapes(cfg)
-    count = r.u32()
+    count, = r.unpack("<I")
     if count != len(shapes):
         raise TruncatedFile(f"{path}: expected {len(shapes)} tensors, found {count}")
     tensors = []
     for i, shape in enumerate(shapes):
-        dims = tuple(r.u32() for _ in range(r.u32()))
+        rank, = r.unpack("<I")
+        dims = r.unpack(f"<{rank}I")
         if dims != shape:
             raise CorruptFile(f"{path}: tensor {i} has shape {dims}, header implies {shape}")
         arr = np.frombuffer(r.take(8 * int(np.prod(dims))), dtype="<f8").reshape(dims).copy()
         tensors.append(Tensor(arr, op="leaf"))
-    if not r.done():
-        raise CorruptFile(f"{path}: {len(blob) - r.pos} trailing bytes after offset {r.pos}")
+    r.finish()
     layers = [(tensors[2 * i], tensors[2 * i + 1]) for i in range(len(hidden))]
     k = 2 * len(hidden)
     return DualEncoder(cfg, layers, (tensors[k], tensors[k + 1]),

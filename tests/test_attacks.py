@@ -12,6 +12,8 @@ from tima.errors import (
     DegenerateRow,
     EmptyDataset,
     InvalidConfig,
+    LabelNotInteger,
+    LabelOutOfRange,
     NonFiniteValue,
     NotNormalized,
     ShapeMismatch,
@@ -57,6 +59,38 @@ class TestAttackConfig:
             AttackConfig(restarts=-1)
         with pytest.raises(InvalidConfig):
             AttackConfig(text_source="both")
+
+    @pytest.mark.parametrize("field", ["eps", "step_size"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(InvalidConfig, match="finite"):
+            AttackConfig(**{field: value})
+
+
+# label fault -> (labels for the 12-sample, 3-class toy batch, expected error)
+BAD_LABELS = {
+    "num_classes": (np.full(12, 3), LabelOutOfRange),
+    "negative": (np.full(12, -1), LabelOutOfRange),
+    "float": (np.zeros(12), LabelNotInteger),
+    "2-D": (np.zeros((12, 1), dtype=np.int64), ShapeMismatch),
+    "one short": (np.zeros(11, dtype=np.int64), ShapeMismatch),
+}
+
+ATTACK_CALLS = {
+    "pgd_attack": lambda model, text, x, y: pgd_attack(model, text, x, y,
+                                                       AttackConfig(eps=2 / 255, steps=2)),
+    "per_sample_ce": per_sample_ce,
+}
+
+
+@pytest.mark.parametrize("call", sorted(ATTACK_CALLS))
+@pytest.mark.parametrize("fault", sorted(BAD_LABELS))
+def test_bad_labels_rejected(call, fault):
+    model = toy_model()
+    x, _ = toy_batch()
+    y, error = BAD_LABELS[fault]
+    with pytest.raises(error):
+        ATTACK_CALLS[call](model, model.encode_classes().data, x, y)
 
 
 class TestPgdAttack:

@@ -1,16 +1,20 @@
-"""Atomic writes: a failed save leaves the previous file intact and no temp file."""
+"""The file boundary: a failed save leaves the previous file intact and no temp
+file, and a path that cannot be read or created is an IoFailure naming it."""
 
 import os
+import re
 
 import numpy as np
 import pytest
 
 from tima import files, harness
-from tima.data import SyntheticSpec, generate_synthetic, save_dataset
+from tima.cli import main
+from tima.config import load_config
+from tima.data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 from tima.errors import IoFailure
 from tima.files import write_atomic
-from tima.harness import EvalReport, write_report
-from tima.model import EncoderConfig, init_model, save_model
+from tima.harness import EvalReport, read_report, write_report
+from tima.model import EncoderConfig, init_model, load_model, save_model
 
 
 def _model(seed):
@@ -82,3 +86,36 @@ def test_missing_directory_is_io_failure(tmp_path):
     with pytest.raises(IoFailure, match="cannot write thing"):
         write_atomic(tmp_path / "absent" / "f.bin", b"x", "thing")
     assert os.listdir(tmp_path) == []
+
+
+# reader name -> (reader, what its IoFailure says it was reading)
+READERS = {
+    "load_model": (load_model, "checkpoint"),
+    "load_dataset": (load_dataset, "dataset"),
+    "read_report": (read_report, "report"),
+    "load_config": (load_config, "config"),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unreadable_path_is_io_failure(tmp_path, reader, where):
+    load, what = READERS[reader]
+    path = tmp_path / "absent" if where == "missing" else tmp_path
+    with pytest.raises(IoFailure, match=f"^cannot read {what} {re.escape(str(path))}: "):
+        load(path)
+
+
+@pytest.mark.parametrize("case", ["missing config", "out is a file"])
+def test_cli_reports_unusable_paths_in_one_line(tmp_path, capsys, case):
+    if case == "missing config":
+        argv = ["--config", str(tmp_path / "missing.cfg"), "--out", str(tmp_path / "out")]
+        start = "error: cannot read config "
+    else:
+        (tmp_path / "out").write_text("")
+        argv = ["--out", str(tmp_path / "out")]
+        start = "error: cannot create "
+    assert main(["gen-data"] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(start)
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -15,6 +15,7 @@ from tima.config import parse_config
 from tima.data import SyntheticSpec, generate_synthetic
 from tima.errors import (
     EmptyDataset,
+    InvalidConfig,
     InvalidVariant,
     LabelOutOfRange,
     ReportSchemaError,
@@ -63,6 +64,12 @@ def fast_train_cfg(**kw):
                     seed=0)
     defaults.update(kw)
     return TrainConfig(**defaults)
+
+
+@pytest.mark.parametrize("lr", [0.0, float("nan"), float("inf")])
+def test_train_config_rejects_bad_learning_rate(lr):
+    with pytest.raises(InvalidConfig, match="learning_rate"):
+        TrainConfig(learning_rate=lr)
 
 
 class TestPretrain:
@@ -319,6 +326,18 @@ class TestReports:
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "report.json"
         path.write_text("not json {")
+        with pytest.raises(ReportSchemaError):
+            read_report(path)
+
+    @pytest.mark.parametrize("blob", [
+        b"5",
+        json.dumps(list(harness.REPORT_KEYS)).encode("ascii"),
+        b'{"seed": "\xff"}',
+        b"[" * 100000,
+    ], ids=["number", "list of the keys", "not UTF-8", "nested too deep"])
+    def test_malformed_report_rejected(self, tmp_path, blob):
+        path = tmp_path / "report.json"
+        path.write_bytes(blob)
         with pytest.raises(ReportSchemaError):
             read_report(path)
 
