@@ -56,19 +56,10 @@ def _log_probs(z: Array, text: Array, tau: float) -> Array:
     return _log_softmax(check_finite(z @ text.T, "matmul"), tau)
 
 
-def _checked_labels(y, x, text: Array) -> Array:
-    """``y`` vetted as one class index per image of ``x``, over the rows of
-    ``text``."""
-    y = _check_labels(y, len(text))
-    if len(y) != len(x):
-        raise ShapeMismatch(f"{len(y)} labels for {len(x)} images")
-    return y
-
-
 def per_sample_ce(encoder, text_matrix: Array, x: Array, y: Array) -> Array:
     """Contrastive cross-entropy of each sample at the encoder's temperature."""
     text = _checked_text(encoder, text_matrix)
-    y = _checked_labels(y, x, text)
+    y = _check_labels(y, len(text), len(x))
     log_p = _log_probs(encoder.encode_images(x).data, text, encoder.tau)
     return -log_p[np.arange(len(y)), y]
 
@@ -118,7 +109,7 @@ def pgd_attack(encoder, text_matrix: Array, x: Array, y: Array,
     if cfg.eps == 0.0:
         return x.copy()
     text_matrix = _checked_text(encoder, text_matrix)
-    y = _checked_labels(y, x, text_matrix)
+    y = _check_labels(y, len(text_matrix), len(x))
     best_x = pgd_steps(encoder, text_matrix, x, x.copy(), y,
                        cfg.eps, cfg.step_size, cfg.steps)
     if cfg.restarts:
@@ -139,12 +130,6 @@ def pgd_attack(encoder, text_matrix: Array, x: Array, y: Array,
     return best_x
 
 
-def classify(encoder, text_matrix: Array, x: Array) -> Array:
-    """argmax_k cosine(z, t_k); np.argmax breaks ties toward the lowest index."""
-    text = _checked_text(encoder, text_matrix)
-    return np.argmax(encoder.encode_images(x).data @ text.T, axis=1)
-
-
 def attack_text(model, teacher, cfg: AttackConfig, student_text=None) -> Array:
     """The class-text embeddings ``cfg.text_source`` names: the student's own
     (``student_text``, this model's ``encode_classes()``, when the caller
@@ -154,29 +139,42 @@ def attack_text(model, teacher, cfg: AttackConfig, student_text=None) -> Array:
     return (model.encode_classes() if student_text is None else student_text).data
 
 
-def attack_pass(encoder, text_matrix: Array, dataset, cfg: AttackConfig,
-                batch_size: int = 128) -> tuple[int, Array]:
-    """Attack every sample once, in batches seeded ``cfg.seed + offset``.
+# rows per batch of ``scored_pass``; each attacked batch is seeded
+# ``attack.seed + offset``, so this size is part of every robust number
+SCORE_BATCH = 128
 
-    Per batch: one PGD run, one encoding of its result. Returns the number
-    of samples still classified correctly (nearest text row, as in
-    ``classify``) and the per-class sums of their adversarial embeddings.
+
+def scored_pass(encoder, text_matrix: Array, dataset,
+                attack: AttackConfig | None = None) -> tuple[Array, Array]:
+    """Score every sample of ``dataset`` once, ``SCORE_BATCH`` rows at a time.
+
+    Per batch: with ``attack``, one PGD run seeded ``attack.seed + offset``;
+    then one encoding of the (attacked) images. Returns every sample's
+    prediction (the nearest text row; ``np.argmax`` breaks ties toward the
+    lowest index) and the per-class sums of the embeddings.
     """
     text = _checked_text(encoder, text_matrix)
+    preds = np.zeros(dataset.num_samples, dtype=np.int64)
     sums = np.zeros((dataset.num_classes, encoder.cfg.embed_dim))
-    correct = 0
-    for lo in range(0, dataset.num_samples, batch_size):
-        xb = dataset.images[lo:lo + batch_size]
-        yb = dataset.labels[lo:lo + batch_size]
-        x_adv = pgd_attack(encoder, text, xb, yb, dataclasses.replace(cfg, seed=cfg.seed + lo))
-        z = encoder.encode_images(x_adv).data
-        correct += int(np.sum(np.argmax(z @ text.T, axis=1) == yb))
+    for lo in range(0, dataset.num_samples, SCORE_BATCH):
+        xb = dataset.images[lo:lo + SCORE_BATCH]
+        yb = dataset.labels[lo:lo + SCORE_BATCH]
+        if attack is not None:
+            xb = pgd_attack(encoder, text, xb, yb,
+                            dataclasses.replace(attack, seed=attack.seed + lo))
+        z = encoder.encode_images(xb).data
+        preds[lo:lo + SCORE_BATCH] = np.argmax(z @ text.T, axis=1)
         np.add.at(sums, yb, z)
-    return correct, sums
+    return preds, sums
 
 
-def robust_accuracy(model, teacher, dataset, cfg: AttackConfig | None = None,
-                    batch_size: int = 128) -> float:
+def _accuracy(preds: Array, labels: Array) -> float:
+    if len(labels) == 0:
+        raise EmptyDataset("cannot evaluate an empty dataset")
+    return int(np.sum(preds == labels)) / len(labels)
+
+
+def robust_accuracy(model, teacher, dataset, cfg: AttackConfig | None = None) -> float:
     """Fraction of samples still classified correctly after the attack.
 
     ``cfg.text_source`` selects the class-text embeddings used for both the
@@ -184,8 +182,5 @@ def robust_accuracy(model, teacher, dataset, cfg: AttackConfig | None = None,
     model end-to-end, "teacher" pins the frozen text embeddings.
     """
     cfg = cfg or AttackConfig()
-    n = dataset.num_samples
-    if n == 0:
-        raise EmptyDataset("cannot evaluate an empty dataset")
-    correct, _ = attack_pass(model, attack_text(model, teacher, cfg), dataset, cfg, batch_size)
-    return correct / n
+    return _accuracy(scored_pass(model, attack_text(model, teacher, cfg), dataset, cfg)[0],
+                     dataset.labels)

@@ -32,10 +32,10 @@ def _out_dir(args) -> Path:
     return make_dir(args.out)
 
 
-def _load_dataset(path: Path, split: str) -> data_mod.Dataset:
+def _load_dataset(path: Path) -> data_mod.Dataset:
     if not path.exists():
         raise IoFailure(f"missing dataset {path}; run `tima gen-data` first")
-    return data_mod.load_dataset(path, split=split)
+    return data_mod.load_dataset(path)
 
 
 def _load_model(path: Path) -> model_mod.DualEncoder:
@@ -58,7 +58,7 @@ def cmd_gen_data(args) -> int:
 def cmd_pretrain(args) -> int:
     cfg = _resolve_config(args)
     out = _out_dir(args)
-    train = _load_dataset(out / "train.timd", "train")
+    train = _load_dataset(out / "train.timd")
     encoder = model_mod.init_model(cfg.encoder_config(), tau=cfg["tau"])
     encoder, trace = harness.pretrain_clean(encoder, train, cfg.pretrain_config())
     model_mod.save_model(encoder, out / "pretrained.timm")
@@ -70,7 +70,7 @@ def cmd_pretrain(args) -> int:
 def cmd_finetune(args) -> int:
     cfg = _resolve_config(args)
     out = _out_dir(args)
-    train = _load_dataset(out / "train.timd", "train")
+    train = _load_dataset(out / "train.timd")
     student = _load_model(out / "pretrained.timm")
     teacher = model_mod.snapshot_teacher(student)
     train_cfg = cfg.finetune_config(variant=args.variant)
@@ -87,7 +87,7 @@ def _eval_inputs(args, cfg: RunConfig, out: Path):
     variant = args.variant or cfg["variant"]
     student = _load_model(Path(args.model) if args.model else out / f"finetuned_{variant}.timm")
     teacher = model_mod.snapshot_teacher(_load_model(out / "pretrained.timm"))
-    test = _load_dataset(Path(args.data) if args.data else out / "test.timd", "test")
+    test = _load_dataset(Path(args.data) if args.data else out / "test.timd")
     return student, teacher, test
 
 
@@ -119,8 +119,8 @@ def cmd_export_matrices(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
     out = _out_dir(args)
-    train = _load_dataset(out / "train.timd", "train")
-    test = _load_dataset(out / "test.timd", "test")
+    train = _load_dataset(out / "train.timd")
+    test = _load_dataset(out / "test.timd")
     pretrained = _load_model(out / "pretrained.timm")
     teacher = model_mod.snapshot_teacher(pretrained)
     configs = {}

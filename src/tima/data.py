@@ -64,7 +64,6 @@ class Dataset:
     labels: Array                # (n,) class ids
     superclass_of: Array         # (num_classes,) superclass ids
     image_side: int
-    split: str = ""
 
     @property
     def num_classes(self) -> int:
@@ -105,8 +104,7 @@ def _balanced_counts(total: int, num_classes: int) -> Array:
     return counts
 
 
-def _sample_split(protos: Array, spec: SyntheticSpec, rng, total: int,
-                  split: str) -> Dataset:
+def _sample_split(protos: Array, spec: SyntheticSpec, rng, total: int) -> Dataset:
     counts = _balanced_counts(total, spec.num_classes)
     images = []
     labels = []
@@ -117,18 +115,15 @@ def _sample_split(protos: Array, spec: SyntheticSpec, rng, total: int,
     superclass_of = np.repeat(np.arange(spec.num_superclasses, dtype=np.int64),
                               spec.subclasses_per_superclass)
     return Dataset(images=np.concatenate(images), labels=np.concatenate(labels),
-                   superclass_of=superclass_of, image_side=spec.image_side,
-                   split=split)
+                   superclass_of=superclass_of, image_side=spec.image_side)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
     """Deterministic (train, test) pair; the splits use disjoint seed streams."""
     _, train_ss, test_ss = np.random.SeedSequence(spec.seed).spawn(3)
     protos = class_prototypes(spec)
-    train = _sample_split(protos, spec, np.random.default_rng(train_ss),
-                          spec.train_count, "train")
-    test = _sample_split(protos, spec, np.random.default_rng(test_ss),
-                         spec.test_count, "test")
+    train = _sample_split(protos, spec, np.random.default_rng(train_ss), spec.train_count)
+    test = _sample_split(protos, spec, np.random.default_rng(test_ss), spec.test_count)
     return train, test
 
 
@@ -152,7 +147,7 @@ def save_dataset(d: Dataset, path) -> None:
     write_atomic(path, header + supers + labels + pixels, "dataset")
 
 
-def load_dataset(path, split: str = "") -> Dataset:
+def load_dataset(path) -> Dataset:
     r = Reader(read_file(path, "dataset"), path, DATASET_MAGIC, DATASET_VERSION, "dataset file")
     num_classes, num_supers, side, n = r.unpack("<IIII")
     superclass_of = np.frombuffer(r.take(2 * num_classes), dtype="<u2").astype(np.int64)
@@ -166,4 +161,4 @@ def load_dataset(path, split: str = "") -> Dataset:
         raise CorruptFile(f"{path}: superclass ids span {supers_used} superclasses, "
                           f"header declares {num_supers}")
     return Dataset(images=images.reshape(n, side * side), labels=labels,
-                   superclass_of=superclass_of, image_side=side, split=split)
+                   superclass_of=superclass_of, image_side=side)

@@ -20,10 +20,9 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .attacks import AttackConfig, attack_pass, attack_text, pgd_attack
+from .attacks import AttackConfig, _accuracy, attack_text, pgd_attack, scored_pass
 from .data import Dataset, generate_synthetic
 from .errors import (
-    EmptyDataset,
     InvalidConfig,
     InvalidVariant,
     ReportSchemaError,
@@ -31,7 +30,7 @@ from .errors import (
     WorkerDied,
 )
 from .files import make_dir, read_file, write_atomic
-from .losses import LossWeights, _check_labels, _checked_text, _tam, teacher_targets, tima_loss
+from .losses import LossWeights, _check_labels, _tam, teacher_targets, tima_loss
 from .model import DualEncoder, TeacherSnapshot, init_model, snapshot_teacher
 from .tensor import Tensor, backward, normalize_rows_forward, once_per_gradient
 
@@ -89,39 +88,49 @@ class _Momentum:
             p.data -= self.lr * v
 
 
-def _batches(n: int, batch_size: int, rng) -> List[Array]:
-    perm = rng.permutation(n)
-    return [perm[lo:lo + batch_size] for lo in range(0, n, batch_size)]
-
-
 def contrastive_ce(model: DualEncoder, x: Array, y: Array) -> Tensor:
     """Clean contrastive cross-entropy at the model temperature, as one tape
     node over the image-embedding node and the class-text node."""
     z = model.encode_images(x)
     t = model.encode_classes()
     s = z.data @ t.data.T
-    value, vjp = _tam(s, None, _check_labels(y, s.shape[1]), model.tau)
+    value, vjp = _tam(s, None, _check_labels(y, s.shape[1], s.shape[0]), model.tau)
     g_s = once_per_gradient(vjp)
     return Tensor(value, (z, t), "contrastive_ce",
                   lambda g, i: g_s(g) @ t.data if i == 0 else (z.data.T @ g_s(g)).T)
+
+
+def _train(params: Sequence[Tensor], cfg: TrainConfig, stream: int, n: int,
+           batch_loss: Callable[[int, int, Array], Tensor]) -> List[float]:
+    """The epoch loop both training stages share.
+
+    Each epoch walks ``n`` samples in batches of a permutation drawn from
+    ``SeedSequence((cfg.seed, stream))`` and takes one SGD-momentum step on
+    ``params`` per batch, against ``batch_loss(epoch, batch, idx)``.
+    Returns the per-epoch mean losses.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, stream)))
+    opt = _Momentum(params, cfg.learning_rate, cfg.momentum)
+    trace = []
+    for epoch in range(cfg.epochs):
+        perm = rng.permutation(n)
+        total = 0.0
+        for bi, lo in enumerate(range(0, n, cfg.batch_size)):
+            idx = perm[lo:lo + cfg.batch_size]
+            loss = batch_loss(epoch, bi, idx)
+            opt.step(backward(loss, opt.params))
+            total += loss.item() * len(idx)
+        trace.append(total / n)
+    return trace
 
 
 def pretrain_clean(model: DualEncoder, train_data: Dataset,
                    cfg: TrainConfig) -> Tuple[DualEncoder, List[float]]:
     """Clean contrastive pretraining of both encoders; this is the model that
     then gets frozen via snapshot_teacher. Returns (model, per-epoch losses)."""
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x9E)))
-    opt = _Momentum(model.parameters(), cfg.learning_rate, cfg.momentum)
-    trace = []
-    n = train_data.num_samples
-    for _ in range(cfg.epochs):
-        total = 0.0
-        for idx in _batches(n, cfg.batch_size, rng):
-            loss = contrastive_ce(model, train_data.images[idx], train_data.labels[idx])
-            opt.step(backward(loss, opt.params))
-            total += loss.item() * len(idx)
-        trace.append(total / n)
-    return model, trace
+    images, labels = train_data.images, train_data.labels
+    return model, _train(model.parameters(), cfg, 0x9E, train_data.num_samples,
+                         lambda epoch, bi, idx: contrastive_ce(model, images[idx], labels[idx]))
 
 
 def resolve_variant(variant: str, w: LossWeights, freeze_text: bool,
@@ -154,32 +163,24 @@ def finetune(model: DualEncoder, teacher: TeacherSnapshot, train_data: Dataset,
     params = model.image_parameters()
     if not freeze_text:
         params = params + model.text_parameters()
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xF7)))
-    opt = _Momentum(params, cfg.learning_rate, cfg.momentum)
     # the teacher is frozen: its rows for each sample are fixed for the run
     targets = teacher_targets(teacher, train_data.images, train_data.labels, w,
                               batch_size=cfg.batch_size)
     # the student's class text, encoded once per batch when the attack or
     # the text branch of the loss needs it
     own_text = attack.text_source == "student" or w.lam > 0.0
-    trace = []
-    n = train_data.num_samples
-    for epoch in range(cfg.epochs):
-        total = 0.0
-        for bi, idx in enumerate(_batches(n, cfg.batch_size, rng)):
-            xb = train_data.images[idx]
-            yb = train_data.labels[idx]
-            student_text = model.encode_classes() if own_text else None
-            text = attack_text(model, teacher, attack, student_text)
-            batch_attack = dataclasses.replace(
-                attack, seed=attack.seed + 1000003 * epoch + bi)
-            x_adv = pgd_attack(model, text, xb, yb, batch_attack)
-            loss, _ = tima_loss(model, teacher, xb, x_adv, yb, w,
-                                targets=targets.take(idx), student_text=student_text)
-            opt.step(backward(loss, opt.params))
-            total += loss.item() * len(idx)
-        trace.append(total / n)
-    return model, trace
+
+    def batch_loss(epoch: int, bi: int, idx: Array) -> Tensor:
+        xb = train_data.images[idx]
+        yb = train_data.labels[idx]
+        student_text = model.encode_classes() if own_text else None
+        text = attack_text(model, teacher, attack, student_text)
+        batch_attack = dataclasses.replace(attack, seed=attack.seed + 1000003 * epoch + bi)
+        x_adv = pgd_attack(model, text, xb, yb, batch_attack)
+        return tima_loss(model, teacher, xb, x_adv, yb, w,
+                         targets=targets.take(idx), student_text=student_text)[0]
+
+    return model, _train(params, cfg, 0xF7, train_data.num_samples, batch_loss)
 
 
 @dataclass
@@ -277,27 +278,6 @@ def run_cells(fn: Callable, items: Sequence) -> List:
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _clean_pass(model: DualEncoder, test_data: Dataset,
-                batch_size: int = 256) -> Tuple[Array, Array]:
-    """One clean encoding of the test set, ``batch_size`` rows at a time:
-    every sample's prediction (nearest text embedding, as in ``classify``)
-    and the per-class sums of the embeddings."""
-    text = _checked_text(model, model.encode_classes().data)
-    preds = np.zeros(test_data.num_samples, dtype=np.int64)
-    sums = np.zeros((test_data.num_classes, model.cfg.embed_dim))
-    for lo in range(0, test_data.num_samples, batch_size):
-        z = model.encode_images(test_data.images[lo:lo + batch_size]).data
-        preds[lo:lo + batch_size] = np.argmax(z @ text.T, axis=1)
-        np.add.at(sums, test_data.labels[lo:lo + batch_size], z)
-    return preds, sums
-
-
-def _accuracy(preds: Array, labels: Array) -> float:
-    if len(labels) == 0:
-        raise EmptyDataset("cannot evaluate an empty dataset")
-    return int(np.sum(preds == labels)) / len(labels)
-
-
 def _superclass_counts(preds: Array, test_data: Dataset) -> List[List[int]]:
     supers = test_data.superclass_of
     s = int(supers.max()) + 1
@@ -306,9 +286,10 @@ def _superclass_counts(preds: Array, test_data: Dataset) -> List[List[int]]:
     return counts.tolist()
 
 
-def eval_clean(model: DualEncoder, test_data: Dataset, batch_size: int = 256) -> float:
+def eval_clean(model: DualEncoder, test_data: Dataset) -> float:
     """Fraction classified correctly on clean images (nearest text embedding)."""
-    return _accuracy(_clean_pass(model, test_data, batch_size)[0], test_data.labels)
+    return _accuracy(scored_pass(model, model.encode_classes().data, test_data)[0],
+                     test_data.labels)
 
 
 def interclass_stats(t) -> Tuple[float, float]:
@@ -323,10 +304,10 @@ def interclass_stats(t) -> Tuple[float, float]:
     return float(dists.min()), float(dists.mean())
 
 
-def superclass_confusion(model: DualEncoder, test_data: Dataset,
-                         batch_size: int = 256) -> List[List[int]]:
+def superclass_confusion(model: DualEncoder, test_data: Dataset) -> List[List[int]]:
     """Counts of (true superclass, predicted superclass) on clean images."""
-    return _superclass_counts(_clean_pass(model, test_data, batch_size)[0], test_data)
+    return _superclass_counts(scored_pass(model, model.encode_classes().data, test_data)[0],
+                              test_data)
 
 
 # -- similarity-matrix diagnostics ---------------------------------------------
@@ -355,13 +336,11 @@ def eps_tag(eps_text: str) -> str:
 
 
 class _ModelPass(NamedTuple):
-    """One model over the test set: its clean predictions and per-class
-    embedding sums, and per epsilon text the attack's count of samples still
-    classified correctly and its per-class adversarial embedding sums."""
+    """One model over the test set: the ``(preds, sums)`` of ``scored_pass``
+    on the clean images, and per epsilon text on the attacked ones."""
 
-    preds: Array
-    clean_sums: Array
-    adv: Dict[str, Tuple[int, Array]]
+    clean: Tuple[Array, Array]
+    adv: Dict[str, Tuple[Array, Array]]
 
 
 def _model_pass(encoder: DualEncoder, text: Array, own_text: bool, test_data: Dataset,
@@ -369,15 +348,11 @@ def _model_pass(encoder: DualEncoder, text: Array, own_text: bool, test_data: Da
     """Encode the test set clean once, then attack it once per epsilon against
     ``text``. At epsilon 0 against the model's own text (``own_text``) the
     attack returns the clean images, so the clean pass stands in for it."""
-    preds, clean_sums = _clean_pass(encoder, test_data)
-    adv = {}
-    for eps_text, eps in eps_list:
-        if eps == 0.0 and own_text:
-            adv[eps_text] = int(np.sum(preds == test_data.labels)), clean_sums
-        else:
-            adv[eps_text] = attack_pass(encoder, text, test_data,
-                                        dataclasses.replace(attack, eps=eps))
-    return _ModelPass(preds, clean_sums, adv)
+    clean = scored_pass(encoder, encoder.encode_classes().data, test_data)
+    adv = {eps_text: clean if eps == 0.0 and own_text else
+           scored_pass(encoder, text, test_data, dataclasses.replace(attack, eps=eps))
+           for eps_text, eps in eps_list}
+    return _ModelPass(clean, adv)
 
 
 def _student_pass(model: DualEncoder, teacher: TeacherSnapshot, test_data: Dataset,
@@ -404,7 +379,7 @@ def _write_matrices(out_dir, model: DualEncoder, teacher: TeacherSnapshot, stude
     for who, text, run in (("student", model.encode_classes().data, student),
                            ("teacher", teacher.t_hat, teacher_pass)):
         emit(f"{who}_text_text", text @ text.T)
-        emit(f"{who}_image_text", _class_means(run.clean_sums, test_data.labels) @ text.T)
+        emit(f"{who}_image_text", _class_means(run.clean[1], test_data.labels) @ text.T)
         for eps_text, _ in eps_list:
             adv_means = _class_means(run.adv[eps_text][1], test_data.labels)
             emit(f"{who}_adv_adv_eps_{eps_tag(eps_text)}", adv_means @ adv_means.T)
@@ -448,6 +423,41 @@ class EvalReport:
 REPORT_KEYS = tuple(f.name for f in dataclasses.fields(EvalReport))
 
 
+def _integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _number_in(lo: float, hi: float) -> Callable[[object], bool]:
+    return lambda v: (_integer(v) or isinstance(v, float)) and lo <= v <= hi
+
+
+def _object_of(check: Callable[[object], bool]) -> Callable[[object], bool]:
+    return lambda v: isinstance(v, dict) and all(map(check, v.values()))
+
+
+def _square_counts(v) -> bool:
+    return isinstance(v, list) and all(
+        isinstance(row, list) and len(row) == len(v) and all(_integer(c) and c >= 0 for c in row)
+        for row in v)
+
+
+def _string(v) -> bool:
+    return isinstance(v, str)
+
+
+# what ``read_report`` accepts as the JSON value of each EvalReport field
+_REPORT_CHECKS: Dict[str, Callable[[object], bool]] = {
+    "config": _object_of(_string),
+    "seed": _integer,
+    "clean_accuracy": _number_in(0.0, 1.0),
+    "robust_accuracy": _object_of(_number_in(0.0, 1.0)),
+    "text_min_distance": _object_of(_number_in(0.0, sys.float_info.max)),
+    "text_mean_distance": _object_of(_number_in(0.0, sys.float_info.max)),
+    "matrices": _object_of(_object_of(_string)),
+    "superclass_confusion": _square_counts,
+}
+
+
 def evaluate(model: DualEncoder, teacher: TeacherSnapshot, test_data: Dataset,
              eps_list: Sequence[Tuple[str, float]], attack: Optional[AttackConfig] = None,
              matrices_dir=None, config_echo: Optional[Dict[str, str]] = None,
@@ -461,9 +471,9 @@ def evaluate(model: DualEncoder, teacher: TeacherSnapshot, test_data: Dataset,
     """
     attack = attack or AttackConfig()
     student = _student_pass(model, teacher, test_data, eps_list, attack)
-    clean = _accuracy(student.preds, test_data.labels)
-    robust = {eps_text: correct / test_data.num_samples
-              for eps_text, (correct, _) in student.adv.items()}
+    clean = _accuracy(student.clean[0], test_data.labels)
+    robust = {eps_text: _accuracy(preds, test_data.labels)
+              for eps_text, (preds, _) in student.adv.items()}
     s_min, s_mean = interclass_stats(model.encode_classes().data)
     t_min, t_mean = interclass_stats(teacher.t_hat)
     matrices = {}
@@ -475,7 +485,7 @@ def evaluate(model: DualEncoder, teacher: TeacherSnapshot, test_data: Dataset,
         robust_accuracy=robust,
         text_min_distance={"student": s_min, "teacher": t_min},
         text_mean_distance={"student": s_mean, "teacher": t_mean},
-        superclass_confusion=_superclass_counts(student.preds, test_data),
+        superclass_confusion=_superclass_counts(student.clean[0], test_data),
         matrices=matrices,
         config=dict(config_echo or {}),
         seed=seed,
@@ -489,7 +499,8 @@ def write_report(report: EvalReport, path) -> None:
 
 
 def read_report(path) -> dict:
-    """Parse a report file: a UTF-8 JSON object holding every report key."""
+    """Parse a report file: a UTF-8 JSON object holding every report key,
+    each with a value ``_REPORT_CHECKS`` accepts."""
     try:
         payload = json.loads(read_file(path, "report").decode("utf-8"))
     except UnicodeDecodeError as exc:
@@ -501,4 +512,7 @@ def read_report(path) -> dict:
     missing = [k for k in REPORT_KEYS if k not in payload]
     if missing:
         raise ReportSchemaError(f"{path}: missing required keys {missing}")
+    for key in REPORT_KEYS:
+        if not _REPORT_CHECKS[key](payload[key]):
+            raise ReportSchemaError(f"{path}: invalid value for key {key!r}")
     return payload

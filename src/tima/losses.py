@@ -298,10 +298,14 @@ def takd_loss(teacher_z, teacher_t, student_adv_z, tau: float) -> Tensor:
     return Tensor(value, (sz,), "takd_loss", lambda g, i: vjp(g) @ tt)
 
 
-def _check_labels(y: Array, num_classes: int) -> Array:
+def _check_labels(y: Array, num_classes: int, rows: int) -> Array:
+    """``y`` vetted as one class index in [0, num_classes) for each of
+    ``rows`` samples."""
     y = np.asarray(y)
     if y.ndim != 1:
         raise ShapeMismatch(f"labels must be a vector, got shape {y.shape}")
+    if len(y) != rows:
+        raise ShapeMismatch(f"{len(y)} labels for {rows} images")
     if not np.issubdtype(y.dtype, np.integer):
         if y.size:
             raise LabelNotInteger(f"labels must be integers, got dtype {y.dtype}")
@@ -332,7 +336,7 @@ def adaptive_margin(s_it, s_tt, y, m: float, eta: float,
     if s_it.ndim != 2 or s_tt.ndim != 2 or s_it.shape[1] != s_tt.shape[0]:
         raise ShapeMismatch(f"adaptive_margin: {s_it.shape} vs {s_tt.shape}")
     n, c = s_it.shape
-    y = _check_labels(y, c)
+    y = _check_labels(y, c, n)
     target_sim = s_it[np.arange(n), y][:, None]
     triggered = s_it >= eta * target_sim
     margins = np.where(triggered, m * s_tt[y, :], 0.0)
@@ -360,7 +364,7 @@ def tam_loss(s_adv, margin: Array, y, tau: float) -> Tensor:
     s = _lift(s_adv)
     if s.ndim != 2:
         raise ShapeMismatch(f"tam_loss needs a similarity matrix, got {s.shape}")
-    y = _check_labels(y, s.shape[1])
+    y = _check_labels(y, s.shape[1], s.shape[0])
     value, vjp = _tam(s.data, _checked_margin(margin, s.shape), y, tau)
     return Tensor(value, (s,), "tam_loss", lambda g, i: vjp(g))
 
@@ -389,8 +393,8 @@ def teacher_targets(teacher, x, y, w: LossWeights,
     x = np.asarray(x, dtype=np.float64)
     t_hat = teacher.t_hat
     c = t_hat.shape[0]
-    y = _check_labels(y, c)
     n = x.shape[0]
+    y = _check_labels(y, c, n)
     step = batch_size or max(n, 1)
     if w.m != 0.0:  # the margin scores against the text: vet it once
         t_hat = _checked_text(teacher.model, t_hat)
@@ -430,8 +434,8 @@ def tima_loss(student, teacher, x_clean: Array, x_adv: Array, y,
     has it for these weights; when omitted it is encoded here.
     """
     t_hat = teacher.t_hat
-    y = _check_labels(y, t_hat.shape[0])
     n = np.asarray(x_adv).shape[0]
+    y = _check_labels(y, t_hat.shape[0], n)
     if targets is None:
         targets = teacher_targets(teacher, x_clean, y, w)
     tz = np.asarray(targets.z, dtype=np.float64)

@@ -162,7 +162,7 @@ def _tam(s_adv, margin, y, tau: float) -> Tensor:
     if s.ndim != 2:
         raise ShapeMismatch(f"tam_loss needs a similarity matrix, got {s.shape}")
     n, c = s.shape
-    y = _check_labels(y, c)
+    y = _check_labels(y, c, n)
     margin = np.asarray(getattr(margin, "data", margin), dtype=np.float64)
     if margin.shape != (n, c):
         raise ShapeMismatch(f"margin shape {margin.shape} != sims shape {(n, c)}")
@@ -178,8 +178,8 @@ def tape_tima_loss(student, teacher, x_clean, x_adv, y, w, *, targets=None,
     zero-weighted branches skipped. ``student_text``, when given, should come
     from ``tape_encode_classes``."""
     t_hat = teacher.t_hat
-    y = _check_labels(y, t_hat.shape[0])
     n = np.asarray(x_adv).shape[0]
+    y = _check_labels(y, t_hat.shape[0], n)
     if targets is None:
         targets = teacher_targets(teacher, x_clean, y, w)
     teacher_z, margin = targets

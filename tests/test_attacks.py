@@ -5,8 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tima import attacks
-from tima.attacks import AttackConfig, classify, per_sample_ce, pgd_attack, pgd_steps, robust_accuracy
-from tima.data import SyntheticSpec, generate_synthetic
+from tima.attacks import (
+    AttackConfig,
+    per_sample_ce,
+    pgd_attack,
+    pgd_steps,
+    robust_accuracy,
+    scored_pass,
+)
+from tima.data import Dataset, SyntheticSpec, generate_synthetic
 from tima.errors import (
     AttackOutOfBounds,
     DegenerateRow,
@@ -234,11 +241,26 @@ class TestRobustAccuracy:
         acc = robust_accuracy(self.model, self.teacher, self.test, cfg)
         assert 0.0 <= acc <= 1.0
 
+    def test_equals_the_mean_of_the_pass_predictions(self):
+        cfg = AttackConfig(eps=4 / 255, steps=2, seed=5)
+        preds, _ = scored_pass(self.model, self.model.encode_classes().data, self.test, cfg)
+        assert robust_accuracy(self.model, self.teacher, self.test, cfg) == \
+            np.mean(preds == self.test.labels)
+
+    def test_eps_zero_pass_is_the_clean_pass(self):
+        # against the model's own text the eps-0 attack returns the clean images
+        text = self.model.encode_classes().data
+        clean = scored_pass(self.model, text, self.test)
+        zero = scored_pass(self.model, text, self.test, AttackConfig(eps=0.0))
+        assert np.array_equal(clean[0], zero[0]) and np.array_equal(clean[1], zero[1])
+
     def test_classify_ties_break_low(self):
         encoder = linear_encoder(np.eye(2))
         text = np.array([[1.0, 0.0], [1.0, 0.0]])  # identical rows: tie
-        labels = classify(encoder, text, np.array([[0.5, 0.0]]))
-        assert labels[0] == 0
+        one = Dataset(images=np.array([[0.5, 0.0]]), labels=np.array([1]),
+                      superclass_of=np.array([0, 0]), image_side=1)
+        preds, _ = scored_pass(encoder, text, one)
+        assert preds[0] == 0
 
 
 def grad_case(hidden, tau, seed=0, n=12):

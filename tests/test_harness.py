@@ -1,6 +1,7 @@
 import dataclasses
 import faulthandler
 import json
+import math
 import os
 import signal
 import sys
@@ -193,6 +194,29 @@ class TestFinetuneVariants:
         assert ta == tb and a.fingerprint() == b.fingerprint()
 
 
+@pytest.mark.parametrize("stage", ["pretrain_clean", "finetune"])
+def test_one_optimizer_step_per_batch(monkeypatch, stage):
+    # 160 rows in batches of 48: 4 batches (the last of 16 rows) per epoch
+    train, _ = small_data()
+    model = small_model()
+    steps = []
+    original = harness._Momentum.step
+
+    def spy(opt, grads):
+        steps.append(1)
+        return original(opt, grads)
+
+    cfg = fast_train_cfg(epochs=2, batch_size=48)
+    if stage == "pretrain_clean":
+        monkeypatch.setattr(harness._Momentum, "step", spy)
+        pretrain_clean(model, train, cfg)
+    else:
+        teacher = snapshot_teacher(model)
+        monkeypatch.setattr(harness._Momentum, "step", spy)
+        finetune(model.clone(), teacher, train, cfg)
+    assert len(steps) == cfg.epochs * math.ceil(train.num_samples / cfg.batch_size) == 8
+
+
 class TestEvalClean:
     def test_constant_predictor(self):
         # a model whose images all land on t_0's direction scores 1.0 on label-0 data
@@ -341,6 +365,47 @@ class TestReports:
         with pytest.raises(ReportSchemaError):
             read_report(path)
 
+    def test_value_checks_cover_exactly_the_report_keys(self):
+        assert sorted(harness._REPORT_CHECKS) == sorted(harness.REPORT_KEYS)
+
+    def test_report_of_fives_rejected(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({key: 5 for key in harness.REPORT_KEYS}))
+        with pytest.raises(ReportSchemaError, match="'config'"):
+            read_report(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("config", {"seed": 0}),
+        ("config", ["seed"]),
+        ("seed", True),
+        ("seed", 0.0),
+        ("seed", "0"),
+        ("clean_accuracy", 1.5),
+        ("clean_accuracy", -0.25),
+        ("clean_accuracy", float("nan")),
+        ("clean_accuracy", False),
+        ("robust_accuracy", {"1/255": 2}),
+        ("robust_accuracy", [0.5]),
+        ("text_min_distance", {"student": -1.0}),
+        ("text_min_distance", {"student": float("inf")}),
+        ("text_mean_distance", {"teacher": "0.9"}),
+        ("matrices", {"student_text_text": "a.csv"}),
+        ("matrices", {"student_text_text": {"csv": 1}}),
+        ("superclass_confusion", [[10, 2]]),
+        ("superclass_confusion", [[10, -2], [1, 12]]),
+        ("superclass_confusion", [[10.0, 2], [1, 12]]),
+        ("superclass_confusion", [[True, 2], [1, 12]]),
+        ("superclass_confusion", "10 2 1 12"),
+    ])
+    def test_bad_value_rejected(self, tmp_path, key, value):
+        path = tmp_path / "report.json"
+        write_report(self.make_report(), path)
+        payload = json.loads(path.read_text())
+        payload[key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ReportSchemaError, match=f"'{key}'"):
+            read_report(path)
+
     def test_evaluate_full_report(self, tmp_path):
         train, test = small_data()
         model, _ = pretrain_clean(small_model(), train, fast_train_cfg(epochs=5))
@@ -411,8 +476,8 @@ class TestSingleAttackPass:
         assert len(set(keys)) == 24
 
     def test_student_clean_set_encoded_once(self, tmp_path, monkeypatch):
-        # 300 rows: one clean pass of 256 + 44 rows (accuracy, confusion, the
-        # clean class means and eps 0 all come from it) and 128 + 128 + 44 per
+        # 300 rows: one clean pass of 128 + 128 + 44 rows (accuracy, confusion,
+        # the clean class means and eps 0 all come from it) and as many per
         # nonzero eps
         calls = []
         original = DualEncoder.encode_images
@@ -425,8 +490,7 @@ class TestSingleAttackPass:
         attack = AttackConfig(steps=1)
         report = evaluate(self.student, self.teacher, self.test, self.eps_list,
                           attack=attack, matrices_dir=tmp_path)
-        assert calls.count((True, 256)) == 1
-        assert sum(student for student, _ in calls) == 2 + 3 * (len(self.eps_list) - 1)
+        assert sum(student for student, _ in calls) == 3 + 3 * (len(self.eps_list) - 1)
         monkeypatch.undo()
         assert report.clean_accuracy == eval_clean(self.student, self.test)
         assert report.superclass_confusion == superclass_confusion(self.student, self.test)
@@ -434,7 +498,7 @@ class TestSingleAttackPass:
     @pytest.mark.parametrize("text_source, attacked", [("student", 0), ("teacher", 3)])
     def test_eps_zero_reuses_the_clean_pass(self, tmp_path, monkeypatch, text_source, attacked):
         # against its own text the eps-0 "attack" returns the clean images:
-        # no PGD run and no encoding beyond each model's clean 256 + 44 rows;
+        # no PGD run and no encoding beyond each model's clean 128 + 128 + 44 rows;
         # against the teacher's text the student's 3 batches are still run
         attacked_batches, encoded = [], []
         original_attack, original_encode = attacks.pgd_attack, DualEncoder.encode_images
@@ -453,7 +517,7 @@ class TestSingleAttackPass:
                           attack=AttackConfig(text_source=text_source),
                           matrices_dir=tmp_path)
         assert len(attacked_batches) == attacked
-        assert len(encoded) == 4 + attacked
+        assert len(encoded) == 6 + attacked
         if text_source == "student":
             assert report.robust_accuracy["0"] == report.clean_accuracy
 

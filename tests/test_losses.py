@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tima.attacks import AttackConfig
+from tima.attacks import AttackConfig, per_sample_ce, pgd_attack
 from tima.config import parse_config
 from tima.data import generate_synthetic
 from tima.errors import (
@@ -625,3 +625,27 @@ class TestFusedErrorParity:
         y[0] = label
         with pytest.raises(LabelOutOfRange):
             contrastive_ce(student, x, y)
+
+
+LABEL_COUNT_CALLS = {
+    "tam_loss": lambda c, y: tam_loss(c["s"], np.zeros(c["s"].shape), y, 0.1),
+    "adaptive_margin": lambda c, y: adaptive_margin(c["s"], c["s_tt"], y, 0.1, 0.5),
+    "contrastive_ce": lambda c, y: contrastive_ce(c["student"], c["x"], y),
+    "tima_loss": lambda c, y: tima_loss(c["student"], c["teacher"], c["x"], c["x"], y,
+                                        LossWeights(tau=0.1)),
+    "pgd_attack": lambda c, y: pgd_attack(c["student"], c["text"], c["x"], y,
+                                          AttackConfig(eps=2 / 255, steps=2)),
+    "per_sample_ce": lambda c, y: per_sample_ce(c["student"], c["text"], c["x"], y),
+}
+
+
+@pytest.mark.parametrize("call", sorted(LABEL_COUNT_CALLS))
+@pytest.mark.parametrize("count", [1, 3])
+def test_label_count_must_match_rows(call, count):
+    # 5 rows; too few labels used to broadcast or index past the end
+    student, teacher, x, _, y = fused_case((5,), 0.1, seed=2, n=5)
+    text = student.encode_classes().data
+    s = student.encode_images(x).data @ text.T
+    case = dict(student=student, teacher=teacher, x=x, text=text, s=s, s_tt=text @ text.T)
+    with pytest.raises(ShapeMismatch, match=f"{count} labels for 5 images"):
+        LABEL_COUNT_CALLS[call](case, y[:count])
