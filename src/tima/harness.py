@@ -23,9 +23,11 @@ import numpy as np
 from .attacks import AttackConfig, _accuracy, attack_text, pgd_attack, scored_pass
 from .data import Dataset, generate_synthetic
 from .errors import (
+    EmptyDataset,
     InvalidConfig,
     InvalidVariant,
     ReportSchemaError,
+    ShapeMismatch,
     TooFewClasses,
     WorkerDied,
 )
@@ -124,12 +126,19 @@ def _train(params: Sequence[Tensor], cfg: TrainConfig, stream: int, n: int,
     return trace
 
 
+def _training_samples(train_data: Dataset) -> int:
+    """The sample count of ``train_data``; a per-epoch mean over none is undefined."""
+    if train_data.num_samples == 0:
+        raise EmptyDataset("cannot train on an empty dataset")
+    return train_data.num_samples
+
+
 def pretrain_clean(model: DualEncoder, train_data: Dataset,
                    cfg: TrainConfig) -> Tuple[DualEncoder, List[float]]:
     """Clean contrastive pretraining of both encoders; this is the model that
     then gets frozen via snapshot_teacher. Returns (model, per-epoch losses)."""
     images, labels = train_data.images, train_data.labels
-    return model, _train(model.parameters(), cfg, 0x9E, train_data.num_samples,
+    return model, _train(model.parameters(), cfg, 0x9E, _training_samples(train_data),
                          lambda epoch, bi, idx: contrastive_ce(model, images[idx], labels[idx]))
 
 
@@ -158,6 +167,7 @@ def finetune(model: DualEncoder, teacher: TeacherSnapshot, train_data: Dataset,
     evaluate the variant-filtered combined loss, update with SGD momentum.
     Returns (model, per-epoch mean losses).
     """
+    n = _training_samples(train_data)
     w, freeze_text, attack = resolve_variant(cfg.variant, cfg.loss_weights,
                                              cfg.freeze_text, cfg.train_attack)
     params = model.image_parameters()
@@ -180,7 +190,7 @@ def finetune(model: DualEncoder, teacher: TeacherSnapshot, train_data: Dataset,
         return tima_loss(model, teacher, xb, x_adv, yb, w,
                          targets=targets.take(idx), student_text=student_text)[0]
 
-    return model, _train(params, cfg, 0xF7, train_data.num_samples, batch_loss)
+    return model, _train(params, cfg, 0xF7, n, batch_loss)
 
 
 @dataclass
@@ -343,30 +353,70 @@ class _ModelPass(NamedTuple):
     adv: Dict[str, Tuple[Array, Array]]
 
 
-def _model_pass(encoder: DualEncoder, text: Array, own_text: bool, test_data: Dataset,
-                eps_list: Sequence[Tuple[str, float]], attack: AttackConfig) -> _ModelPass:
-    """Encode the test set clean once, then attack it once per epsilon against
-    ``text``. At epsilon 0 against the model's own text (``own_text``) the
-    attack returns the clean images, so the clean pass stands in for it."""
-    clean = scored_pass(encoder, encoder.encode_classes().data, test_data)
-    adv = {eps_text: clean if eps == 0.0 and own_text else
-           scored_pass(encoder, text, test_data, dataclasses.replace(attack, eps=eps))
-           for eps_text, eps in eps_list}
-    return _ModelPass(clean, adv)
+def _model_passes(models: Sequence[Tuple[DualEncoder, Array, bool]], test_data: Dataset,
+                  eps_list: Sequence[Tuple[str, float]], attack: AttackConfig
+                  ) -> List[_ModelPass]:
+    """Every scoring pass of ``models``, run as the cells of one ``run_cells``.
+
+    Each model is ``(encoder, text, own_text)``: its test set is encoded
+    clean once, against its own class text, and attacked once per epsilon
+    against ``text``. At epsilon 0 against the model's own text
+    (``own_text``) the attack returns the clean images, so the clean pass
+    stands in for it. The passes run in model order, clean first.
+    """
+    own = [encoder.encode_classes().data for encoder, _, _ in models]
+    # per model, the pass each epsilon reads: None is the clean pass
+    reads = [{eps_text: None if eps == 0.0 and own_text else eps for eps_text, eps in eps_list}
+             for _, _, own_text in models]
+    jobs = [(i, eps) for i, read in enumerate(reads)
+            for eps in dict.fromkeys((None, *read.values()))]
+
+    def run(job):
+        i, eps = job
+        encoder, text, _ = models[i]
+        if eps is None:
+            return scored_pass(encoder, own[i], test_data)
+        return scored_pass(encoder, text, test_data, dataclasses.replace(attack, eps=eps))
+
+    results = dict(zip(jobs, run_cells(run, jobs)))
+    return [_ModelPass(results[i, None],
+                       {eps_text: results[i, eps] for eps_text, eps in read.items()})
+            for i, read in enumerate(reads)]
 
 
-def _student_pass(model: DualEncoder, teacher: TeacherSnapshot, test_data: Dataset,
-                  eps_list: Sequence[Tuple[str, float]], attack: AttackConfig) -> _ModelPass:
-    """The student attacked against the text ``attack.text_source`` names."""
-    return _model_pass(model, attack_text(model, teacher, attack),
-                       attack.text_source == "student", test_data, eps_list, attack)
+def _check_test_set(test_data: Dataset, encoders: Dict[str, DualEncoder],
+                    every_class: bool) -> None:
+    """Reject, before any pass runs, a test set whose class count differs
+    from an encoder's, or, when ``every_class``, with a class no sample has."""
+    for who, encoder in encoders.items():
+        if encoder.cfg.num_classes != test_data.num_classes:
+            raise ShapeMismatch(f"the test set has {test_data.num_classes} classes, "
+                                f"the {who} model {encoder.cfg.num_classes}")
+    if every_class:
+        missing = np.flatnonzero(np.bincount(test_data.labels,
+                                             minlength=test_data.num_classes) == 0)
+        if len(missing):
+            raise EmptyDataset(f"the test set has no sample of classes {missing.tolist()}; "
+                               f"every class needs one for the similarity matrices")
+
+
+def _eval_passes(model: DualEncoder, teacher: TeacherSnapshot, test_data: Dataset,
+                 eps_list: Sequence[Tuple[str, float]], attack: AttackConfig,
+                 matrices: bool) -> List[_ModelPass]:
+    """The student's passes, against the text ``attack.text_source`` names,
+    then, with ``matrices``, the teacher's, against its own text."""
+    _check_test_set(test_data, {"student": model, "teacher": teacher.model}, matrices)
+    models = [(model, attack_text(model, teacher, attack), attack.text_source == "student")]
+    if matrices:
+        models.append((teacher.model, teacher.t_hat, True))
+    return _model_passes(models, test_data, eps_list, attack)
 
 
 def _write_matrices(out_dir, model: DualEncoder, teacher: TeacherSnapshot, student: _ModelPass,
-                    test_data: Dataset, eps_list: Sequence[Tuple[str, float]],
-                    attack: AttackConfig) -> Dict[str, Dict[str, str]]:
-    """The matrices of ``export_similarity_matrices``: the student's from its
-    pass ``student``, the teacher's from a pass run here against its own text."""
+                    teacher_pass: _ModelPass, test_data: Dataset,
+                    eps_list: Sequence[Tuple[str, float]]) -> Dict[str, Dict[str, str]]:
+    """The matrices of ``export_similarity_matrices``, from the student's pass
+    ``student`` and the teacher's pass ``teacher_pass``."""
     out_dir = make_dir(out_dir)
     manifest: Dict[str, Dict[str, str]] = {}
 
@@ -375,7 +425,6 @@ def _write_matrices(out_dir, model: DualEncoder, teacher: TeacherSnapshot, stude
         _write_pgm(matrix, out_dir / f"{name}.pgm")
         manifest[name] = {"csv": f"{name}.csv", "pgm": f"{name}.pgm"}
 
-    teacher_pass = _model_pass(teacher.model, teacher.t_hat, True, test_data, eps_list, attack)
     for who, text, run in (("student", model.encode_classes().data, student),
                            ("teacher", teacher.t_hat, teacher_pass)):
         emit(f"{who}_text_text", text @ text.T)
@@ -399,8 +448,8 @@ def export_similarity_matrices(model: DualEncoder, teacher: TeacherSnapshot,
     own. Returns a manifest of relative file paths keyed by matrix name.
     """
     attack = attack or AttackConfig()
-    student = _student_pass(model, teacher, test_data, eps_list, attack)
-    return _write_matrices(out_dir, model, teacher, student, test_data, eps_list, attack)
+    student, teacher_pass = _eval_passes(model, teacher, test_data, eps_list, attack, True)
+    return _write_matrices(out_dir, model, teacher, student, teacher_pass, test_data, eps_list)
 
 
 # -- reports --------------------------------------------------------------------
@@ -468,9 +517,12 @@ def evaluate(model: DualEncoder, teacher: TeacherSnapshot, test_data: Dataset,
     and clean class means) and attacked once per nonzero epsilon (its robust
     accuracy and adversarial similarity matrix). At epsilon 0 against its own
     text the attack returns the clean images, so the clean pass stands in.
+    With ``matrices_dir`` the teacher's passes join the student's, and all of
+    them run as independent cells (``run_cells``).
     """
     attack = attack or AttackConfig()
-    student = _student_pass(model, teacher, test_data, eps_list, attack)
+    passes = _eval_passes(model, teacher, test_data, eps_list, attack, matrices_dir is not None)
+    student = passes[0]
     clean = _accuracy(student.clean[0], test_data.labels)
     robust = {eps_text: _accuracy(preds, test_data.labels)
               for eps_text, (preds, _) in student.adv.items()}
@@ -478,8 +530,8 @@ def evaluate(model: DualEncoder, teacher: TeacherSnapshot, test_data: Dataset,
     t_min, t_mean = interclass_stats(teacher.t_hat)
     matrices = {}
     if matrices_dir is not None:
-        matrices = _write_matrices(matrices_dir, model, teacher, student, test_data, eps_list,
-                                   attack)
+        matrices = _write_matrices(matrices_dir, model, teacher, student, passes[1], test_data,
+                                   eps_list)
     return EvalReport(
         clean_accuracy=clean,
         robust_accuracy=robust,

@@ -11,7 +11,7 @@ from tima import harness
 from tima.attacks import robust_accuracy
 from tima.cli import main
 from tima.config import load_config
-from tima.data import load_dataset
+from tima.data import load_dataset, save_dataset
 from tima.errors import InvalidConfig
 from tima.harness import TREND_SEEDS, TREND_VARIANTS, read_report, run_grid
 
@@ -193,6 +193,75 @@ class TestSubcommands:
         assert len(reports) == 1  # 1 m x 1 eta x 1 eps
         payload = read_report(reports[0])
         assert set(payload["robust_accuracy"]) == {"1/255"}
+
+
+def run_stages(cfg_path, out_dir, *stages):
+    for argv in stages:
+        assert main([*argv, "--config", str(cfg_path), "--out", str(out_dir)]) == 0, argv
+
+
+def failed_stage(cfg_path, out_dir, capsys, *argv):
+    """Run one stage that must fail: its exit code is 1 and it prints one
+    error line, no traceback and nothing on stdout."""
+    capsys.readouterr()
+    code = main([*argv, "--config", str(cfg_path), "--out", str(out_dir)])
+    printed = capsys.readouterr()
+    assert code == 1
+    assert printed.out == ""
+    assert printed.err.startswith("error: ") and printed.err.count("\n") == 1
+    assert "Traceback" not in printed.err
+    return printed.err
+
+
+class TestRejectedInputs:
+    def test_eval_on_another_class_count(self, config_file, tmp_path, capsys):
+        out, other = tmp_path / "out", tmp_path / "other"
+        run_stages(config_file, out, ["gen-data"], ["pretrain"], ["finetune"])
+        eight = tmp_path / "eight.cfg"
+        eight.write_text(FAST_CONFIG + "num_superclasses = 4\n")
+        run_stages(eight, other, ["gen-data"])
+        err = failed_stage(config_file, out, capsys, "eval", "--data", str(other / "test.timd"))
+        assert err == "error: the test set has 8 classes, the student model 4\n"
+        assert not (out / "report.json").exists()
+
+    def test_eval_with_a_class_without_sample(self, tmp_path, capsys):
+        # 3 test samples for 4 classes: class 3 has none
+        cfg = tmp_path / "three.cfg"
+        cfg.write_text(FAST_CONFIG.replace("test_count = 40", "test_count = 3"))
+        out = tmp_path / "out"
+        run_stages(cfg, out, ["gen-data"], ["pretrain"], ["finetune"])
+        err = failed_stage(cfg, out, capsys, "eval")
+        assert err.startswith("error: the test set has no sample of classes [3]")
+        assert not (out / "report.json").exists()
+        assert not (out / "matrices").exists()
+
+    @pytest.mark.parametrize("stage", ["pretrain", "finetune"])
+    def test_training_on_no_sample(self, config_file, tmp_path, capsys, stage):
+        out = tmp_path / "out"
+        run_stages(config_file, out, ["gen-data"], ["pretrain"])
+        train = load_dataset(out / "train.timd")
+        save_dataset(dataclasses.replace(train, images=train.images[:0],
+                                         labels=train.labels[:0]), out / "train.timd")
+        err = failed_stage(config_file, out, capsys, stage)
+        assert err == "error: cannot train on an empty dataset\n"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="cells fork on Linux only")
+    def test_killed_pass_worker_during_eval(self, config_file, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        run_stages(config_file, out, ["gen-data"], ["pretrain"], ["finetune"])
+        parent = os.getpid()
+        original = harness.scored_pass
+
+        def scored_pass(encoder, text, dataset, attack=None):
+            if attack is not None and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return original(encoder, text, dataset, attack)
+
+        monkeypatch.setattr(harness, "scored_pass", scored_pass)
+        monkeypatch.setattr(harness, "_cell_workers", lambda count: min(count, 2))
+        err = failed_stage(config_file, out, capsys, "eval")
+        assert err.startswith("error: a cell worker process died")
+        assert not (out / "report.json").exists()
 
 
 class TestDeterminism:

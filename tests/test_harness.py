@@ -15,14 +15,17 @@ from tima.attacks import AttackConfig, robust_accuracy
 from tima.config import parse_config
 from tima.data import SyntheticSpec, generate_synthetic
 from tima.errors import (
+    AttackOutOfBounds,
     EmptyDataset,
     InvalidConfig,
     InvalidVariant,
     LabelOutOfRange,
     ReportSchemaError,
+    ShapeMismatch,
     TooFewClasses,
     WorkerDied,
 )
+from tima.files import make_dir
 from tima.harness import (
     BLAS_THREAD_VARS,
     EvalReport,
@@ -438,6 +441,11 @@ class TestSingleAttackPass:
                                    fast_train_cfg(variant="tima", epochs=1))
         self.eps_list = parse_config("").eval_eps()
 
+    @pytest.fixture()
+    def one_worker(self, monkeypatch):
+        # the spies below count in this process: run every pass in it
+        monkeypatch.setattr(harness, "_cell_workers", lambda count: 1)
+
     @pytest.mark.parametrize("text_source", ["student", "teacher"])
     def test_matches_separate_attacks(self, tmp_path, text_source):
         attack = AttackConfig(steps=2, restarts=1, seed=3, text_source=text_source)
@@ -455,6 +463,7 @@ class TestSingleAttackPass:
         for a, b in zip(joint, alone):
             assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.usefixtures("one_worker")
     def test_default_grid_attacks_each_batch_once(self, tmp_path, monkeypatch):
         # 500 rows = 4 batches; 3 nonzero eps x 4 batches for the student, and
         # again for the teacher: 24 attacks, where attacking twice took 48
@@ -475,6 +484,7 @@ class TestSingleAttackPass:
         assert len(keys) == 24
         assert len(set(keys)) == 24
 
+    @pytest.mark.usefixtures("one_worker")
     def test_student_clean_set_encoded_once(self, tmp_path, monkeypatch):
         # 300 rows: one clean pass of 128 + 128 + 44 rows (accuracy, confusion,
         # the clean class means and eps 0 all come from it) and as many per
@@ -495,6 +505,7 @@ class TestSingleAttackPass:
         assert report.clean_accuracy == eval_clean(self.student, self.test)
         assert report.superclass_confusion == superclass_confusion(self.student, self.test)
 
+    @pytest.mark.usefixtures("one_worker")
     @pytest.mark.parametrize("text_source, attacked", [("student", 0), ("teacher", 3)])
     def test_eps_zero_reuses_the_clean_pass(self, tmp_path, monkeypatch, text_source, attacked):
         # against its own text the eps-0 "attack" returns the clean images:
@@ -521,6 +532,7 @@ class TestSingleAttackPass:
         if text_source == "student":
             assert report.robust_accuracy["0"] == report.clean_accuracy
 
+    @pytest.mark.usefixtures("one_worker")
     def test_training_and_evaluation_never_call_cosine_sim_matrix(self, tmp_path, monkeypatch):
         # image embeddings are unit by construction: training and evaluation
         # score them against class text vetted once per call, with a matmul
@@ -540,6 +552,161 @@ class TestSingleAttackPass:
                  attack=AttackConfig(steps=1, restarts=1), matrices_dir=tmp_path)
         assert calls == []
 
+
+
+def _workers(monkeypatch, workers):
+    monkeypatch.setattr(harness, "_cell_workers", lambda count: min(count, workers))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="cells fork on Linux only")
+class TestForkedPasses:
+    """evaluate and export_similarity_matrices run every (model, eps) pass as
+    a cell: the bytes written and the errors raised do not depend on the
+    worker count."""
+
+    setup_method = TestSingleAttackPass.setup_method
+
+    @pytest.fixture(autouse=True)
+    def no_hang(self):
+        # a hung pool fails the run instead of stalling it
+        faulthandler.dump_traceback_later(120, exit=True)
+        yield
+        faulthandler.cancel_dump_traceback_later()
+
+    @pytest.mark.parametrize("text_source", ["student", "teacher"])
+    def test_one_worker_writes_the_bytes_of_two(self, tmp_path, monkeypatch, text_source):
+        # restarts draw from each batch's seed, so a pass scored with another
+        # batch's seed, or put in another pass's place, changes the bytes
+        attack = AttackConfig(steps=2, restarts=1, seed=3, text_source=text_source)
+        original = harness.scored_pass
+
+        def scored_pass(*args):
+            (pids / str(os.getpid())).touch()
+            return original(*args)
+
+        monkeypatch.setattr(harness, "scored_pass", scored_pass)
+        written = []
+        for workers in (1, 2):
+            _workers(monkeypatch, workers)
+            out = tmp_path / str(workers)
+            pids = make_dir(out / "pids")
+            report = evaluate(self.student, self.teacher, self.test, self.eps_list,
+                              attack=attack, matrices_dir=out / "evaluate",
+                              config_echo={"seed": "0"}, seed=0)
+            write_report(report, out / "report.json")
+            export_similarity_matrices(self.student, self.teacher, self.test, self.eps_list,
+                                       out / "export", attack)
+            forked = {int(p.name) for p in pids.iterdir()} != {os.getpid()}
+            assert forked == (workers > 1)
+            written.append({p.relative_to(out).as_posix(): p.read_bytes()
+                            for p in sorted(out.rglob("*"))
+                            if p.is_file() and p.parent.name != "pids"})
+        # 6 matrices per model at 4 eps, as CSV and PGM, twice, and the report
+        assert len(written[0]) == 2 * 2 * 2 * 6 + 1
+        assert written[0] == written[1]
+
+    def test_pass_error_reraises_as_in_process(self, tmp_path, monkeypatch):
+        # the student's and the teacher's 4/255 passes both fail: the
+        # student's error comes first, in a worker as in-process
+        original = harness.scored_pass
+
+        def scored_pass(encoder, text, dataset, attack=None):
+            if attack is not None and attack.eps == 4 / 255:
+                who = "student" if encoder is self.student else "teacher"
+                raise AttackOutOfBounds(f"{who} pass at eps {attack.eps} failed")
+            return original(encoder, text, dataset, attack)
+
+        monkeypatch.setattr(harness, "scored_pass", scored_pass)
+        raised = []
+        for workers in (1, 2):
+            _workers(monkeypatch, workers)
+            with pytest.raises(AttackOutOfBounds) as info:
+                evaluate(self.student, self.teacher, self.test, self.eps_list,
+                         attack=AttackConfig(steps=1), matrices_dir=tmp_path / str(workers))
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1] == (AttackOutOfBounds,
+                                          f"student pass at eps {4 / 255} failed")
+
+
+class TestTestSetChecks:
+    """A test set that cannot be scored is rejected before any pass runs."""
+
+    def setup_method(self):
+        self.train, self.test = small_data()
+        model, _ = pretrain_clean(small_model(), self.train, fast_train_cfg(epochs=2))
+        self.model = model
+        self.teacher = snapshot_teacher(model)
+        self.eps_list = [("0", 0.0), ("1/255", 1 / 255)]
+
+    def with_matrices(self, model, teacher, test, out):
+        return [lambda: evaluate(model, teacher, test, self.eps_list,
+                                 attack=AttackConfig(steps=1), matrices_dir=out),
+                lambda: export_similarity_matrices(model, teacher, test, self.eps_list, out,
+                                                   AttackConfig(steps=1))]
+
+    def spy_passes(self, monkeypatch):
+        # the spy counts in this process: run every pass in it
+        _workers(monkeypatch, 1)
+        passes = []
+        original = harness.scored_pass
+
+        def scored_pass(*args):
+            passes.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(harness, "scored_pass", scored_pass)
+        return passes
+
+    @pytest.mark.parametrize("student_classes, teacher_classes, who",
+                             [(8, 8, "student"), (4, 8, "teacher")])
+    def test_other_class_count_rejected(self, tmp_path, monkeypatch,
+                                        student_classes, teacher_classes, who):
+        def model(classes):
+            cfg = EncoderConfig(input_dim=25, hidden_dims=(), embed_dim=6,
+                                num_classes=classes, seed=0)
+            return init_model(cfg, tau=0.01)
+
+        passes = self.spy_passes(monkeypatch)
+        student, teacher = model(student_classes), snapshot_teacher(model(teacher_classes))
+        message = f"the test set has 4 classes, the {who} model 8"
+        calls = [lambda: evaluate(student, teacher, self.test, self.eps_list),
+                 *self.with_matrices(student, teacher, self.test, tmp_path / "m")]
+        for call in calls:
+            with pytest.raises(ShapeMismatch) as info:
+                call()
+            assert str(info.value) == message
+        assert passes == []
+        assert not (tmp_path / "m").exists()
+
+    def test_class_without_sample_rejected_when_matrices_are_written(self, tmp_path,
+                                                                     monkeypatch):
+        keep = ~np.isin(self.test.labels, [1, 3])
+        test = dataclasses.replace(self.test, images=self.test.images[keep],
+                                   labels=self.test.labels[keep])
+        passes = self.spy_passes(monkeypatch)
+        for call in self.with_matrices(self.model, self.teacher, test, tmp_path / "m"):
+            with pytest.raises(EmptyDataset, match=r"no sample of classes \[1, 3\]"):
+                call()
+        assert passes == []
+        assert not (tmp_path / "m").exists()
+        # without matrices there are no class means to take
+        report = evaluate(self.model, self.teacher, test, self.eps_list,
+                          attack=AttackConfig(steps=1))
+        assert report.clean_accuracy == eval_clean(self.model, test)
+
+
+@pytest.mark.parametrize("stage", ["pretrain", "finetune"])
+def test_training_on_no_sample_rejected(stage):
+    train, _ = small_data()
+    empty = dataclasses.replace(train, images=train.images[:0], labels=train.labels[:0])
+    model = small_model()
+    before = model.fingerprint()
+    with pytest.raises(EmptyDataset, match="cannot train on an empty dataset"):
+        if stage == "pretrain":
+            pretrain_clean(model, empty, fast_train_cfg())
+        else:
+            finetune(model, snapshot_teacher(model), empty, fast_train_cfg())
+    assert model.fingerprint() == before
 
 
 def test_cell_workers_share_cpus_with_blas_threads(monkeypatch):
