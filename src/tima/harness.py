@@ -20,7 +20,16 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .attacks import AttackConfig, _accuracy, attack_text, pgd_attack, scored_pass
+from .attacks import (
+    SCORE_BATCH,
+    AttackConfig,
+    _accuracy,
+    attack_text,
+    join_batches,
+    pgd_attack,
+    scored_batch,
+    scored_pass,
+)
 from .data import Dataset, generate_synthetic
 from .errors import (
     EmptyDataset,
@@ -346,7 +355,7 @@ def eps_tag(eps_text: str) -> str:
 
 
 class _ModelPass(NamedTuple):
-    """One model over the test set: the ``(preds, sums)`` of ``scored_pass``
+    """One model over the test set: the ``(preds, sums)`` of ``join_batches``
     on the clean images, and per epsilon text on the attacked ones."""
 
     clean: Tuple[Array, Array]
@@ -356,32 +365,42 @@ class _ModelPass(NamedTuple):
 def _model_passes(models: Sequence[Tuple[DualEncoder, Array, bool]], test_data: Dataset,
                   eps_list: Sequence[Tuple[str, float]], attack: AttackConfig
                   ) -> List[_ModelPass]:
-    """Every scoring pass of ``models``, run as the cells of one ``run_cells``.
+    """Every scoring pass of ``models``, run as the cells of one ``run_cells``:
+    one cell per (model, ``SCORE_BATCH``-row batch).
 
-    Each model is ``(encoder, text, own_text)``: its test set is encoded
-    clean once, against its own class text, and attacked once per epsilon
-    against ``text``. At epsilon 0 against the model's own text
-    (``own_text``) the attack returns the clean images, so the clean pass
-    stands in for it. The passes run in model order, clean first.
+    Each model is ``(encoder, text, own_text)``. A cell scores its batch with
+    one ``scored_batch`` call: clean against the model's own class text, and
+    attacked at every distinct epsilon against ``text``, seeded
+    ``attack.seed + offset``. At epsilon 0 against the model's own text
+    (``own_text``) the clean pass stands in for the attack. The cells run in
+    model order, then batch order, and each pass joins its batches in
+    dataset order.
     """
     own = [encoder.encode_classes().data for encoder, _, _ in models]
     # per model, the pass each epsilon reads: None is the clean pass
     reads = [{eps_text: None if eps == 0.0 and own_text else eps for eps_text, eps in eps_list}
              for _, _, own_text in models]
-    jobs = [(i, eps) for i, read in enumerate(reads)
-            for eps in dict.fromkeys((None, *read.values()))]
+    grids = [[eps for eps in dict.fromkeys(read.values()) if eps is not None] for read in reads]
+    offsets = range(0, test_data.num_samples, SCORE_BATCH)
+    jobs = [(i, lo) for i in range(len(models)) for lo in offsets]
 
     def run(job):
-        i, eps = job
+        i, lo = job
         encoder, text, _ = models[i]
-        if eps is None:
-            return scored_pass(encoder, own[i], test_data)
-        return scored_pass(encoder, text, test_data, dataclasses.replace(attack, eps=eps))
+        cfgs = [dataclasses.replace(attack, eps=eps, seed=attack.seed + lo) for eps in grids[i]]
+        return scored_batch(encoder, text, test_data.images[lo:lo + SCORE_BATCH],
+                            test_data.labels[lo:lo + SCORE_BATCH], cfgs, own[i])
 
-    results = dict(zip(jobs, run_cells(run, jobs)))
-    return [_ModelPass(results[i, None],
-                       {eps_text: results[i, eps] for eps_text, eps in read.items()})
-            for i, read in enumerate(reads)]
+    cells = iter(run_cells(run, jobs))
+    passes = []
+    for (encoder, _, _), read, grid in zip(models, reads, grids):
+        batches = [next(cells) for _ in offsets]
+        clean, *adv = (join_batches([batch[k] for batch in batches], test_data,
+                                    encoder.cfg.embed_dim) for k in range(1 + len(grid)))
+        by_eps = dict(zip(grid, adv))
+        passes.append(_ModelPass(clean, {eps_text: clean if eps is None else by_eps[eps]
+                                         for eps_text, eps in read.items()}))
+    return passes
 
 
 def _check_test_set(test_data: Dataset, encoders: Dict[str, DualEncoder],

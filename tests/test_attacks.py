@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from tima.attacks import (
     AttackConfig,
     per_sample_ce,
     pgd_attack,
+    pgd_grid,
     pgd_steps,
     robust_accuracy,
     scored_pass,
 )
+from tima.config import parse_config
 from tima.data import Dataset, SyntheticSpec, generate_synthetic
 from tima.errors import (
     AttackOutOfBounds,
@@ -86,6 +89,9 @@ BAD_LABELS = {
 ATTACK_CALLS = {
     "pgd_attack": lambda model, text, x, y: pgd_attack(model, text, x, y,
                                                        AttackConfig(eps=2 / 255, steps=2)),
+    # eps 0 returns the clean images, but only after the labels pass
+    "pgd_attack_eps_0": lambda model, text, x, y: pgd_attack(model, text, x, y,
+                                                             AttackConfig(eps=0.0)),
     "per_sample_ce": per_sample_ce,
 }
 
@@ -207,6 +213,112 @@ class TestPgdAttack:
         assert x_adv.min() >= 0.0 and x_adv.max() <= 1.0
 
 
+@functools.lru_cache(maxsize=None)
+def grid_case(hidden: str, rows: int = 128):
+    """An untrained encoder of the shipped recipe (seed 11, hidden layers
+    ``hidden``), its class text, a second model's text, and the first
+    ``rows`` test images with their labels."""
+    cfg = parse_config(f"hidden_dims = {hidden}\n").with_seed(11)
+    _, test = generate_synthetic(cfg.synthetic_spec())
+    model = init_model(cfg.encoder_config(), tau=cfg["tau"])
+    other = init_model(dataclasses.replace(cfg.encoder_config(), seed=12), tau=cfg["tau"])
+    return (model, model.encode_classes().data, snapshot_teacher(other).t_hat,
+            test.images[:rows], test.labels[:rows])
+
+
+# name -> (eps, step size) per config of a 10-step grid
+GRIDS = {
+    "default": [(e, 1 / 255) for e in (0.0, 1 / 255, 4 / 255, 8 / 255)],
+    "duplicate": [(e, 1 / 255) for e in (4 / 255, 1 / 255, 4 / 255)],
+    "unsorted": [(e, 1 / 255) for e in (8 / 255, 0.0, 1 / 255, 4 / 255)],
+    # step 2.5 eps / steps: only the first step, from the clean batch, is shared
+    "scaled steps": [(e, 2.5 * e / 10) for e in (1 / 255, 4 / 255, 8 / 255)],
+}
+
+
+def grid_cfgs(grid, steps=10, restarts=0):
+    return [AttackConfig(eps=eps, step_size=step, steps=steps, restarts=restarts, seed=11)
+            for eps, step in GRIDS[grid]]
+
+
+def count_gradients(monkeypatch):
+    calls = []
+    original = attacks._ce_input_grad
+
+    def spy(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(attacks, "_ce_input_grad", spy)
+    return calls
+
+
+class TestPgdGrid:
+    """pgd_grid is one pgd_attack per config, bit for bit, with every
+    distinct PGD step computed once."""
+
+    @pytest.mark.parametrize("hidden", ["", "5", "128"])
+    @pytest.mark.parametrize("restarts", [0, 1])
+    @pytest.mark.parametrize("text_source", ["student", "teacher"])
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_equals_one_attack_per_config(self, hidden, restarts, text_source, grid):
+        model, own, other, x, y = grid_case(hidden, rows=64)
+        text = own if text_source == "student" else other
+        cfgs = grid_cfgs(grid, restarts=restarts)
+        adv = pgd_grid(model, text, x, y, cfgs).adv
+        assert len(adv) == len(cfgs)
+        for cfg, got in zip(cfgs, adv):
+            assert np.array_equal(got, pgd_attack(model, text, x, y, cfg))
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize("steps", [10, 2])
+    def test_one_gradient_per_distinct_iterate(self, monkeypatch, grid, steps):
+        # runs that share their iterates up to a step share its gradient:
+        # one per distinct iterate history, as running each config alone shows
+        model, text, _, x, y = grid_case("128")
+        cfgs = grid_cfgs(grid, steps=steps)
+        histories = set()
+        for cfg in cfgs:
+            if cfg.eps == 0.0:
+                continue
+            it, history = x, ()
+            for _ in range(steps):
+                history += (it.tobytes(),)
+                histories.add(history)
+                it = pgd_steps(model, text, x, it, y, cfg.eps, cfg.step_size, 1)
+        calls = count_gradients(monkeypatch)
+        pgd_grid(model, text, x, y, cfgs)
+        assert len(calls) == len(histories)
+
+    @pytest.mark.parametrize("steps, shared", [(10, 24), (2, 2)])
+    def test_default_grid_gradients_per_batch(self, monkeypatch, steps, shared):
+        # the three nonzero eps share steps 0-1; 4/255 and 8/255 share 2-3
+        model, text, _, x, y = grid_case("128")
+        calls = count_gradients(monkeypatch)
+        pgd_grid(model, text, x, y, grid_cfgs("default", steps=steps))
+        assert (len(calls), 3 * steps) == (shared, {10: 30, 2: 6}[steps])
+
+    def test_clean_embeddings_of_the_shared_first_step(self):
+        model, text, _, x, y = grid_case("5")
+        clean = model.encode_images(x).data
+        assert np.array_equal(pgd_grid(model, text, x, y, grid_cfgs("default")).clean_z, clean)
+        # a run alone is handed to pgd_steps, which keeps no embeddings
+        assert pgd_grid(model, text, x, y, grid_cfgs("default")[:2]).clean_z is None
+
+    def test_results_never_share_the_input(self):
+        model, text, _, x, y = grid_case("")
+        cfgs = [AttackConfig(eps=0.0), AttackConfig(eps=4 / 255, steps=0),
+                *grid_cfgs("duplicate", steps=1)]
+        adv = pgd_grid(model, text, x, y, cfgs).adv
+        assert not any(np.shares_memory(a, x) for a in adv)
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(adv) for b in adv[i + 1:])
+
+    def test_eps_zero_vets_the_text(self):
+        model, text, _, x, y = grid_case("")
+        with pytest.raises(NotNormalized):
+            pgd_attack(model, 2.0 * text, x, y, AttackConfig(eps=0.0))
+
+
 class TestRobustAccuracy:
     def setup_method(self):
         spec = SyntheticSpec(num_superclasses=4, subclasses_per_superclass=2,
@@ -271,7 +383,7 @@ def grad_case(hidden, tau, seed=0, n=12):
 
 
 def closed_form_grad(model, text, x, y):
-    return attacks._ce_input_grad(model, attacks._checked_text(model, text), x, y)
+    return attacks._ce_input_grad(model, attacks._checked_text(model, text), x, y)[1]
 
 
 class TestClosedFormInputGradient:

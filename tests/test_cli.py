@@ -250,14 +250,14 @@ class TestRejectedInputs:
         out = tmp_path / "out"
         run_stages(config_file, out, ["gen-data"], ["pretrain"], ["finetune"])
         parent = os.getpid()
-        original = harness.scored_pass
+        original = harness.scored_batch
 
-        def scored_pass(encoder, text, dataset, attack=None):
-            if attack is not None and os.getpid() != parent:
+        def scored_batch(*args):
+            if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return original(encoder, text, dataset, attack)
+            return original(*args)
 
-        monkeypatch.setattr(harness, "scored_pass", scored_pass)
+        monkeypatch.setattr(harness, "scored_batch", scored_batch)
         monkeypatch.setattr(harness, "_cell_workers", lambda count: min(count, 2))
         err = failed_stage(config_file, out, capsys, "eval")
         assert err.startswith("error: a cell worker process died")

@@ -465,42 +465,49 @@ class TestSingleAttackPass:
 
     @pytest.mark.usefixtures("one_worker")
     def test_default_grid_attacks_each_batch_once(self, tmp_path, monkeypatch):
-        # 500 rows = 4 batches; 3 nonzero eps x 4 batches for the student, and
-        # again for the teacher: 24 attacks, where attacking twice took 48
+        # 500 rows = 4 batches; per batch one grid call for the student's 3
+        # nonzero eps and one for the teacher's: 8 grids of 3 attacks, 24
+        # distinct (model, eps, batch seed) attacks, where attacking twice took 48
         spec = SyntheticSpec(num_superclasses=2, subclasses_per_superclass=2,
                              image_side=5, within_super_shift=0.08, noise_sigma=0.06,
                              train_count=1, test_count=500, seed=0)
         _, test = generate_synthetic(spec)
-        keys = []
-        original = attacks.pgd_attack
+        grids, keys = [], []
+        original = attacks.pgd_grid
 
-        def spy(encoder, text, x, y, cfg):
-            keys.append((id(encoder), cfg.eps, cfg.seed))
-            return original(encoder, text, x, y, cfg)
+        def spy(encoder, text, x, y, cfgs):
+            grids.append(len(x))
+            keys.extend((id(encoder), cfg.eps, cfg.seed) for cfg in cfgs)
+            return original(encoder, text, x, y, cfgs)
 
-        monkeypatch.setattr(attacks, "pgd_attack", spy)
+        monkeypatch.setattr(attacks, "pgd_grid", spy)
         evaluate(self.student, self.teacher, test, self.eps_list,
                  attack=AttackConfig(steps=1), matrices_dir=tmp_path)
+        assert grids == [128, 128, 128, 116] * 2
         assert len(keys) == 24
         assert len(set(keys)) == 24
 
     @pytest.mark.usefixtures("one_worker")
     def test_student_clean_set_encoded_once(self, tmp_path, monkeypatch):
-        # 300 rows: one clean pass of 128 + 128 + 44 rows (accuracy, confusion,
-        # the clean class means and eps 0 all come from it) and as many per
-        # nonzero eps
+        # 300 rows in batches of 128 + 128 + 44: each clean batch is forwarded
+        # once, by the first attack step its 3 nonzero eps share (accuracy,
+        # confusion, the clean class means and eps 0 all come from it), and
+        # each attacked batch is encoded once per nonzero eps
+        clean = {self.test.images[lo:lo + 128].tobytes() for lo in (0, 128, 256)}
         calls = []
-        original = DualEncoder.encode_images
+        original = DualEncoder.image_forward
 
         def spy(encoder, x):
-            calls.append((encoder is self.student, len(x)))
+            if encoder is self.student:
+                calls.append(x.tobytes() in clean)
             return original(encoder, x)
 
-        monkeypatch.setattr(DualEncoder, "encode_images", spy)
+        monkeypatch.setattr(DualEncoder, "image_forward", spy)
         attack = AttackConfig(steps=1)
         report = evaluate(self.student, self.teacher, self.test, self.eps_list,
                           attack=attack, matrices_dir=tmp_path)
-        assert sum(student for student, _ in calls) == 3 + 3 * (len(self.eps_list) - 1)
+        assert len(calls) == 3 + 3 * (len(self.eps_list) - 1)
+        assert sum(calls) == 3
         monkeypatch.undo()
         assert report.clean_accuracy == eval_clean(self.student, self.test)
         assert report.superclass_confusion == superclass_confusion(self.student, self.test)
@@ -508,27 +515,35 @@ class TestSingleAttackPass:
     @pytest.mark.usefixtures("one_worker")
     @pytest.mark.parametrize("text_source, attacked", [("student", 0), ("teacher", 3)])
     def test_eps_zero_reuses_the_clean_pass(self, tmp_path, monkeypatch, text_source, attacked):
-        # against its own text the eps-0 "attack" returns the clean images:
-        # no PGD run and no encoding beyond each model's clean 128 + 128 + 44 rows;
-        # against the teacher's text the student's 3 batches are still run
-        attacked_batches, encoded = [], []
-        original_attack, original_encode = attacks.pgd_attack, DualEncoder.encode_images
+        # against its own text the eps-0 "attack" is not even run; against
+        # the teacher's text the student's 3 batches are each attacked at
+        # eps 0, which returns the clean images: either way no PGD step and no
+        # encoding beyond each model's clean 128 + 128 + 44 rows
+        zero_attacks, steps, encoded = [], [], []
+        original_grid, original_grad = attacks.pgd_grid, attacks._ce_input_grad
+        original_encode = DualEncoder.encode_images
 
-        def spy_attack(encoder, text, x, y, cfg):
-            attacked_batches.append(len(x))
-            return original_attack(encoder, text, x, y, cfg)
+        def spy_grid(encoder, text, x, y, cfgs):
+            zero_attacks.extend(cfg for cfg in cfgs if cfg.eps == 0.0)
+            return original_grid(encoder, text, x, y, cfgs)
+
+        def spy_grad(*args):
+            steps.append(1)
+            return original_grad(*args)
 
         def spy_encode(encoder, x):
             encoded.append(len(x))
             return original_encode(encoder, x)
 
-        monkeypatch.setattr(attacks, "pgd_attack", spy_attack)
+        monkeypatch.setattr(attacks, "pgd_grid", spy_grid)
+        monkeypatch.setattr(attacks, "_ce_input_grad", spy_grad)
         monkeypatch.setattr(DualEncoder, "encode_images", spy_encode)
         report = evaluate(self.student, self.teacher, self.test, [("0", 0.0)],
                           attack=AttackConfig(text_source=text_source),
                           matrices_dir=tmp_path)
-        assert len(attacked_batches) == attacked
-        assert len(encoded) == 6 + attacked
+        assert len(zero_attacks) == attacked
+        assert steps == []
+        assert encoded == [128, 128, 44] * 2
         if text_source == "student":
             assert report.robust_accuracy["0"] == report.clean_accuracy
 
@@ -560,7 +575,7 @@ def _workers(monkeypatch, workers):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="cells fork on Linux only")
 class TestForkedPasses:
-    """evaluate and export_similarity_matrices run every (model, eps) pass as
+    """evaluate and export_similarity_matrices score every (model, batch) as
     a cell: the bytes written and the errors raised do not depend on the
     worker count."""
 
@@ -575,16 +590,16 @@ class TestForkedPasses:
 
     @pytest.mark.parametrize("text_source", ["student", "teacher"])
     def test_one_worker_writes_the_bytes_of_two(self, tmp_path, monkeypatch, text_source):
-        # restarts draw from each batch's seed, so a pass scored with another
-        # batch's seed, or put in another pass's place, changes the bytes
+        # restarts draw from each batch's seed, so a batch scored with another
+        # batch's seed, or put in another batch's place, changes the bytes
         attack = AttackConfig(steps=2, restarts=1, seed=3, text_source=text_source)
-        original = harness.scored_pass
+        original = harness.scored_batch
 
-        def scored_pass(*args):
+        def scored_batch(*args):
             (pids / str(os.getpid())).touch()
             return original(*args)
 
-        monkeypatch.setattr(harness, "scored_pass", scored_pass)
+        monkeypatch.setattr(harness, "scored_batch", scored_batch)
         written = []
         for workers in (1, 2):
             _workers(monkeypatch, workers)
@@ -606,17 +621,17 @@ class TestForkedPasses:
         assert written[0] == written[1]
 
     def test_pass_error_reraises_as_in_process(self, tmp_path, monkeypatch):
-        # the student's and the teacher's 4/255 passes both fail: the
-        # student's error comes first, in a worker as in-process
-        original = harness.scored_pass
+        # the student's and the teacher's 4/255 attacks both fail on every
+        # batch: the student's error comes first, in a worker as in-process
+        original = harness.scored_batch
 
-        def scored_pass(encoder, text, dataset, attack=None):
-            if attack is not None and attack.eps == 4 / 255:
+        def scored_batch(encoder, text, x, y, cfgs, own_text=None):
+            if any(cfg.eps == 4 / 255 for cfg in cfgs):
                 who = "student" if encoder is self.student else "teacher"
-                raise AttackOutOfBounds(f"{who} pass at eps {attack.eps} failed")
-            return original(encoder, text, dataset, attack)
+                raise AttackOutOfBounds(f"{who} pass at eps {4 / 255} failed")
+            return original(encoder, text, x, y, cfgs, own_text)
 
-        monkeypatch.setattr(harness, "scored_pass", scored_pass)
+        monkeypatch.setattr(harness, "scored_batch", scored_batch)
         raised = []
         for workers in (1, 2):
             _workers(monkeypatch, workers)
@@ -648,13 +663,13 @@ class TestTestSetChecks:
         # the spy counts in this process: run every pass in it
         _workers(monkeypatch, 1)
         passes = []
-        original = harness.scored_pass
+        original = harness.scored_batch
 
-        def scored_pass(*args):
+        def scored_batch(*args):
             passes.append(1)
             return original(*args)
 
-        monkeypatch.setattr(harness, "scored_pass", scored_pass)
+        monkeypatch.setattr(harness, "scored_batch", scored_batch)
         return passes
 
     @pytest.mark.parametrize("student_classes, teacher_classes, who",
