@@ -15,7 +15,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import AttackOutOfBounds, EmptyDataset, InvalidConfig, ShapeMismatch
+from .errors import AttackOutOfBounds, EmptyDataset, InvalidConfig
 from .losses import _check_labels, _checked_text, _log_softmax, _one_hot
 from .tensor import check_finite, log_softmax_backward
 
@@ -69,13 +69,10 @@ def _ce_input_grad(encoder, text: Array, x: Array, y: Array) -> Tuple[Array, Arr
     """The embeddings of ``x`` and the input gradient of the summed
     cross-entropy -sum_i log p(y_i | x_i) at S = z text^T, in closed form: the
     value ``backward`` gives on the tape, bit for bit. ``text`` comes from
-    ``_checked_text``."""
+    ``_checked_text``, ``y`` from ``_check_labels``."""
     image = encoder.image_forward(check_finite(np.asarray(x, dtype=np.float64), "leaf"))
     log_p = _log_probs(image.z, text, encoder.tau)
-    mask = _one_hot(y, log_p.shape[1])
-    if mask.shape != log_p.shape:
-        raise ShapeMismatch(f"mul: {log_p.shape} vs {mask.shape}")
-    g_s = log_softmax_backward(-mask, log_p, encoder.tau)
+    g_s = log_softmax_backward(-_one_hot(y, log_p.shape[1]), log_p, encoder.tau)
     return image.z, image.pixels(g_s @ text)
 
 
@@ -104,7 +101,7 @@ def pgd_steps(encoder, text_matrix: Array, x_center: Array, x_start: Array,
     if steps == 0:
         return x
     text = _checked_text(encoder, text_matrix)
-    y = np.asarray(y)
+    y = _check_labels(y, len(text), len(x))
     lo, hi = _ball(x_center, eps)
     for _ in range(steps):
         grad = _ce_input_grad(encoder, text, x, y)[1]

@@ -17,7 +17,7 @@ import numpy as np
 from . import data as data_mod
 from . import harness, model as model_mod
 from .config import RunConfig, load_config, parse_config, parse_fraction
-from .errors import IoFailure, TimaError
+from .errors import InvalidVariant, IoFailure, TimaError
 from .files import make_dir
 
 
@@ -73,11 +73,11 @@ def cmd_finetune(args) -> int:
     train = _load_dataset(out / "train.timd")
     student = _load_model(out / "pretrained.timm")
     teacher = model_mod.snapshot_teacher(student)
-    train_cfg = cfg.finetune_config(variant=args.variant)
-    student, trace = harness.finetune(student, teacher, train, train_cfg)
-    ckpt = out / f"finetuned_{train_cfg.variant}.timm"
+    variant = args.variant or cfg["variant"]
+    student, trace = harness.finetune(student, teacher, train, cfg.finetune_config(variant))
+    ckpt = out / f"finetuned_{variant}.timm"
     model_mod.save_model(student, ckpt)
-    print(f"finetuned variant={train_cfg.variant} for {len(trace)} epochs, "
+    print(f"finetuned variant={variant} for {len(trace)} epochs, "
           f"final loss {trace[-1]:.4f}; saved {ckpt}")
     return 0
 
@@ -118,16 +118,20 @@ def cmd_export_matrices(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
+    if cfg["variant"] not in harness.MARGIN_VARIANTS:
+        raise InvalidVariant(f"sweep traces the margin (m, eta), which variant {cfg['variant']!r} "
+                             f"does not train; use one of {', '.join(harness.MARGIN_VARIANTS)}")
     out = _out_dir(args)
     train = _load_dataset(out / "train.timd")
     test = _load_dataset(out / "test.timd")
     pretrained = _load_model(out / "pretrained.timm")
     teacher = model_mod.snapshot_teacher(pretrained)
+    base = cfg.finetune_config()
     configs = {}
     for m in cfg["sweep_m"]:
         for eta in cfg["sweep_eta"]:
-            weights = dataclasses.replace(cfg.loss_weights(), m=m, eta=eta)
-            configs[m, eta] = dataclasses.replace(cfg.finetune_config(), loss_weights=weights)
+            weights = dataclasses.replace(base.loss_weights, m=m, eta=eta)
+            configs[m, eta] = dataclasses.replace(base, loss_weights=weights)
     eps_list = [(t, parse_fraction(t)) for t in cfg["sweep_eps"]]
 
     def cell(key):

@@ -16,7 +16,7 @@ from .attacks import AttackConfig, TEXT_SOURCES
 from .data import SyntheticSpec
 from .errors import ConfigRangeError, ConfigTypeError, UnknownKey
 from .files import read_file
-from .harness import VARIANTS, TrainConfig
+from .harness import VARIANTS, TrainConfig, resolve_variant
 from .losses import MARGIN_SIGN_LITERAL, MARGIN_SIGN_NEGATE, LossWeights
 from .model import EncoderConfig
 
@@ -113,6 +113,7 @@ SCHEMA: Dict[str, Tuple[str, str, object]] = {
     "tau": ("float", "0.01", _positive),
     "m": ("float", "0.1", _nonneg),
     "eta": ("float", "0.95", _unit_open),
+    # mhe_loss's kernel exponent: nothing reads it, reports echo it
     "alpha": ("int", "2", lambda v: None if v == 2 else "is fixed at 2"),
     "lambda": ("float", "1.0", _nonneg),
     "lambda_t": ("float", "1.0", _nonneg),
@@ -196,7 +197,7 @@ class RunConfig:
 
     def loss_weights(self) -> LossWeights:
         v = self.values
-        return LossWeights(tau=v["tau"], m=v["m"], eta=v["eta"], alpha=v["alpha"],
+        return LossWeights(tau=v["tau"], m=v["m"], eta=v["eta"],
                            lam=v["lambda"], lam_t=v["lambda_t"], lam_v=v["lambda_v"],
                            margin_sign=v["margin_sign"])
 
@@ -223,12 +224,15 @@ class RunConfig:
                            seed=v["seed"])
 
     def finetune_config(self, variant: str | None = None) -> TrainConfig:
+        """The recipe of ``variant`` (the config's when None), which
+        ``resolve_variant`` makes of the config's weights, freeze flag and attack."""
         v = self.values
+        weights, freeze_text, attack = resolve_variant(
+            variant or v["variant"], self.loss_weights(), v["freeze_text"], self.train_attack())
         return TrainConfig(learning_rate=v["finetune_lr"], momentum=v["momentum"],
                            epochs=v["finetune_epochs"], batch_size=v["batch_size"],
-                           variant=variant or v["variant"], freeze_text=v["freeze_text"],
-                           loss_weights=self.loss_weights(),
-                           train_attack=self.train_attack(), seed=v["seed"])
+                           freeze_text=freeze_text, loss_weights=weights,
+                           train_attack=attack, seed=v["seed"])
 
 
 def parse_config(text: str) -> RunConfig:

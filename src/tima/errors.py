@@ -32,7 +32,7 @@ class InvalidConfig(TimaError):
 
 
 class InvalidVariant(TimaError):
-    """Unknown fine-tuning variant name."""
+    """Unknown fine-tuning variant name, or a variant the command cannot run."""
 
 
 class AttackOutOfBounds(TimaError):

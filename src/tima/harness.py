@@ -61,11 +61,12 @@ def _default_train_attack() -> AttackConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 1e-4
-    momentum: float = 0.9
-    epochs: int = 10
-    batch_size: int = 128
-    variant: str = "tima"
+    """One training run; ``finetune`` trains its weights, freeze flag and attack as given."""
+
+    learning_rate: float
+    momentum: float
+    epochs: int
+    batch_size: int
     freeze_text: bool = False
     loss_weights: LossWeights = field(default_factory=LossWeights)
     train_attack: AttackConfig = field(default_factory=_default_train_attack)
@@ -168,19 +169,23 @@ def resolve_variant(variant: str, w: LossWeights, freeze_text: bool,
     raise InvalidVariant(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
 
+# the variants that train the TAM margin (m, eta), the grid `tima sweep` traces
+MARGIN_VARIANTS = tuple(v for v in VARIANTS
+                        if resolve_variant(v, LossWeights(), False, AttackConfig())[0].m > 0.0)
+
+
 def finetune(model: DualEncoder, teacher: TeacherSnapshot, train_data: Dataset,
              cfg: TrainConfig) -> Tuple[DualEncoder, List[float]]:
     """Adversarial fine-tuning against a frozen teacher.
 
     Per batch: attack the current student inside the training epsilon-ball,
-    evaluate the variant-filtered combined loss, update with SGD momentum.
-    Returns (model, per-epoch mean losses).
+    evaluate the combined loss with ``cfg.loss_weights``, update with SGD
+    momentum. Returns (model, per-epoch mean losses).
     """
     n = _training_samples(train_data)
-    w, freeze_text, attack = resolve_variant(cfg.variant, cfg.loss_weights,
-                                             cfg.freeze_text, cfg.train_attack)
+    w, attack = cfg.loss_weights, cfg.train_attack
     params = model.image_parameters()
-    if not freeze_text:
+    if not cfg.freeze_text:
         params = params + model.text_parameters()
     # the teacher is frozen: its rows for each sample are fixed for the run
     targets = teacher_targets(teacher, train_data.images, train_data.labels, w,
@@ -362,44 +367,38 @@ class _ModelPass(NamedTuple):
     adv: Dict[str, Tuple[Array, Array]]
 
 
-def _model_passes(models: Sequence[Tuple[DualEncoder, Array, bool]], test_data: Dataset,
-                  eps_list: Sequence[Tuple[str, float]], attack: AttackConfig
-                  ) -> List[_ModelPass]:
+def _model_passes(models: Sequence[Tuple[DualEncoder, Array]], test_data: Dataset,
+                  attacks: Dict[str, AttackConfig]) -> List[_ModelPass]:
     """Every scoring pass of ``models``, run as the cells of one ``run_cells``:
     one cell per (model, ``SCORE_BATCH``-row batch).
 
-    Each model is ``(encoder, text, own_text)``. A cell scores its batch with
-    one ``scored_batch`` call: clean against the model's own class text, and
-    attacked at every distinct epsilon against ``text``, seeded
-    ``attack.seed + offset``. At epsilon 0 against the model's own text
-    (``own_text``) the clean pass stands in for the attack. The cells run in
-    model order, then batch order, and each pass joins its batches in
+    Each model is ``(encoder, text)``; ``attacks`` maps each epsilon text to
+    its attack. A cell scores its batch with one ``scored_batch`` call: clean
+    against the model's own class text, and under every distinct attack of
+    ``attacks`` against ``text``, seeded ``attack.seed + offset``. The cells
+    run in model order, then batch order, and each pass joins its batches in
     dataset order.
     """
-    own = [encoder.encode_classes().data for encoder, _, _ in models]
-    # per model, the pass each epsilon reads: None is the clean pass
-    reads = [{eps_text: None if eps == 0.0 and own_text else eps for eps_text, eps in eps_list}
-             for _, _, own_text in models]
-    grids = [[eps for eps in dict.fromkeys(read.values()) if eps is not None] for read in reads]
+    own = [encoder.encode_classes().data for encoder, _ in models]
+    grid = list(dict.fromkeys(attacks.values()))
     offsets = range(0, test_data.num_samples, SCORE_BATCH)
     jobs = [(i, lo) for i in range(len(models)) for lo in offsets]
 
     def run(job):
         i, lo = job
-        encoder, text, _ = models[i]
-        cfgs = [dataclasses.replace(attack, eps=eps, seed=attack.seed + lo) for eps in grids[i]]
+        encoder, text = models[i]
+        cfgs = [dataclasses.replace(cfg, seed=cfg.seed + lo) for cfg in grid]
         return scored_batch(encoder, text, test_data.images[lo:lo + SCORE_BATCH],
                             test_data.labels[lo:lo + SCORE_BATCH], cfgs, own[i])
 
     cells = iter(run_cells(run, jobs))
     passes = []
-    for (encoder, _, _), read, grid in zip(models, reads, grids):
+    for encoder, _ in models:
         batches = [next(cells) for _ in offsets]
         clean, *adv = (join_batches([batch[k] for batch in batches], test_data,
                                     encoder.cfg.embed_dim) for k in range(1 + len(grid)))
-        by_eps = dict(zip(grid, adv))
-        passes.append(_ModelPass(clean, {eps_text: clean if eps is None else by_eps[eps]
-                                         for eps_text, eps in read.items()}))
+        by_cfg = dict(zip(grid, adv))
+        passes.append(_ModelPass(clean, {t: by_cfg[cfg] for t, cfg in attacks.items()}))
     return passes
 
 
@@ -425,10 +424,11 @@ def _eval_passes(model: DualEncoder, teacher: TeacherSnapshot, test_data: Datase
     """The student's passes, against the text ``attack.text_source`` names,
     then, with ``matrices``, the teacher's, against its own text."""
     _check_test_set(test_data, {"student": model, "teacher": teacher.model}, matrices)
-    models = [(model, attack_text(model, teacher, attack), attack.text_source == "student")]
+    models = [(model, attack_text(model, teacher, attack))]
     if matrices:
-        models.append((teacher.model, teacher.t_hat, True))
-    return _model_passes(models, test_data, eps_list, attack)
+        models.append((teacher.model, teacher.t_hat))
+    attacks = {eps_text: dataclasses.replace(attack, eps=eps) for eps_text, eps in eps_list}
+    return _model_passes(models, test_data, attacks)
 
 
 def _write_matrices(out_dir, model: DualEncoder, teacher: TeacherSnapshot, student: _ModelPass,
@@ -534,10 +534,10 @@ def evaluate(model: DualEncoder, teacher: TeacherSnapshot, test_data: Dataset,
 
     The student is encoded clean once (its accuracy, superclass confusion
     and clean class means) and attacked once per nonzero epsilon (its robust
-    accuracy and adversarial similarity matrix). At epsilon 0 against its own
-    text the attack returns the clean images, so the clean pass stands in.
-    With ``matrices_dir`` the teacher's passes join the student's, and all of
-    them run as independent cells (``run_cells``).
+    accuracy and adversarial similarity matrix); ``scored_batch`` serves
+    epsilon 0 from the clean embeddings. With ``matrices_dir`` the teacher's
+    passes join the student's, and all of them run as independent cells
+    (``run_cells``).
     """
     attack = attack or AttackConfig()
     passes = _eval_passes(model, teacher, test_data, eps_list, attack, matrices_dir is not None)

@@ -60,7 +60,6 @@ class LossWeights:
     tau   softmax temperature shared by all distribution terms (CLIP-style 0.01)
     m     margin magnitude for the adaptive margin
     eta   confusion threshold gating the margin, must lie in (0, 1)
-    alpha exponent of the energy kernel 1/(1 + d^alpha); fixed at 2
     lam   weight of the text branch (energy + text distillation)
     lam_t weight of the text distillation inside the text branch
     lam_v weight of the image distillation
@@ -69,7 +68,6 @@ class LossWeights:
     tau: float = 0.01
     m: float = 0.1
     eta: float = 0.95
-    alpha: int = 2
     lam: float = 1.0
     lam_t: float = 1.0
     lam_v: float = 1.0
@@ -82,8 +80,6 @@ class LossWeights:
             raise InvalidEta(f"eta must lie in (0, 1), got {self.eta}")
         if not (np.isfinite(self.m) and self.m >= 0):
             raise InvalidConfig(f"margin m must be finite and >= 0, got {self.m}")
-        if self.alpha != 2:
-            raise InvalidConfig(f"alpha is fixed at 2, got {self.alpha}")
         if not all(np.isfinite(v) and v >= 0 for v in (self.lam, self.lam_t, self.lam_v)):
             raise InvalidConfig("loss weights lam, lam_t, lam_v must be finite and >= 0")
         if self.margin_sign not in (MARGIN_SIGN_LITERAL, MARGIN_SIGN_NEGATE):

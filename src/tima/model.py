@@ -208,9 +208,6 @@ class TeacherSnapshot:
         """Forward pass through the frozen weights; plain values."""
         return self.model.encode_images(np.asarray(x, dtype=np.float64)).data
 
-    def encode_classes(self) -> Array:
-        return self.t_hat
-
     def fingerprint(self) -> str:
         return self.model.fingerprint()
 

@@ -93,6 +93,7 @@ ATTACK_CALLS = {
     "pgd_attack_eps_0": lambda model, text, x, y: pgd_attack(model, text, x, y,
                                                              AttackConfig(eps=0.0)),
     "per_sample_ce": per_sample_ce,
+    "pgd_steps": lambda model, text, x, y: pgd_steps(model, text, x, x, y, 2 / 255, 1 / 255, 2),
 }
 
 

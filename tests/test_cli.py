@@ -194,6 +194,28 @@ class TestSubcommands:
         payload = read_report(reports[0])
         assert set(payload["robust_accuracy"]) == {"1/255"}
 
+    def test_sweep_trains_the_resolved_variant(self, tmp_path, monkeypatch):
+        # each (m, eta) point is the variant's recipe with that margin: a
+        # tai_only point keeps lambda 0 and the frozen text
+        cfg = tmp_path / "tai.cfg"
+        cfg.write_text(FAST_CONFIG.replace("sweep_m = 0.1", "sweep_m = 0.3")
+                       + "variant = tai_only\n")
+        out = tmp_path / "out"
+        run_stages(cfg, out, ["gen-data"], ["pretrain"])
+        trained = []
+        original = harness.finetune
+
+        def finetune(model, teacher, train, train_cfg):
+            trained.append(train_cfg)
+            return original(model, teacher, train, train_cfg)
+
+        monkeypatch.setattr(harness, "finetune", finetune)
+        run_stages(cfg, out, ["sweep"])
+        base = load_config(cfg).finetune_config()
+        assert trained == [dataclasses.replace(
+            base, loss_weights=dataclasses.replace(base.loss_weights, m=0.3, eta=0.95))]
+        assert trained[0].loss_weights.lam == 0.0 and trained[0].freeze_text
+
 
 def run_stages(cfg_path, out_dir, *stages):
     for argv in stages:
@@ -244,6 +266,18 @@ class TestRejectedInputs:
                                          labels=train.labels[:0]), out / "train.timd")
         err = failed_stage(config_file, out, capsys, stage)
         assert err == "error: cannot train on an empty dataset\n"
+
+    @pytest.mark.parametrize("variant", ["tecoa", "iat_only", "mhe_only"])
+    def test_sweep_under_a_variant_without_the_margin(self, tmp_path, capsys, variant):
+        # every (m, eta) point would train the same student: the sweep fails
+        # before it reads a dataset or makes its output directory
+        cfg = tmp_path / "variant.cfg"
+        cfg.write_text(FAST_CONFIG + f"variant = {variant}\n")
+        out = tmp_path / "out"
+        err = failed_stage(cfg, out, capsys, "sweep")
+        assert err == (f"error: sweep traces the margin (m, eta), which variant {variant!r} "
+                       f"does not train; use one of tima, tai_only\n")
+        assert not out.exists()
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="cells fork on Linux only")
     def test_killed_pass_worker_during_eval(self, config_file, tmp_path, monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import pytest
@@ -138,6 +139,14 @@ class TestBuilders:
     def test_train_configs(self):
         cfg = parse_config("pretrain_epochs = 7\nfinetune_epochs = 9\nvariant = tecoa\n")
         assert cfg.pretrain_config().epochs == 7
+        # the variant is resolved here: tecoa drops the margin and both
+        # distillation weights, freezes the text and attacks the teacher's
         ft = cfg.finetune_config()
-        assert ft.epochs == 9 and ft.variant == "tecoa"
-        assert cfg.finetune_config(variant="tima").variant == "tima"
+        assert ft.epochs == 9
+        w = cfg.loss_weights()
+        assert ft.loss_weights == dataclasses.replace(w, m=0.0, lam=0.0, lam_v=0.0)
+        assert ft.freeze_text
+        assert ft.train_attack == dataclasses.replace(cfg.train_attack(), text_source="teacher")
+        tima = cfg.finetune_config(variant="tima")
+        assert (tima.loss_weights, tima.freeze_text, tima.train_attack) == \
+            (w, False, cfg.train_attack())

@@ -60,20 +60,25 @@ def small_model(seed=0):
     return init_model(cfg, tau=0.01)
 
 
-def fast_train_cfg(**kw):
+def fast_train_cfg(variant="tima", **kw):
+    """A short recipe; ``variant`` is resolved here, as ``RunConfig`` does."""
     defaults = dict(learning_rate=1e-3, momentum=0.9, epochs=3, batch_size=32,
                     loss_weights=LossWeights(),
                     train_attack=AttackConfig(eps=1 / 255, step_size=1 / 255,
                                               steps=2, restarts=0),
                     seed=0)
     defaults.update(kw)
+    w, freeze_text, attack = resolve_variant(variant, defaults["loss_weights"],
+                                             defaults.get("freeze_text", False),
+                                             defaults["train_attack"])
+    defaults.update(loss_weights=w, freeze_text=freeze_text, train_attack=attack)
     return TrainConfig(**defaults)
 
 
 @pytest.mark.parametrize("lr", [0.0, float("nan"), float("inf")])
 def test_train_config_rejects_bad_learning_rate(lr):
     with pytest.raises(InvalidConfig, match="learning_rate"):
-        TrainConfig(learning_rate=lr)
+        fast_train_cfg(learning_rate=lr)
 
 
 class TestPretrain:
@@ -465,9 +470,9 @@ class TestSingleAttackPass:
 
     @pytest.mark.usefixtures("one_worker")
     def test_default_grid_attacks_each_batch_once(self, tmp_path, monkeypatch):
-        # 500 rows = 4 batches; per batch one grid call for the student's 3
-        # nonzero eps and one for the teacher's: 8 grids of 3 attacks, 24
-        # distinct (model, eps, batch seed) attacks, where attacking twice took 48
+        # 500 rows = 4 batches; per batch one grid call for the student's 4
+        # eps and one for the teacher's: 8 grids of 4 attacks, 32 distinct
+        # (model, eps, batch seed) attacks, of which the 8 at eps 0 take no step
         spec = SyntheticSpec(num_superclasses=2, subclasses_per_superclass=2,
                              image_side=5, within_super_shift=0.08, noise_sigma=0.06,
                              train_count=1, test_count=500, seed=0)
@@ -484,8 +489,8 @@ class TestSingleAttackPass:
         evaluate(self.student, self.teacher, test, self.eps_list,
                  attack=AttackConfig(steps=1), matrices_dir=tmp_path)
         assert grids == [128, 128, 128, 116] * 2
-        assert len(keys) == 24
-        assert len(set(keys)) == 24
+        assert len(keys) == 32
+        assert len(set(keys)) == 32
 
     @pytest.mark.usefixtures("one_worker")
     def test_student_clean_set_encoded_once(self, tmp_path, monkeypatch):
@@ -513,18 +518,19 @@ class TestSingleAttackPass:
         assert report.superclass_confusion == superclass_confusion(self.student, self.test)
 
     @pytest.mark.usefixtures("one_worker")
-    @pytest.mark.parametrize("text_source, attacked", [("student", 0), ("teacher", 3)])
-    def test_eps_zero_reuses_the_clean_pass(self, tmp_path, monkeypatch, text_source, attacked):
-        # against its own text the eps-0 "attack" is not even run; against
-        # the teacher's text the student's 3 batches are each attacked at
-        # eps 0, which returns the clean images: either way no PGD step and no
-        # encoding beyond each model's clean 128 + 128 + 44 rows
+    @pytest.mark.parametrize("text_source, foreign", [("student", 0), ("teacher", 3)])
+    def test_eps_zero_reuses_the_clean_pass(self, tmp_path, monkeypatch, text_source, foreign):
+        # each model's 3 batches are each attacked at eps 0, which returns the
+        # clean images: no PGD step and no encoding beyond each model's clean
+        # 128 + 128 + 44 rows; against the teacher's text the student's 3
+        # are scored against a text not its own
         zero_attacks, steps, encoded = [], [], []
         original_grid, original_grad = attacks.pgd_grid, attacks._ce_input_grad
         original_encode = DualEncoder.encode_images
 
         def spy_grid(encoder, text, x, y, cfgs):
-            zero_attacks.extend(cfg for cfg in cfgs if cfg.eps == 0.0)
+            own = np.array_equal(text, encoder.encode_classes().data)
+            zero_attacks.extend(own for cfg in cfgs if cfg.eps == 0.0)
             return original_grid(encoder, text, x, y, cfgs)
 
         def spy_grad(*args):
@@ -541,7 +547,8 @@ class TestSingleAttackPass:
         report = evaluate(self.student, self.teacher, self.test, [("0", 0.0)],
                           attack=AttackConfig(text_source=text_source),
                           matrices_dir=tmp_path)
-        assert len(zero_attacks) == attacked
+        assert len(zero_attacks) == 3 * 2
+        assert zero_attacks.count(False) == foreign
         assert steps == []
         assert encoded == [128, 128, 44] * 2
         if text_source == "student":

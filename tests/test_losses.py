@@ -58,10 +58,6 @@ def unit_rows(rng, n, d):
 
 
 class TestLossWeights:
-    def test_paper_recipe_accepted(self):
-        w = LossWeights(tau=0.01, m=0.1, eta=0.95, lam=1.0, lam_t=1.0, lam_v=1.0)
-        assert w.alpha == 2
-
     def test_invalid_eta(self):
         with pytest.raises(InvalidEta):
             LossWeights(eta=1.0)
@@ -71,10 +67,6 @@ class TestLossWeights:
     def test_invalid_tau(self):
         with pytest.raises(InvalidTemperature):
             LossWeights(tau=0.0)
-
-    def test_alpha_fixed(self):
-        with pytest.raises(InvalidConfig):
-            LossWeights(alpha=3)
 
     def test_negative_weights_rejected(self):
         with pytest.raises(InvalidConfig):
