@@ -15,7 +15,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import AttackOutOfBounds, EmptyDataset, InvalidConfig
+from .errors import AttackOutOfBounds, EmptyDataset, InvalidConfig, ShapeMismatch
 from .losses import _check_labels, _checked_text, _log_softmax, _one_hot
 from .tensor import check_finite, log_softmax_backward
 
@@ -96,12 +96,14 @@ def _ascend(x: Array, sign: Array, step_size: float, lo: Array, hi: Array,
 def pgd_steps(encoder, text_matrix: Array, x_center: Array, x_start: Array,
               y: Array, eps: float, step_size: float, steps: int) -> Array:
     """The bare iteration, memoryless in x: running k steps and then k' more
-    from the result equals a single (k+k')-step run."""
+    from the result equals a single (k+k')-step run. Its inputs are vetted
+    before any step, also when ``steps`` is 0."""
     x = np.array(x_start, dtype=np.float64)
-    if steps == 0:
-        return x
     text = _checked_text(encoder, text_matrix)
     y = _check_labels(y, len(text), len(x))
+    if x.shape != np.shape(x_center):
+        raise ShapeMismatch(f"start of shape {x.shape} for a center of shape "
+                            f"{np.shape(x_center)}")
     lo, hi = _ball(x_center, eps)
     for _ in range(steps):
         grad = _ce_input_grad(encoder, text, x, y)[1]
@@ -247,31 +249,25 @@ SCORE_BATCH = 128
 
 
 def scored_batch(encoder, text_matrix: Array, x: Array, y: Array,
-                 cfgs: Sequence[AttackConfig], own_text: Optional[Array] = None
-                 ) -> List[Tuple[Array, Array]]:
-    """One batch scored clean, when ``own_text`` is given, and under every
-    config of ``cfgs``, whose attacks run as one ``pgd_grid`` call.
+                 cfgs: Sequence[AttackConfig]) -> List[Tuple[Array, Array]]:
+    """One batch scored clean and under every config of ``cfgs``, whose
+    attacks run as one ``pgd_grid`` call, all against ``text_matrix``.
 
-    Returns ``(predictions, embeddings)`` pairs: the clean images' against
-    ``own_text`` first, then each attacked batch's against ``text_matrix``.
-    A prediction is the nearest text row (``np.argmax`` breaks ties toward
-    the lowest index). The clean images are encoded at most once: the grid's
-    shared first step encodes them, and an ε = 0 attack, which returns them,
-    reuses their embeddings.
+    Returns ``(predictions, embeddings)`` pairs: the clean batch's first,
+    then one per config; an ε = 0 config, whose attack returns the clean
+    batch, gets the clean pair itself. A prediction is the nearest text row
+    (``np.argmax`` breaks ties toward the lowest index). The clean images
+    are encoded once, by the grid's shared first step when it takes one.
     """
     text = _checked_text(encoder, text_matrix)
     grid = pgd_grid(encoder, text, x, y, cfgs)
-    clean_z = grid.clean_z
-    if clean_z is None and (own_text is not None or any(cfg.eps == 0.0 for cfg in cfgs)):
-        clean_z = encoder.encode_images(x).data
-    scored = []
-    if own_text is not None:
-        own = _checked_text(encoder, own_text)
-        scored.append((np.argmax(clean_z @ own.T, axis=1), clean_z))
-    for cfg, adv in zip(cfgs, grid.adv):
-        z = clean_z if cfg.eps == 0.0 else encoder.encode_images(adv).data
-        scored.append((np.argmax(z @ text.T, axis=1), z))
-    return scored
+
+    def scored(z: Array) -> Tuple[Array, Array]:
+        return np.argmax(z @ text.T, axis=1), z
+
+    clean = scored(encoder.encode_images(x).data if grid.clean_z is None else grid.clean_z)
+    return [clean] + [clean if cfg.eps == 0.0 else scored(encoder.encode_images(adv).data)
+                      for cfg, adv in zip(cfgs, grid.adv)]
 
 
 def join_batches(scored: Sequence[Tuple[Array, Array]], dataset,
@@ -289,16 +285,15 @@ def join_batches(scored: Sequence[Tuple[Array, Array]], dataset,
 
 def scored_pass(encoder, text_matrix: Array, dataset,
                 attack: AttackConfig | None = None) -> Tuple[Array, Array]:
-    """Score every sample of ``dataset`` once, ``SCORE_BATCH`` rows at a time,
-    clean or, with ``attack``, attacked once per batch, seeded
-    ``attack.seed + offset``. Returns ``join_batches``' predictions and
-    per-class embedding sums."""
+    """Score every sample of ``dataset`` once against ``text_matrix``,
+    ``SCORE_BATCH`` rows at a time, clean or, with ``attack``, attacked once
+    per batch, seeded ``attack.seed + offset``. Returns ``join_batches``'
+    predictions and per-class embedding sums."""
     scored = []
     for lo in range(0, dataset.num_samples, SCORE_BATCH):
         cfgs = [] if attack is None else [dataclasses.replace(attack, seed=attack.seed + lo)]
-        scored += scored_batch(encoder, text_matrix, dataset.images[lo:lo + SCORE_BATCH],
-                               dataset.labels[lo:lo + SCORE_BATCH], cfgs,
-                               None if cfgs else text_matrix)
+        scored.append(scored_batch(encoder, text_matrix, dataset.images[lo:lo + SCORE_BATCH],
+                                   dataset.labels[lo:lo + SCORE_BATCH], cfgs)[-1])
     return join_batches(scored, dataset, encoder.cfg.embed_dim)
 
 

@@ -338,9 +338,9 @@ def superclass_confusion(model: DualEncoder, test_data: Dataset) -> List[List[in
 
 
 def _class_means(sums: Array, labels: Array) -> Array:
-    """Unit-norm per-class means from per-class embedding sums."""
+    """Unit-norm per-class means from per-class embedding sums; every class has a sample."""
     counts = np.bincount(labels, minlength=len(sums))
-    return normalize_rows_forward(sums / np.maximum(counts, 1.0)[:, None])[0]
+    return normalize_rows_forward(sums / counts[:, None])[0]
 
 
 def _write_csv(matrix: Array, path: Path) -> None:
@@ -373,13 +373,11 @@ def _model_passes(models: Sequence[Tuple[DualEncoder, Array]], test_data: Datase
     one cell per (model, ``SCORE_BATCH``-row batch).
 
     Each model is ``(encoder, text)``; ``attacks`` maps each epsilon text to
-    its attack. A cell scores its batch with one ``scored_batch`` call: clean
-    against the model's own class text, and under every distinct attack of
-    ``attacks`` against ``text``, seeded ``attack.seed + offset``. The cells
-    run in model order, then batch order, and each pass joins its batches in
-    dataset order.
+    its attack. A cell scores its batch with one ``scored_batch`` call
+    against ``text``: clean and under every distinct attack of ``attacks``,
+    seeded ``attack.seed + offset``. The cells run in model order, then
+    batch order, and each pass joins its batches in dataset order.
     """
-    own = [encoder.encode_classes().data for encoder, _ in models]
     grid = list(dict.fromkeys(attacks.values()))
     offsets = range(0, test_data.num_samples, SCORE_BATCH)
     jobs = [(i, lo) for i in range(len(models)) for lo in offsets]
@@ -389,7 +387,7 @@ def _model_passes(models: Sequence[Tuple[DualEncoder, Array]], test_data: Datase
         encoder, text = models[i]
         cfgs = [dataclasses.replace(cfg, seed=cfg.seed + lo) for cfg in grid]
         return scored_batch(encoder, text, test_data.images[lo:lo + SCORE_BATCH],
-                            test_data.labels[lo:lo + SCORE_BATCH], cfgs, own[i])
+                            test_data.labels[lo:lo + SCORE_BATCH], cfgs)
 
     cells = iter(run_cells(run, jobs))
     passes = []
@@ -421,8 +419,9 @@ def _check_test_set(test_data: Dataset, encoders: Dict[str, DualEncoder],
 def _eval_passes(model: DualEncoder, teacher: TeacherSnapshot, test_data: Dataset,
                  eps_list: Sequence[Tuple[str, float]], attack: AttackConfig,
                  matrices: bool) -> List[_ModelPass]:
-    """The student's passes, against the text ``attack.text_source`` names,
-    then, with ``matrices``, the teacher's, against its own text."""
+    """The student's passes, clean and attacked against the text
+    ``attack.text_source`` names, then, with ``matrices``, the teacher's,
+    against its own text."""
     _check_test_set(test_data, {"student": model, "teacher": teacher.model}, matrices)
     models = [(model, attack_text(model, teacher, attack))]
     if matrices:
@@ -462,9 +461,10 @@ def export_similarity_matrices(model: DualEncoder, teacher: TeacherSnapshot,
 
     For both the student and the frozen teacher: text-text, clean
     image-text (per-class mean image embedding vs class text), and one
-    adversarial image-image matrix per epsilon. The student is attacked
-    against the text ``attack.text_source`` names, the teacher against its
-    own. Returns a manifest of relative file paths keyed by matrix name.
+    adversarial image-image matrix per epsilon. The student is scored and
+    attacked against the text ``attack.text_source`` names, the teacher
+    against its own. Returns a manifest of relative file paths keyed by
+    matrix name.
     """
     attack = attack or AttackConfig()
     student, teacher_pass = _eval_passes(model, teacher, test_data, eps_list, attack, True)
@@ -532,12 +532,12 @@ def evaluate(model: DualEncoder, teacher: TeacherSnapshot, test_data: Dataset,
              seed: int = 0) -> EvalReport:
     """Full evaluation pass; eps_list entries are (display text, value).
 
-    The student is encoded clean once (its accuracy, superclass confusion
-    and clean class means) and attacked once per nonzero epsilon (its robust
-    accuracy and adversarial similarity matrix); ``scored_batch`` serves
-    epsilon 0 from the clean embeddings. With ``matrices_dir`` the teacher's
-    passes join the student's, and all of them run as independent cells
-    (``run_cells``).
+    The student is scored against the one text ``attack.text_source``
+    names: encoded clean once (its accuracy, superclass confusion and clean
+    class means) and attacked once per nonzero epsilon (its robust accuracy
+    and adversarial similarity matrix); epsilon 0 is the clean pass itself.
+    With ``matrices_dir`` the teacher's passes join the student's, and all
+    of them run as independent cells (``run_cells``).
     """
     attack = attack or AttackConfig()
     passes = _eval_passes(model, teacher, test_data, eps_list, attack, matrices_dir is not None)

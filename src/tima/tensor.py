@@ -120,11 +120,6 @@ class Tensor:
         return Tensor(np.sum(self.data), (self,), "sum",
                       lambda g, i: np.full(self.shape, float(g)))
 
-    def mean(self) -> "Tensor":
-        n = self.data.size
-        return Tensor(np.mean(self.data), (self,), "mean",
-                      lambda g, i: np.full(self.shape, float(g) / n))
-
     # -- elementwise nonlinearities -------------------------------------------
 
     def exp(self) -> "Tensor":

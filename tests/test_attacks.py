@@ -94,6 +94,9 @@ ATTACK_CALLS = {
                                                              AttackConfig(eps=0.0)),
     "per_sample_ce": per_sample_ce,
     "pgd_steps": lambda model, text, x, y: pgd_steps(model, text, x, x, y, 2 / 255, 1 / 255, 2),
+    # no step is taken, but only after the labels pass
+    "pgd_steps_0_steps": lambda model, text, x, y: pgd_steps(model, text, x, x, y,
+                                                             2 / 255, 1 / 255, 0),
 }
 
 
@@ -156,6 +159,15 @@ class TestPgdAttack:
         cont = pgd_steps(self.model, self.text, self.x, mid, self.y, eps, step, 2)
         full = pgd_steps(self.model, self.text, self.x, self.x, self.y, eps, step, 5)
         assert np.array_equal(cont, full)
+
+    def test_no_steps_still_vets_the_text(self):
+        with pytest.raises(NotNormalized):
+            pgd_steps(self.model, 1.5 * self.text, self.x, self.x, self.y, 2 / 255, 1 / 255, 0)
+
+    def test_start_rows_must_match_the_center(self):
+        with pytest.raises(ShapeMismatch, match="start of shape"):
+            pgd_steps(self.model, self.text, self.x[:4], self.x[:3], self.y[:3],
+                      2 / 255, 1 / 255, 1)
 
     def test_attack_effectiveness(self):
         # PGD-10 raises the mean cross-entropy over the clean batch

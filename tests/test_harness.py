@@ -523,7 +523,7 @@ class TestSingleAttackPass:
         # each model's 3 batches are each attacked at eps 0, which returns the
         # clean images: no PGD step and no encoding beyond each model's clean
         # 128 + 128 + 44 rows; against the teacher's text the student's 3
-        # are scored against a text not its own
+        # are scored against a text not its own, clean and at eps 0 alike
         zero_attacks, steps, encoded = [], [], []
         original_grid, original_grad = attacks.pgd_grid, attacks._ce_input_grad
         original_encode = DualEncoder.encode_images
@@ -551,8 +551,22 @@ class TestSingleAttackPass:
         assert zero_attacks.count(False) == foreign
         assert steps == []
         assert encoded == [128, 128, 44] * 2
-        if text_source == "student":
-            assert report.robust_accuracy["0"] == report.clean_accuracy
+        assert report.robust_accuracy["0"] == report.clean_accuracy
+
+    def test_teacher_text_scores_the_clean_pass_too(self, tmp_path):
+        # a student whose own text swaps classes 0 and 2, of two superclasses:
+        # its clean and eps-0 numbers read the teacher's text, as every
+        # attacked batch does
+        student = self.student.clone()
+        student.class_table.data[[0, 2]] = student.class_table.data[[2, 0]]
+        attack = AttackConfig(steps=1, text_source="teacher")
+        report = evaluate(student, self.teacher, self.test, self.eps_list,
+                          attack=attack, matrices_dir=tmp_path)
+        assert eval_clean(student, self.test) != report.clean_accuracy
+        assert superclass_confusion(student, self.test) != report.superclass_confusion
+        assert report.robust_accuracy["0"] == report.clean_accuracy
+        assert report.clean_accuracy == robust_accuracy(
+            student, self.teacher, self.test, AttackConfig(eps=0.0, text_source="teacher"))
 
     @pytest.mark.usefixtures("one_worker")
     def test_training_and_evaluation_never_call_cosine_sim_matrix(self, tmp_path, monkeypatch):
@@ -632,11 +646,11 @@ class TestForkedPasses:
         # batch: the student's error comes first, in a worker as in-process
         original = harness.scored_batch
 
-        def scored_batch(encoder, text, x, y, cfgs, own_text=None):
+        def scored_batch(encoder, text, x, y, cfgs):
             if any(cfg.eps == 4 / 255 for cfg in cfgs):
                 who = "student" if encoder is self.student else "teacher"
                 raise AttackOutOfBounds(f"{who} pass at eps {4 / 255} failed")
-            return original(encoder, text, x, y, cfgs, own_text)
+            return original(encoder, text, x, y, cfgs)
 
         monkeypatch.setattr(harness, "scored_batch", scored_batch)
         raised = []

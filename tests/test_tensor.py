@@ -189,8 +189,8 @@ def _composition(seed):
         elif pick == 3:
             h = ((h * h + 0.1) / (h + 2.0)) @ Tensor(w2)
         else:
-            h = (h @ Tensor(w2)).tanh() - (h - h.mean())
-        return (h * h).mean()
+            h = (h @ Tensor(w2)).tanh() - (h - h.sum())
+        return (h * h).sum()
 
     return n, d, tape_fn
 
