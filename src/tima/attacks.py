@@ -43,8 +43,8 @@ class AttackConfig:
     def __post_init__(self):
         if not 0 <= self.eps < math.inf:
             raise InvalidConfig(f"eps must be finite and >= 0, got {self.eps}")
-        if self.steps < 0 or self.restarts < 0:
-            raise InvalidConfig("steps and restarts must be >= 0")
+        if min(self.steps, self.restarts, self.seed) < 0:
+            raise InvalidConfig("steps, restarts and seed must be >= 0")
         if self.steps > 0 and not 0 < self.step_size < math.inf:
             raise InvalidConfig(f"step_size must be finite and positive, got {self.step_size}")
         if self.text_source not in TEXT_SOURCES:
@@ -60,7 +60,11 @@ def _log_probs(z: Array, text: Array, tau: float) -> Array:
 def per_sample_ce(encoder, text_matrix: Array, x: Array, y: Array) -> Array:
     """Contrastive cross-entropy of each sample at the encoder's temperature."""
     text = _checked_text(encoder, text_matrix)
-    y = _check_labels(y, len(text), len(x))
+    return _ce(encoder, text, x, _check_labels(y, len(text), len(x)))
+
+
+def _ce(encoder, text: Array, x: Array, y: Array) -> Array:
+    """``per_sample_ce`` on text and labels vetted already."""
     log_p = _log_probs(encoder.encode_images(x).data, text, encoder.tau)
     return -log_p[np.arange(len(y)), y]
 
@@ -93,11 +97,20 @@ def _ascend(x: Array, sign: Array, step_size: float, lo: Array, hi: Array,
     return out
 
 
+def _same_bits(a: Array, b: Array) -> bool:
+    """Bit-identical float64 arrays: unlike ``==``, -0.0 is not 0.0."""
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def pgd_steps(encoder, text_matrix: Array, x_center: Array, x_start: Array,
               y: Array, eps: float, step_size: float, steps: int) -> Array:
     """The bare iteration, memoryless in x: running k steps and then k' more
     from the result equals a single (k+k')-step run. Its inputs are vetted
-    before any step, also when ``steps`` is 0."""
+    before any step, also when ``steps`` is 0. From the second step on, while
+    a step is left after it, a step that returns its start (a fixed point) or
+    the iterate before (a 2-cycle) ends the run with the iterate all
+    ``steps`` would reach. Compared iterates passed the gradient's leaf
+    check, so a NaN never ends a run."""
     x = np.array(x_start, dtype=np.float64)
     text = _checked_text(encoder, text_matrix)
     y = _check_labels(y, len(text), len(x))
@@ -105,9 +118,17 @@ def pgd_steps(encoder, text_matrix: Array, x_center: Array, x_start: Array,
         raise ShapeMismatch(f"start of shape {x.shape} for a center of shape "
                             f"{np.shape(x_center)}")
     lo, hi = _ball(x_center, eps)
-    for _ in range(steps):
+    prev = spare = None
+    for k in range(steps):
         grad = _ce_input_grad(encoder, text, x, y)[1]
-        _ascend(x, np.sign(grad, out=grad), step_size, lo, hi, out=x)
+        nxt = _ascend(x, np.sign(grad, out=grad), step_size, lo, hi, out=spare)
+        left = steps - 1 - k
+        if k and left:
+            if _same_bits(nxt, x):
+                return nxt
+            if _same_bits(nxt, prev):
+                return x if left % 2 else nxt
+        spare, prev, x = prev, x, nxt  # the iterate two steps back is free
     return x
 
 
@@ -206,9 +227,9 @@ def _strongest(encoder, text: Array, x: Array, y: Array, eps: float,
     ball of radius ``eps`` around ``x`` and in [0, 1]."""
     best_x = candidates[0]
     if len(candidates) > 1:
-        best_ce = per_sample_ce(encoder, text, best_x, y)
+        best_ce = _ce(encoder, text, best_x, y)
         for cand in candidates[1:]:
-            ce = per_sample_ce(encoder, text, cand, y)
+            ce = _ce(encoder, text, cand, y)
             better = ce > best_ce
             best_x = np.where(better[:, None], cand, best_x)
             best_ce = np.where(better, ce, best_ce)
@@ -259,8 +280,8 @@ def scored_batch(encoder, text_matrix: Array, x: Array, y: Array,
     (``np.argmax`` breaks ties toward the lowest index). The clean images
     are encoded once, by the grid's shared first step when it takes one.
     """
-    text = _checked_text(encoder, text_matrix)
-    grid = pgd_grid(encoder, text, x, y, cfgs)
+    grid = pgd_grid(encoder, text_matrix, x, y, cfgs)
+    text = np.asarray(text_matrix, dtype=np.float64)  # as pgd_grid vetted it
 
     def scored(z: Array) -> Tuple[Array, Array]:
         return np.argmax(z @ text.T, axis=1), z

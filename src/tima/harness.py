@@ -82,6 +82,8 @@ class TrainConfig:
             raise InvalidConfig(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise InvalidConfig(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
 
 
 class _Momentum:

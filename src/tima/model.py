@@ -51,6 +51,8 @@ class EncoderConfig:
             raise InvalidConfig(f"all dimensions must be >= 1: {self}")
         if self.embed_dim < 2:
             raise InvalidConfig(f"embed_dim must be >= 2, got {self.embed_dim}")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
 
 
 class ImagePass(NamedTuple):

@@ -13,6 +13,10 @@ elementary tape operations, which is how the package computed them before:
   which the fused ``losses.tima_loss`` and ``harness.contrastive_ce`` must
   match bit for bit in value and in every parameter gradient.
 
+``plain_pgd`` and ``plain_pgd_attack`` are PGD as the plain loop, which
+``attacks.pgd_steps``, ``pgd_attack`` and ``pgd_grid`` must match bit for bit
+however many steps they share or skip.
+
 ``add_rowvec`` and ``row_log_softmax`` are the two elementary row ops those
 compositions need beyond ``tima.tensor``; their op names are the ones the
 package's closed forms report in their errors.
@@ -224,3 +228,37 @@ def tape_contrastive_ce(model, x, y) -> Tensor:
     one_hot = np.zeros((n, c))
     one_hot[np.arange(n), y] = 1.0
     return (log_p * Tensor(one_hot, op="const")).sum() * (-1.0 / n)
+
+
+# -- the attack as a plain loop ----------------------------------------------------
+
+
+def plain_pgd(grad: Callable[[np.ndarray], np.ndarray], x_center, x_start,
+              eps: float, step_size: float, steps: int) -> np.ndarray:
+    """Every one of ``steps`` signed-gradient steps from ``x_start``, each
+    projected with ``np.clip`` into the l-inf ball of radius ``eps`` around
+    ``x_center``, cut to [0, 1]. ``grad(x)`` is the input gradient at ``x``."""
+    lo = np.maximum(x_center - eps, 0.0)
+    hi = np.minimum(x_center + eps, 1.0)
+    x = np.array(x_start, dtype=np.float64)
+    for _ in range(steps):
+        x = np.clip(x + step_size * np.sign(grad(x)), lo, hi)
+    return x
+
+
+def plain_pgd_attack(grad: Callable[[np.ndarray], np.ndarray],
+                     ce: Callable[[np.ndarray], np.ndarray], x, cfg) -> np.ndarray:
+    """``attacks.pgd_attack`` from ``plain_pgd`` runs: one from ``x``, one from
+    each of ``cfg.restarts`` seeded uniform points of the ball, and per sample
+    the run with the highest cross-entropy ``ce`` (the earliest on ties)."""
+    x = np.asarray(x, dtype=np.float64)
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xAD)))
+    starts = [x] + [np.clip(x + rng.uniform(-cfg.eps, cfg.eps, size=x.shape), 0.0, 1.0)
+                    for _ in range(cfg.restarts)]
+    runs = [plain_pgd(grad, x, start, cfg.eps, cfg.step_size, cfg.steps) for start in starts]
+    best, best_ce = runs[0], ce(runs[0])
+    for run in runs[1:]:
+        run_ce = ce(run)
+        best = np.where((run_ce > best_ce)[:, None], run, best)
+        best_ce = np.maximum(best_ce, run_ce)
+    return best

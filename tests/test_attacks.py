@@ -28,10 +28,11 @@ from tima.errors import (
     NotNormalized,
     ShapeMismatch,
 )
+from tima.harness import pretrain_clean
 from tima.model import DualEncoder, EncoderConfig, init_model, snapshot_teacher
 from tima.tensor import Tensor, log_softmax_forward
 
-from oracles import finite_diff_grad, tape_ce_input_grad
+from oracles import finite_diff_grad, plain_pgd, plain_pgd_attack, tape_ce_input_grad
 
 
 def linear_encoder(w, tau=1.0):
@@ -55,6 +56,10 @@ def toy_batch(seed=0, n=12):
     return x, y
 
 
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestAttackConfig:
     def test_defaults_follow_eval_protocol(self):
         cfg = AttackConfig()
@@ -69,6 +74,11 @@ class TestAttackConfig:
             AttackConfig(restarts=-1)
         with pytest.raises(InvalidConfig):
             AttackConfig(text_source="both")
+
+    def test_negative_seed_rejected(self):
+        # before a restart hands it to SeedSequence
+        with pytest.raises(InvalidConfig, match="seed"):
+            AttackConfig(eps=4 / 255, steps=3, restarts=1, seed=-1)
 
     @pytest.mark.parametrize("field", ["eps", "step_size"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -188,12 +198,13 @@ class TestPgdAttack:
 
     def test_single_candidate_skips_scoring(self, monkeypatch):
         def no_scoring(*args):
-            raise AssertionError("per_sample_ce called with a single candidate")
+            raise AssertionError("a single candidate was scored")
 
         cfg = AttackConfig(eps=4 / 255, step_size=1 / 255, steps=3, restarts=0)
         expected = pgd_steps(self.model, self.text, self.x, self.x, self.y,
                              cfg.eps, cfg.step_size, cfg.steps)
         monkeypatch.setattr(attacks, "per_sample_ce", no_scoring)
+        monkeypatch.setattr(attacks, "_ce", no_scoring)
         assert np.array_equal(pgd_attack(self.model, self.text, self.x, self.y, cfg), expected)
 
     @pytest.mark.parametrize("restarts", [0, 1])
@@ -254,16 +265,21 @@ def grid_cfgs(grid, steps=10, restarts=0):
             for eps, step in GRIDS[grid]]
 
 
-def count_gradients(monkeypatch):
+def count_calls(monkeypatch, name):
+    """Record every call of ``attacks.<name>`` and pass it through."""
     calls = []
-    original = attacks._ce_input_grad
+    original = getattr(attacks, name)
 
     def spy(*args):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(attacks, "_ce_input_grad", spy)
+    monkeypatch.setattr(attacks, name, spy)
     return calls
+
+
+def count_gradients(monkeypatch):
+    return count_calls(monkeypatch, "_ce_input_grad")
 
 
 class TestPgdGrid:
@@ -330,6 +346,181 @@ class TestPgdGrid:
         model, text, _, x, y = grid_case("")
         with pytest.raises(NotNormalized):
             pgd_attack(model, 2.0 * text, x, y, AttackConfig(eps=0.0))
+
+
+@functools.lru_cache(maxsize=None)
+def pretrained_case(rows: int = 32):
+    """An encoder of the shipped recipe with one hidden layer of 32 (seed
+    11), pretrained 3 epochs on 500 images, its class text, and the first
+    ``rows`` test images with their labels. Its PGD runs settle: the
+    10-step run at 1/255 reaches a fixed point or a 2-cycle early."""
+    cfg = parse_config("hidden_dims = 32\npretrain_epochs = 3\ntrain_count = 500\n").with_seed(11)
+    train, test = generate_synthetic(cfg.synthetic_spec())
+    model, _ = pretrain_clean(init_model(cfg.encoder_config(), tau=cfg["tau"]), train,
+                              cfg.pretrain_config())
+    return model, model.encode_classes().data, test.images[:rows], test.labels[:rows]
+
+
+CLOSED_FORM_GRAD = attacks._ce_input_grad
+
+
+def oracle_of(model, text, y):
+    """The plain loop's gradient and cross-entropy on ``model``'s batch."""
+    checked = attacks._checked_text(model, text)
+    return (lambda v: CLOSED_FORM_GRAD(model, checked, v, y)[1],
+            lambda v: per_sample_ce(model, text, v, y))
+
+
+def gradients_until_repeat(grad, x, eps, step, steps):
+    """The gradient evaluations of one ``pgd_steps`` run from ``x``: the plain
+    loop's iterates cut at the first step k >= 1, with a step left after it,
+    whose result repeats iterate k or k - 1."""
+    its = [x]
+    for _ in range(steps):
+        its.append(plain_pgd(grad, x, its[-1], eps, step, 1))
+    for k in range(1, steps - 1):
+        if same_bits(its[k + 1], its[k]) or same_bits(its[k + 1], its[k - 1]):
+            return k + 1
+    return steps
+
+
+class TestRepeatExit:
+    """pgd_steps ends a run once its iterate repeats exactly, and returns
+    the bits the plain loop of every step reaches."""
+
+    @given(st.lists(st.sampled_from([1 / 255, 2 / 255, 4 / 255]), min_size=1, max_size=3),
+           st.integers(min_value=0, max_value=30),
+           st.integers(min_value=0, max_value=2),
+           st.integers(min_value=0, max_value=1000))
+    @settings(max_examples=25, deadline=None)
+    def test_equals_the_plain_loop(self, eps_list, steps, restarts, seed):
+        model, text, x, y = pretrained_case()
+        grad, ce = oracle_of(model, text, y)
+        cfgs = [AttackConfig(eps=eps, step_size=1 / 255, steps=steps, restarts=restarts,
+                             seed=seed) for eps in eps_list]
+        expected = [plain_pgd_attack(grad, ce, x, cfg) for cfg in cfgs]
+        adv = pgd_grid(model, text, x, y, cfgs).adv
+        assert all(same_bits(a, b) for a, b in zip(adv, expected, strict=True))
+        for cfg, want in zip(cfgs, expected):
+            assert same_bits(pgd_attack(model, text, x, y, cfg), want)
+            assert same_bits(pgd_steps(model, text, x, x, y, cfg.eps, 1 / 255, steps),
+                             plain_pgd(grad, x, x, cfg.eps, 1 / 255, steps))
+
+    def test_a_converging_run_stops_at_its_first_repeat(self, monkeypatch):
+        model, text, x, y = pretrained_case()
+        grad, _ = oracle_of(model, text, y)
+        expected = gradients_until_repeat(grad, x, 1 / 255, 1 / 255, 10)
+        calls = count_gradients(monkeypatch)
+        got = pgd_steps(model, text, x, x, y, 1 / 255, 1 / 255, 10)
+        assert len(calls) == expected < 10
+        assert same_bits(got, plain_pgd(grad, x, x, 1 / 255, 1 / 255, 10))
+
+    def test_the_training_attack_compares_nothing(self, monkeypatch):
+        model, text, x, y = pretrained_case()
+        attack = parse_config("").finetune_config().train_attack
+        calls = count_gradients(monkeypatch)
+        compared = count_calls(monkeypatch, "_same_bits")
+        pgd_attack(model, text, x, y, attack)
+        assert (len(calls), len(compared)) == (attack.steps, 0) == (2, 0)
+
+    def test_iterates_compare_by_bits(self):
+        # a value comparison would take -0.0 for a repeat of 0.0
+        assert not attacks._same_bits(np.array([-0.0, 0.5]), np.array([0.0, 0.5]))
+        assert attacks._same_bits(np.array([0.0, 0.5]), np.array([0.0, 0.5]))
+
+    # a synthetic input gradient: step 1/255 is more than twice eps, so every
+    # coordinate the sign moves lands on a face of the ball
+    EPS = 0.4 / 255
+
+    def synthetic(self, monkeypatch, rule):
+        """Make the attack's input gradient ``rule(x, hi)``, after the real
+        gradient's leaf check; returns the rule as the plain loop's gradient
+        and the list of the attack's gradient calls."""
+        model = toy_model()
+        x, y = toy_batch()
+        text = model.encode_classes().data
+        hi = np.minimum(x + self.EPS, 1.0)
+        calls = []
+
+        def grad(v):
+            CLOSED_FORM_GRAD(model, text, v, y)
+            return rule(v, hi)
+
+        def counted(*args):
+            calls.append(1)
+            return None, grad(args[2])
+
+        monkeypatch.setattr(attacks, "_ce_input_grad", counted)
+        return model, text, x, y, grad, calls
+
+    @staticmethod
+    def to_the_top(x, hi):
+        return np.ones_like(x)
+
+    @staticmethod
+    def column_0_bounces(x, hi):
+        # column 0 alternates between the faces, the others stay on top
+        g = np.ones_like(x)
+        g[:, 0] = np.where(x[:, 0] >= hi[:, 0], -1.0, 1.0)
+        return g
+
+    # (rule, steps, gradient evaluations): x_1 = top; the fixed point repeats
+    # it at step 1, and the 2-cycle x_1, x_2, x_3 = x_1 closes at step 2 with
+    # an even (5 steps) or odd (6 steps) number of steps left
+    @pytest.mark.parametrize("rule, steps, gradients", [
+        ("to_the_top", 10, 2), ("column_0_bounces", 5, 3), ("column_0_bounces", 6, 3),
+        ("to_the_top", 2, 2), ("column_0_bounces", 3, 3),
+    ])
+    def test_forced_repeats(self, monkeypatch, rule, steps, gradients):
+        model, text, x, y, grad, calls = self.synthetic(monkeypatch, getattr(self, rule))
+        want = plain_pgd(grad, x, x, self.EPS, 1 / 255, steps)
+        assert same_bits(pgd_steps(model, text, x, x, y, self.EPS, 1 / 255, steps), want)
+        assert len(calls) == gradients
+        cfg = AttackConfig(eps=self.EPS, step_size=1 / 255, steps=steps)
+        assert same_bits(pgd_attack(model, text, x, y, cfg), want)
+
+    @staticmethod
+    def nan_on_top(x, hi):
+        # a fixed point at the top, were the gradient there not NaN
+        return np.where(x >= hi, np.nan, 1.0)
+
+    def test_a_nan_gradient_with_steps_left_fails_the_leaf_check(self, monkeypatch):
+        model, text, x, y, grad, calls = self.synthetic(monkeypatch, self.nan_on_top)
+        with pytest.raises(NonFiniteValue) as got:
+            pgd_attack(model, text, x, y, AttackConfig(eps=self.EPS, steps=5))
+        with pytest.raises(NonFiniteValue) as want:
+            plain_pgd(grad, x, x, self.EPS, 1 / 255, 5)
+        assert (str(got.value), len(calls)) == (str(want.value), 3)
+
+    def test_a_nan_gradient_on_the_last_step_leaves_the_ball(self, monkeypatch):
+        model, text, x, y, grad, _ = self.synthetic(monkeypatch, self.nan_on_top)
+        got = pgd_steps(model, text, x, x, y, self.EPS, 1 / 255, 2)
+        assert np.array_equal(got, plain_pgd(grad, x, x, self.EPS, 1 / 255, 2), equal_nan=True)
+        assert np.isnan(got).all()
+        with pytest.raises(AttackOutOfBounds):
+            pgd_attack(model, text, x, y, AttackConfig(eps=self.EPS, steps=2))
+
+
+# entry point -> the times one call vets its text: pgd_grid once, and each
+# run pgd_grid leaves alone once more in pgd_steps
+TEXT_VETS = {
+    "pgd_attack 2 steps": (lambda m, t, x, y: pgd_attack(m, t, x, y, AttackConfig(steps=2)), 2),
+    "pgd_attack restarts=2": (lambda m, t, x, y: pgd_attack(
+        m, t, x, y, AttackConfig(eps=4 / 255, steps=2, restarts=2)), 4),
+    "scored_batch one eps": (lambda m, t, x, y: attacks.scored_batch(
+        m, t, x, y, [AttackConfig(eps=4 / 255)]), 2),
+    "scored_batch default grid": (lambda m, t, x, y: attacks.scored_batch(
+        m, t, x, y, grid_cfgs("default")), 4),
+}
+
+
+@pytest.mark.parametrize("call", sorted(TEXT_VETS))
+def test_text_vetted_once_per_entry_and_lone_run(monkeypatch, call):
+    model, text, _, x, y = grid_case("128")
+    attack, vets = TEXT_VETS[call]
+    calls = count_calls(monkeypatch, "_checked_text")
+    attack(model, text, x, y)
+    assert len(calls) == vets
 
 
 class TestRobustAccuracy:
@@ -425,12 +616,8 @@ class TestClosedFormInputGradient:
 
     def test_pgd_steps_matches_tape_iteration(self):
         model, text, x, y = grad_case((5,), 0.1)
-        eps, step = 4 / 255, 1 / 255
-        ref = x.copy()
-        lo, hi = np.maximum(x - eps, 0.0), np.minimum(x + eps, 1.0)
-        for _ in range(4):
-            ref = np.clip(ref + step * np.sign(tape_ce_input_grad(model, text, ref, y)), lo, hi)
-        assert np.array_equal(pgd_steps(model, text, x, x, y, eps, step, 4), ref)
+        ref = plain_pgd(lambda v: tape_ce_input_grad(model, text, v, y), x, x, 4 / 255, 1 / 255, 4)
+        assert same_bits(pgd_steps(model, text, x, x, y, 4 / 255, 1 / 255, 4), ref)
 
     def test_against_finite_differences(self):
         model, text, x, y = grad_case((5,), 1.0, n=3)

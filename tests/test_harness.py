@@ -81,6 +81,12 @@ def test_train_config_rejects_bad_learning_rate(lr):
         fast_train_cfg(learning_rate=lr)
 
 
+def test_train_config_rejects_a_negative_seed():
+    # before any batch is drawn from SeedSequence((seed, stream))
+    with pytest.raises(InvalidConfig, match="seed"):
+        fast_train_cfg(seed=-1)
+
+
 class TestPretrain:
     def test_loss_non_increasing_early(self):
         train, _ = small_data()

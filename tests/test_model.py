@@ -56,6 +56,11 @@ class TestInit:
         with pytest.raises(InvalidConfig):
             EncoderConfig(input_dim=6, hidden_dims=(5,), embed_dim=1, num_classes=3)
 
+    def test_negative_seed_rejected(self):
+        # before init_model hands it to default_rng
+        with pytest.raises(InvalidConfig, match="seed"):
+            EncoderConfig(input_dim=6, hidden_dims=(5,), embed_dim=4, num_classes=3, seed=-1)
+
 
 class TestEncode:
     def setup_method(self):
