@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -264,8 +264,8 @@ def attack_text(model, teacher, cfg: AttackConfig, student_text=None) -> Array:
     return (model.encode_classes() if student_text is None else student_text).data
 
 
-# rows per batch of ``scored_pass`` and evaluation; each attacked batch is
-# seeded ``attack.seed + offset``, so this size is part of every robust number
+# rows per job of ``scored_passes``; each attacked batch is seeded
+# ``cfg.seed + offset``, so this size is part of every robust number
 SCORE_BATCH = 128
 
 
@@ -291,31 +291,50 @@ def scored_batch(encoder, text_matrix: Array, x: Array, y: Array,
                       for cfg, adv in zip(cfgs, grid.adv)]
 
 
-def join_batches(scored: Sequence[Tuple[Array, Array]], dataset,
-                 embed_dim: int) -> Tuple[Array, Array]:
-    """One pass over ``dataset`` from its batches' ``scored_batch`` pairs, in
-    dataset order: every sample's prediction and the per-class sums of the
-    embeddings. One ``np.add.at`` over the joined rows adds, in the same
-    order, exactly what one call per batch would."""
-    preds = np.concatenate([np.zeros(0, dtype=np.int64)] + [p for p, _ in scored])
-    z = np.concatenate([np.zeros((0, embed_dim))] + [z for _, z in scored])
-    sums = np.zeros((dataset.num_classes, embed_dim))
-    np.add.at(sums, dataset.labels, z)
-    return preds, sums
+def scored_passes(models: Sequence[Tuple[object, Array]], dataset, cfgs: Sequence[AttackConfig],
+                  run: Callable = map) -> List[List[Tuple[Array, Array]]]:
+    """Every sample of ``dataset`` scored by each ``(encoder, text)`` of
+    ``models``, clean and under every config of ``cfgs``: one ``scored_batch``
+    job per (model, ``SCORE_BATCH``-row batch), each config seeded
+    ``cfg.seed + offset``. The jobs go to ``run`` (as ``map``) in model order,
+    then batch order; ``harness`` lends its worker processes this way.
+
+    Per model, returns the clean pass, then one pass per config. A pass is
+    every sample's prediction and the per-class sums of the embeddings, in
+    dataset order: one ``np.add.at`` over the joined rows adds, in the same
+    order, exactly what one call per batch would.
+    """
+    offsets = range(0, dataset.num_samples, SCORE_BATCH)
+
+    def job(item):
+        i, lo = item
+        encoder, text = models[i]
+        return scored_batch(encoder, text, dataset.images[lo:lo + SCORE_BATCH],
+                            dataset.labels[lo:lo + SCORE_BATCH],
+                            [dataclasses.replace(cfg, seed=cfg.seed + lo) for cfg in cfgs])
+
+    batches = iter(run(job, [(i, lo) for i in range(len(models)) for lo in offsets]))
+    passes = []
+    for encoder, _ in models:
+        scored = [next(batches) for _ in offsets]
+        dim = encoder.cfg.embed_dim
+        passes.append([])
+        for k in range(1 + len(cfgs)):
+            preds = np.concatenate([np.zeros(0, dtype=np.int64)] + [b[k][0] for b in scored])
+            z = np.concatenate([np.zeros((0, dim))] + [b[k][1] for b in scored])
+            sums = np.zeros((dataset.num_classes, dim))
+            np.add.at(sums, dataset.labels, z)
+            passes[-1].append((preds, sums))
+    return passes
 
 
-def scored_pass(encoder, text_matrix: Array, dataset,
-                attack: AttackConfig | None = None) -> Tuple[Array, Array]:
-    """Score every sample of ``dataset`` once against ``text_matrix``,
-    ``SCORE_BATCH`` rows at a time, clean or, with ``attack``, attacked once
-    per batch, seeded ``attack.seed + offset``. Returns ``join_batches``'
-    predictions and per-class embedding sums."""
-    scored = []
-    for lo in range(0, dataset.num_samples, SCORE_BATCH):
-        cfgs = [] if attack is None else [dataclasses.replace(attack, seed=attack.seed + lo)]
-        scored.append(scored_batch(encoder, text_matrix, dataset.images[lo:lo + SCORE_BATCH],
-                                   dataset.labels[lo:lo + SCORE_BATCH], cfgs)[-1])
-    return join_batches(scored, dataset, encoder.cfg.embed_dim)
+def _check_classes(dataset, encoders: Dict[str, object]) -> None:
+    """Reject a test set whose class count differs from any of ``encoders``'
+    (keyed by how the error names them), before any job runs."""
+    for who, encoder in encoders.items():
+        if encoder.cfg.num_classes != dataset.num_classes:
+            raise ShapeMismatch(f"the test set has {dataset.num_classes} classes, "
+                                f"the {who} {encoder.cfg.num_classes}")
 
 
 def _accuracy(preds: Array, labels: Array) -> float:
@@ -332,5 +351,6 @@ def robust_accuracy(model, teacher, dataset, cfg: AttackConfig | None = None) ->
     model end-to-end, "teacher" pins the frozen text embeddings.
     """
     cfg = cfg or AttackConfig()
-    return _accuracy(scored_pass(model, attack_text(model, teacher, cfg), dataset, cfg)[0],
-                     dataset.labels)
+    _check_classes(dataset, {"model": model})
+    return _accuracy(scored_passes([(model, attack_text(model, teacher, cfg))], dataset,
+                                   [cfg])[0][1][0], dataset.labels)

@@ -143,7 +143,8 @@ def save_dataset(d: Dataset, path) -> None:
                          d.num_classes, num_supers, d.image_side, d.num_samples)
     supers = d.superclass_of.astype("<u2").tobytes()
     labels = d.labels.astype("<u2").tobytes()
-    pixels = np.round(d.images * 255.0).astype(np.uint8).tobytes()
+    scaled = np.multiply(d.images, 255.0)  # quantized in place: one float64 temporary
+    pixels = np.round(scaled, out=scaled).astype(np.uint8).tobytes()
     write_atomic(path, header + supers + labels + pixels, "dataset")
 
 

@@ -16,19 +16,17 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .attacks import (
-    SCORE_BATCH,
     AttackConfig,
     _accuracy,
+    _check_classes,
     attack_text,
-    join_batches,
     pgd_attack,
-    scored_batch,
-    scored_pass,
+    scored_passes,
 )
 from .data import Dataset, generate_synthetic
 from .errors import (
@@ -36,7 +34,6 @@ from .errors import (
     InvalidConfig,
     InvalidVariant,
     ReportSchemaError,
-    ShapeMismatch,
     TooFewClasses,
     WorkerDied,
 )
@@ -312,10 +309,16 @@ def _superclass_counts(preds: Array, test_data: Dataset) -> List[List[int]]:
     return counts.tolist()
 
 
+def _clean_preds(model: DualEncoder, test_data: Dataset) -> Array:
+    """Every test sample's clean prediction against the model's own text,
+    scored as ``run_cells`` jobs."""
+    _check_classes(test_data, {"model": model})
+    return scored_passes([(model, model.encode_classes().data)], test_data, [], run_cells)[0][0][0]
+
+
 def eval_clean(model: DualEncoder, test_data: Dataset) -> float:
     """Fraction classified correctly on clean images (nearest text embedding)."""
-    return _accuracy(scored_pass(model, model.encode_classes().data, test_data)[0],
-                     test_data.labels)
+    return _accuracy(_clean_preds(model, test_data), test_data.labels)
 
 
 def interclass_stats(t) -> Tuple[float, float]:
@@ -332,8 +335,7 @@ def interclass_stats(t) -> Tuple[float, float]:
 
 def superclass_confusion(model: DualEncoder, test_data: Dataset) -> List[List[int]]:
     """Counts of (true superclass, predicted superclass) on clean images."""
-    return _superclass_counts(scored_pass(model, model.encode_classes().data, test_data)[0],
-                              test_data)
+    return _superclass_counts(_clean_preds(model, test_data), test_data)
 
 
 # -- similarity-matrix diagnostics ---------------------------------------------
@@ -361,116 +363,13 @@ def eps_tag(eps_text: str) -> str:
     return eps_text.replace("/", "_")
 
 
-class _ModelPass(NamedTuple):
-    """One model over the test set: the ``(preds, sums)`` of ``join_batches``
-    on the clean images, and per epsilon text on the attacked ones."""
-
-    clean: Tuple[Array, Array]
-    adv: Dict[str, Tuple[Array, Array]]
-
-
-def _model_passes(models: Sequence[Tuple[DualEncoder, Array]], test_data: Dataset,
-                  attacks: Dict[str, AttackConfig]) -> List[_ModelPass]:
-    """Every scoring pass of ``models``, run as the cells of one ``run_cells``:
-    one cell per (model, ``SCORE_BATCH``-row batch).
-
-    Each model is ``(encoder, text)``; ``attacks`` maps each epsilon text to
-    its attack. A cell scores its batch with one ``scored_batch`` call
-    against ``text``: clean and under every distinct attack of ``attacks``,
-    seeded ``attack.seed + offset``. The cells run in model order, then
-    batch order, and each pass joins its batches in dataset order.
-    """
-    grid = list(dict.fromkeys(attacks.values()))
-    offsets = range(0, test_data.num_samples, SCORE_BATCH)
-    jobs = [(i, lo) for i in range(len(models)) for lo in offsets]
-
-    def run(job):
-        i, lo = job
-        encoder, text = models[i]
-        cfgs = [dataclasses.replace(cfg, seed=cfg.seed + lo) for cfg in grid]
-        return scored_batch(encoder, text, test_data.images[lo:lo + SCORE_BATCH],
-                            test_data.labels[lo:lo + SCORE_BATCH], cfgs)
-
-    cells = iter(run_cells(run, jobs))
-    passes = []
-    for encoder, _ in models:
-        batches = [next(cells) for _ in offsets]
-        clean, *adv = (join_batches([batch[k] for batch in batches], test_data,
-                                    encoder.cfg.embed_dim) for k in range(1 + len(grid)))
-        by_cfg = dict(zip(grid, adv))
-        passes.append(_ModelPass(clean, {t: by_cfg[cfg] for t, cfg in attacks.items()}))
-    return passes
-
-
-def _check_test_set(test_data: Dataset, encoders: Dict[str, DualEncoder],
-                    every_class: bool) -> None:
-    """Reject, before any pass runs, a test set whose class count differs
-    from an encoder's, or, when ``every_class``, with a class no sample has."""
-    for who, encoder in encoders.items():
-        if encoder.cfg.num_classes != test_data.num_classes:
-            raise ShapeMismatch(f"the test set has {test_data.num_classes} classes, "
-                                f"the {who} model {encoder.cfg.num_classes}")
-    if every_class:
-        missing = np.flatnonzero(np.bincount(test_data.labels,
-                                             minlength=test_data.num_classes) == 0)
-        if len(missing):
-            raise EmptyDataset(f"the test set has no sample of classes {missing.tolist()}; "
-                               f"every class needs one for the similarity matrices")
-
-
-def _eval_passes(model: DualEncoder, teacher: TeacherSnapshot, test_data: Dataset,
-                 eps_list: Sequence[Tuple[str, float]], attack: AttackConfig,
-                 matrices: bool) -> List[_ModelPass]:
-    """The student's passes, clean and attacked against the text
-    ``attack.text_source`` names, then, with ``matrices``, the teacher's,
-    against its own text."""
-    _check_test_set(test_data, {"student": model, "teacher": teacher.model}, matrices)
-    models = [(model, attack_text(model, teacher, attack))]
-    if matrices:
-        models.append((teacher.model, teacher.t_hat))
-    attacks = {eps_text: dataclasses.replace(attack, eps=eps) for eps_text, eps in eps_list}
-    return _model_passes(models, test_data, attacks)
-
-
-def _write_matrices(out_dir, model: DualEncoder, teacher: TeacherSnapshot, student: _ModelPass,
-                    teacher_pass: _ModelPass, test_data: Dataset,
-                    eps_list: Sequence[Tuple[str, float]]) -> Dict[str, Dict[str, str]]:
-    """The matrices of ``export_similarity_matrices``, from the student's pass
-    ``student`` and the teacher's pass ``teacher_pass``."""
-    out_dir = make_dir(out_dir)
-    manifest: Dict[str, Dict[str, str]] = {}
-
-    def emit(name: str, matrix: Array) -> None:
-        _write_csv(matrix, out_dir / f"{name}.csv")
-        _write_pgm(matrix, out_dir / f"{name}.pgm")
-        manifest[name] = {"csv": f"{name}.csv", "pgm": f"{name}.pgm"}
-
-    for who, text, run in (("student", model.encode_classes().data, student),
-                           ("teacher", teacher.t_hat, teacher_pass)):
-        emit(f"{who}_text_text", text @ text.T)
-        emit(f"{who}_image_text", _class_means(run.clean[1], test_data.labels) @ text.T)
-        for eps_text, _ in eps_list:
-            adv_means = _class_means(run.adv[eps_text][1], test_data.labels)
-            emit(f"{who}_adv_adv_eps_{eps_tag(eps_text)}", adv_means @ adv_means.T)
-    return manifest
-
-
 def export_similarity_matrices(model: DualEncoder, teacher: TeacherSnapshot,
                                test_data: Dataset, eps_list: Sequence[Tuple[str, float]],
                                out_dir, attack: Optional[AttackConfig] = None
                                ) -> Dict[str, Dict[str, str]]:
-    """Write class-level cosine-similarity matrices as CSV + PGM heatmaps.
-
-    For both the student and the frozen teacher: text-text, clean
-    image-text (per-class mean image embedding vs class text), and one
-    adversarial image-image matrix per epsilon. The student is scored and
-    attacked against the text ``attack.text_source`` names, the teacher
-    against its own. Returns a manifest of relative file paths keyed by
-    matrix name.
-    """
-    attack = attack or AttackConfig()
-    student, teacher_pass = _eval_passes(model, teacher, test_data, eps_list, attack, True)
-    return _write_matrices(out_dir, model, teacher, student, teacher_pass, test_data, eps_list)
+    """Write class-level cosine-similarity matrices as CSV + PGM heatmaps:
+    the matrices ``evaluate`` writes under ``out_dir``, which it returns."""
+    return evaluate(model, teacher, test_data, eps_list, attack, matrices_dir=out_dir).matrices
 
 
 # -- reports --------------------------------------------------------------------
@@ -538,27 +437,61 @@ def evaluate(model: DualEncoder, teacher: TeacherSnapshot, test_data: Dataset,
     names: encoded clean once (its accuracy, superclass confusion and clean
     class means) and attacked once per nonzero epsilon (its robust accuracy
     and adversarial similarity matrix); epsilon 0 is the clean pass itself.
-    With ``matrices_dir`` the teacher's passes join the student's, and all
-    of them run as independent cells (``run_cells``).
+    A test set whose class count differs from either model's is rejected
+    before any pass runs.
+
+    With ``matrices_dir`` the teacher's passes, against its own text, join
+    the student's, and class-level cosine-similarity matrices are written
+    there as CSV + PGM heatmaps: for both models, text-text, clean
+    image-text (per-class mean image embedding vs class text), and one
+    adversarial image-image matrix per epsilon. Every class then needs a
+    test sample. ``matrices`` is a manifest of relative file paths keyed by
+    matrix name. Every pass runs as ``run_cells`` jobs.
     """
     attack = attack or AttackConfig()
-    passes = _eval_passes(model, teacher, test_data, eps_list, attack, matrices_dir is not None)
-    student = passes[0]
-    clean = _accuracy(student.clean[0], test_data.labels)
-    robust = {eps_text: _accuracy(preds, test_data.labels)
-              for eps_text, (preds, _) in student.adv.items()}
-    s_min, s_mean = interclass_stats(model.encode_classes().data)
-    t_min, t_mean = interclass_stats(teacher.t_hat)
-    matrices = {}
+    _check_classes(test_data, {"student model": model, "teacher model": teacher.model})
+    missing = np.flatnonzero(np.bincount(test_data.labels, minlength=test_data.num_classes) == 0)
+    if matrices_dir is not None and len(missing):
+        raise EmptyDataset(f"the test set has no sample of classes {missing.tolist()}; "
+                           f"every class needs one for the similarity matrices")
+    student_text = model.encode_classes()
+    models = [(model, attack_text(model, teacher, attack, student_text))]
     if matrices_dir is not None:
-        matrices = _write_matrices(matrices_dir, model, teacher, student, passes[1], test_data,
-                                   eps_list)
+        models.append((teacher.model, teacher.t_hat))
+    attacks = {eps_text: dataclasses.replace(attack, eps=eps) for eps_text, eps in eps_list}
+    grid = list(dict.fromkeys(attacks.values()))
+    passes = []  # per model: the clean pass and one pass per epsilon text
+    for clean_pass, *adv in scored_passes(models, test_data, grid, run_cells):
+        by_cfg = dict(zip(grid, adv))
+        passes.append((clean_pass, {eps_text: by_cfg[cfg] for eps_text, cfg in attacks.items()}))
+    (clean_preds, _), student_adv = passes[0]
+    labels = test_data.labels
+    clean = _accuracy(clean_preds, labels)
+    robust = {eps_text: _accuracy(preds, labels) for eps_text, (preds, _) in student_adv.items()}
+    s_min, s_mean = interclass_stats(student_text)
+    t_min, t_mean = interclass_stats(teacher.t_hat)
+    matrices: Dict[str, Dict[str, str]] = {}
+    if matrices_dir is not None:
+        out_dir = make_dir(matrices_dir)
+
+        def emit(name: str, matrix: Array) -> None:
+            _write_csv(matrix, out_dir / f"{name}.csv")
+            _write_pgm(matrix, out_dir / f"{name}.pgm")
+            matrices[name] = {"csv": f"{name}.csv", "pgm": f"{name}.pgm"}
+
+        for who, text, ((_, clean_sums), adv) in zip(("student", "teacher"),
+                                                      (student_text.data, teacher.t_hat), passes):
+            emit(f"{who}_text_text", text @ text.T)
+            emit(f"{who}_image_text", _class_means(clean_sums, labels) @ text.T)
+            for eps_text, _ in eps_list:
+                means = _class_means(adv[eps_text][1], labels)
+                emit(f"{who}_adv_adv_eps_{eps_tag(eps_text)}", means @ means.T)
     return EvalReport(
         clean_accuracy=clean,
         robust_accuracy=robust,
         text_min_distance={"student": s_min, "teacher": t_min},
         text_mean_distance={"student": s_mean, "teacher": t_mean},
-        superclass_confusion=_superclass_counts(student.clean[0], test_data),
+        superclass_confusion=_superclass_counts(clean_preds, test_data),
         matrices=matrices,
         config=dict(config_echo or {}),
         seed=seed,

@@ -13,7 +13,7 @@ from tima.attacks import (
     pgd_grid,
     pgd_steps,
     robust_accuracy,
-    scored_pass,
+    scored_passes,
 )
 from tima.config import parse_config
 from tima.data import Dataset, SyntheticSpec, generate_synthetic
@@ -559,23 +559,34 @@ class TestRobustAccuracy:
 
     def test_equals_the_mean_of_the_pass_predictions(self):
         cfg = AttackConfig(eps=4 / 255, steps=2, seed=5)
-        preds, _ = scored_pass(self.model, self.model.encode_classes().data, self.test, cfg)
+        [[_, (preds, _)]] = scored_passes([(self.model, self.model.encode_classes().data)],
+                                          self.test, [cfg])
         assert robust_accuracy(self.model, self.teacher, self.test, cfg) == \
             np.mean(preds == self.test.labels)
 
     def test_eps_zero_pass_is_the_clean_pass(self):
         # against the model's own text the eps-0 attack returns the clean images
-        text = self.model.encode_classes().data
-        clean = scored_pass(self.model, text, self.test)
-        zero = scored_pass(self.model, text, self.test, AttackConfig(eps=0.0))
+        models = [(self.model, self.model.encode_classes().data)]
+        [[clean]] = scored_passes(models, self.test, [])
+        [[_, zero]] = scored_passes(models, self.test, [AttackConfig(eps=0.0)])
         assert np.array_equal(clean[0], zero[0]) and np.array_equal(clean[1], zero[1])
+
+    def test_other_class_count_rejected_before_any_job(self, monkeypatch):
+        # an 8-class model on a 4-class test set: labels and predictions
+        # disagree silently unless the class counts are compared first
+        four = dataclasses.replace(self.test, labels=self.test.labels % 4,
+                                   superclass_of=self.test.superclass_of[:4])
+        jobs = count_calls(monkeypatch, "scored_batch")
+        with pytest.raises(ShapeMismatch, match="^the test set has 4 classes, the model 8$"):
+            robust_accuracy(self.model, self.teacher, four, AttackConfig(steps=1))
+        assert jobs == []
 
     def test_classify_ties_break_low(self):
         encoder = linear_encoder(np.eye(2))
         text = np.array([[1.0, 0.0], [1.0, 0.0]])  # identical rows: tie
         one = Dataset(images=np.array([[0.5, 0.0]]), labels=np.array([1]),
                       superclass_of=np.array([0, 0]), image_side=1)
-        preds, _ = scored_pass(encoder, text, one)
+        [[(preds, _)]] = scored_passes([(encoder, text)], one, [])
         assert preds[0] == 0
 
 

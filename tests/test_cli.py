@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from tima import harness
+from tima import attacks, harness
 from tima.attacks import robust_accuracy
 from tima.cli import main
 from tima.config import load_config
@@ -284,14 +284,14 @@ class TestRejectedInputs:
         out = tmp_path / "out"
         run_stages(config_file, out, ["gen-data"], ["pretrain"], ["finetune"])
         parent = os.getpid()
-        original = harness.scored_batch
+        original = attacks.scored_batch
 
         def scored_batch(*args):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
             return original(*args)
 
-        monkeypatch.setattr(harness, "scored_batch", scored_batch)
+        monkeypatch.setattr(attacks, "scored_batch", scored_batch)
         monkeypatch.setattr(harness, "_cell_workers", lambda count: min(count, 2))
         err = failed_stage(config_file, out, capsys, "eval")
         assert err.startswith("error: a cell worker process died")

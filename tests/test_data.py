@@ -1,9 +1,11 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tima.cli import main
 from tima.data import (
     Dataset,
     SyntheticSpec,
@@ -20,6 +22,8 @@ from tima.errors import (
     TruncatedFile,
     UnsupportedVersion,
 )
+
+from test_golden import CLI_CONFIG
 
 
 def small_spec(**kw):
@@ -170,3 +174,20 @@ class TestDatasetFile:
         path.write_bytes(path.read_bytes() + b"\x00\x00")
         with pytest.raises(CorruptFile):
             load_dataset(path)
+
+
+# the bytes gen-data writes for the golden CLI pipeline's config, whose own
+# digests cover only the later stages' outputs
+CLI_DATASETS = {
+    "train.timd": "396a249214583bda82ec8a0e5c36dc7910b95acbd61aa9e33155aeef75c99393",
+    "test.timd": "36714d580fb4d32cdcd56927ed7c8448e046e66fe0f3ba952445daf8215a228b",
+}
+
+
+def test_cli_datasets_are_pinned(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text(CLI_CONFIG)
+    out = tmp_path / "out"
+    assert main(["gen-data", "--config", str(config), "--out", str(out)]) == 0
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in CLI_DATASETS} == CLI_DATASETS

@@ -602,9 +602,9 @@ def _workers(monkeypatch, workers):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="cells fork on Linux only")
 class TestForkedPasses:
-    """evaluate and export_similarity_matrices score every (model, batch) as
-    a cell: the bytes written and the errors raised do not depend on the
-    worker count."""
+    """Every scoring entry point runs each (model, batch) as a job of
+    ``scored_passes``, forked for all but robust_accuracy: the bytes written,
+    the scores and the errors raised do not depend on the worker count."""
 
     setup_method = TestSingleAttackPass.setup_method
 
@@ -620,13 +620,13 @@ class TestForkedPasses:
         # restarts draw from each batch's seed, so a batch scored with another
         # batch's seed, or put in another batch's place, changes the bytes
         attack = AttackConfig(steps=2, restarts=1, seed=3, text_source=text_source)
-        original = harness.scored_batch
+        original = attacks.scored_batch
 
         def scored_batch(*args):
             (pids / str(os.getpid())).touch()
             return original(*args)
 
-        monkeypatch.setattr(harness, "scored_batch", scored_batch)
+        monkeypatch.setattr(attacks, "scored_batch", scored_batch)
         written = []
         for workers in (1, 2):
             _workers(monkeypatch, workers)
@@ -647,10 +647,33 @@ class TestForkedPasses:
         assert len(written[0]) == 2 * 2 * 2 * 6 + 1
         assert written[0] == written[1]
 
+    def test_clean_and_robust_scores_do_not_depend_on_the_worker_count(self, tmp_path,
+                                                                       monkeypatch):
+        # eval_clean and superclass_confusion fork their jobs; robust_accuracy
+        # runs them in-process
+        attack = AttackConfig(steps=2, restarts=1, seed=3)
+        original = attacks.scored_batch
+
+        def scored_batch(*args):
+            (pids / str(os.getpid())).touch()
+            return original(*args)
+
+        monkeypatch.setattr(attacks, "scored_batch", scored_batch)
+        scores = []
+        for workers in (1, 2):
+            _workers(monkeypatch, workers)
+            pids = make_dir(tmp_path / str(workers))
+            scores.append((eval_clean(self.student, self.test),
+                           superclass_confusion(self.student, self.test),
+                           robust_accuracy(self.student, self.teacher, self.test, attack)))
+            forked = {int(p.name) for p in pids.iterdir()} != {os.getpid()}
+            assert forked == (workers > 1)
+        assert scores[0] == scores[1]
+
     def test_pass_error_reraises_as_in_process(self, tmp_path, monkeypatch):
         # the student's and the teacher's 4/255 attacks both fail on every
         # batch: the student's error comes first, in a worker as in-process
-        original = harness.scored_batch
+        original = attacks.scored_batch
 
         def scored_batch(encoder, text, x, y, cfgs):
             if any(cfg.eps == 4 / 255 for cfg in cfgs):
@@ -658,7 +681,7 @@ class TestForkedPasses:
                 raise AttackOutOfBounds(f"{who} pass at eps {4 / 255} failed")
             return original(encoder, text, x, y, cfgs)
 
-        monkeypatch.setattr(harness, "scored_batch", scored_batch)
+        monkeypatch.setattr(attacks, "scored_batch", scored_batch)
         raised = []
         for workers in (1, 2):
             _workers(monkeypatch, workers)
@@ -690,13 +713,13 @@ class TestTestSetChecks:
         # the spy counts in this process: run every pass in it
         _workers(monkeypatch, 1)
         passes = []
-        original = harness.scored_batch
+        original = attacks.scored_batch
 
         def scored_batch(*args):
             passes.append(1)
             return original(*args)
 
-        monkeypatch.setattr(harness, "scored_batch", scored_batch)
+        monkeypatch.setattr(attacks, "scored_batch", scored_batch)
         return passes
 
     @pytest.mark.parametrize("student_classes, teacher_classes, who",
@@ -719,6 +742,15 @@ class TestTestSetChecks:
             assert str(info.value) == message
         assert passes == []
         assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("score", [eval_clean, superclass_confusion])
+    def test_other_class_count_rejected_by_clean_scoring(self, monkeypatch, score):
+        passes = self.spy_passes(monkeypatch)
+        cfg = EncoderConfig(input_dim=25, hidden_dims=(), embed_dim=6, num_classes=8, seed=0)
+        with pytest.raises(ShapeMismatch) as info:
+            score(init_model(cfg, tau=0.01), self.test)
+        assert str(info.value) == "the test set has 4 classes, the model 8"
+        assert passes == []
 
     def test_class_without_sample_rejected_when_matrices_are_written(self, tmp_path,
                                                                      monkeypatch):

@@ -36,3 +36,14 @@ def test_files_are_opened_and_directories_made_in_tima_files_only(path):
     lines = [node.lineno for node in ast.walk(_tree(path))
              if isinstance(node, ast.Call) and opens_or_makes(node)]
     assert lines == [], f"{path.name} opens a file or makes a directory on lines {lines}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "attacks.py"],
+                         ids=lambda p: p.name)
+def test_score_batch_is_named_in_tima_attacks_only(path):
+    # scored_passes alone cuts a dataset into seeded SCORE_BATCH-row jobs
+    lines = [node.lineno for node in ast.walk(_tree(path))
+             if (isinstance(node, ast.Name) and node.id == "SCORE_BATCH")
+             or (isinstance(node, ast.Attribute) and node.attr == "SCORE_BATCH")
+             or (isinstance(node, ast.alias) and node.name == "SCORE_BATCH")]
+    assert lines == [], f"{path.name} names SCORE_BATCH on lines {lines}"
