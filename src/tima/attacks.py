@@ -348,9 +348,11 @@ def robust_accuracy(model, teacher, dataset, cfg: AttackConfig | None = None) ->
 
     ``cfg.text_source`` selects the class-text embeddings used for both the
     attack objective and classification: "student" evaluates the fine-tuned
-    model end-to-end, "teacher" pins the frozen text embeddings.
+    model end-to-end, "teacher" pins the frozen text embeddings, so the
+    teacher's class count is checked as well.
     """
     cfg = cfg or AttackConfig()
-    _check_classes(dataset, {"model": model})
+    _check_classes(dataset, {"model": model} if cfg.text_source == "student"
+                   else {"model": model, "teacher model": teacher.model})
     return _accuracy(scored_passes([(model, attack_text(model, teacher, cfg))], dataset,
                                    [cfg])[0][1][0], dataset.labels)

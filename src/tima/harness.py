@@ -310,10 +310,11 @@ def _superclass_counts(preds: Array, test_data: Dataset) -> List[List[int]]:
 
 
 def _clean_preds(model: DualEncoder, test_data: Dataset) -> Array:
-    """Every test sample's clean prediction against the model's own text,
-    scored as ``run_cells`` jobs."""
+    """Every test sample's clean prediction against the model's own text.
+    The jobs run in-process: a clean pass takes far less time than
+    starting the worker pool would."""
     _check_classes(test_data, {"model": model})
-    return scored_passes([(model, model.encode_classes().data)], test_data, [], run_cells)[0][0][0]
+    return scored_passes([(model, model.encode_classes().data)], test_data, [])[0][0][0]
 
 
 def eval_clean(model: DualEncoder, test_data: Dataset) -> float:
@@ -450,10 +451,12 @@ def evaluate(model: DualEncoder, teacher: TeacherSnapshot, test_data: Dataset,
     """
     attack = attack or AttackConfig()
     _check_classes(test_data, {"student model": model, "teacher model": teacher.model})
-    missing = np.flatnonzero(np.bincount(test_data.labels, minlength=test_data.num_classes) == 0)
-    if matrices_dir is not None and len(missing):
-        raise EmptyDataset(f"the test set has no sample of classes {missing.tolist()}; "
-                           f"every class needs one for the similarity matrices")
+    if matrices_dir is not None:
+        missing = np.flatnonzero(np.bincount(test_data.labels,
+                                             minlength=test_data.num_classes) == 0)
+        if len(missing):
+            raise EmptyDataset(f"the test set has no sample of classes {missing.tolist()}; "
+                               f"every class needs one for the similarity matrices")
     student_text = model.encode_classes()
     models = [(model, attack_text(model, teacher, attack, student_text))]
     if matrices_dir is not None:

@@ -581,6 +581,19 @@ class TestRobustAccuracy:
             robust_accuracy(self.model, self.teacher, four, AttackConfig(steps=1))
         assert jobs == []
 
+    def test_other_teacher_class_count_rejected_under_teacher_text(self, monkeypatch):
+        # the teacher's text scores the attack: its 8 rows against a 4-class
+        # model and test set score no sample correctly unless checked
+        four = dataclasses.replace(self.test, labels=self.test.labels % 4,
+                                   superclass_of=self.test.superclass_of[:4])
+        model = init_model(dataclasses.replace(self.model.cfg, num_classes=4), tau=0.1)
+        jobs = count_calls(monkeypatch, "scored_batch")
+        with pytest.raises(ShapeMismatch,
+                           match="^the test set has 4 classes, the teacher model 8$"):
+            robust_accuracy(model, self.teacher, four, AttackConfig(steps=1, text_source="teacher"))
+        assert jobs == []
+        assert robust_accuracy(model, self.teacher, four, AttackConfig(steps=1)) > 0.0
+
     def test_classify_ties_break_low(self):
         encoder = linear_encoder(np.eye(2))
         text = np.array([[1.0, 0.0], [1.0, 0.0]])  # identical rows: tie

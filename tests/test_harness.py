@@ -603,7 +603,7 @@ def _workers(monkeypatch, workers):
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="cells fork on Linux only")
 class TestForkedPasses:
     """Every scoring entry point runs each (model, batch) as a job of
-    ``scored_passes``, forked for all but robust_accuracy: the bytes written,
+    ``scored_passes``; ``evaluate`` and export fork theirs: the bytes written,
     the scores and the errors raised do not depend on the worker count."""
 
     setup_method = TestSingleAttackPass.setup_method
@@ -647,10 +647,9 @@ class TestForkedPasses:
         assert len(written[0]) == 2 * 2 * 2 * 6 + 1
         assert written[0] == written[1]
 
-    def test_clean_and_robust_scores_do_not_depend_on_the_worker_count(self, tmp_path,
-                                                                       monkeypatch):
-        # eval_clean and superclass_confusion fork their jobs; robust_accuracy
-        # runs them in-process
+    def test_clean_and_robust_scores_run_in_process(self, tmp_path, monkeypatch):
+        # a clean pass takes far less time than starting the pool, and
+        # attacks cannot import run_cells: no worker count forks these jobs
         attack = AttackConfig(steps=2, restarts=1, seed=3)
         original = attacks.scored_batch
 
@@ -666,8 +665,7 @@ class TestForkedPasses:
             scores.append((eval_clean(self.student, self.test),
                            superclass_confusion(self.student, self.test),
                            robust_accuracy(self.student, self.teacher, self.test, attack)))
-            forked = {int(p.name) for p in pids.iterdir()} != {os.getpid()}
-            assert forked == (workers > 1)
+            assert {int(p.name) for p in pids.iterdir()} == {os.getpid()}
         assert scores[0] == scores[1]
 
     def test_pass_error_reraises_as_in_process(self, tmp_path, monkeypatch):
@@ -751,6 +749,20 @@ class TestTestSetChecks:
             score(init_model(cfg, tau=0.01), self.test)
         assert str(info.value) == "the test set has 4 classes, the model 8"
         assert passes == []
+
+    def test_one_class_rejected_by_export(self, tmp_path):
+        # export is evaluate's matrices, so it needs two class texts for
+        # the text-distance statistics, as evaluate does
+        spec = SyntheticSpec(num_superclasses=1, subclasses_per_superclass=1, image_side=5,
+                             within_super_shift=0.1, noise_sigma=0.08, train_count=8,
+                             test_count=8, seed=0)
+        _, test = generate_synthetic(spec)
+        cfg = EncoderConfig(input_dim=25, hidden_dims=(), embed_dim=6, num_classes=1, seed=0)
+        model = init_model(cfg, tau=0.01)
+        with pytest.raises(TooFewClasses, match="need at least 2 embeddings, got 1"):
+            export_similarity_matrices(model, snapshot_teacher(model), test, self.eps_list,
+                                       tmp_path / "m", AttackConfig(steps=1))
+        assert not (tmp_path / "m").exists()
 
     def test_class_without_sample_rejected_when_matrices_are_written(self, tmp_path,
                                                                      monkeypatch):
