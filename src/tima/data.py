@@ -11,18 +11,20 @@ Pixels are quantized to the 256-level grid at generation time, matching the
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorruptFile, InvalidSpec, LabelOutOfRange
+from .errors import CorruptFile, InvalidSpec, LabelOutOfRange, UnstorableDataset
 from .files import Reader, read_file, write_atomic
 
 Array = np.ndarray
 
 DATASET_MAGIC = b"TIMD"
 DATASET_VERSION = 1
+_SAVE_CHUNK = 1 << 16  # float64 elements quantized per step of save_dataset
 
 
 @dataclass(frozen=True)
@@ -44,8 +46,8 @@ class SyntheticSpec:
                   self.image_side, self.train_count, self.test_count)
         if any(c < 1 for c in counts):
             raise InvalidSpec(f"counts must be >= 1: {self}")
-        if self.noise_sigma < 0 or self.within_super_shift < 0:
-            raise InvalidSpec(f"noise/shift must be >= 0: {self}")
+        if not all(0 <= v < math.inf for v in (self.noise_sigma, self.within_super_shift)):
+            raise InvalidSpec(f"noise/shift must be finite and >= 0: {self}")
         if self.seed < 0:
             raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
 
@@ -81,10 +83,6 @@ class Dataset:
                 and np.array_equal(self.superclass_of, other.superclass_of))
 
 
-def _quantize(x: Array) -> Array:
-    return np.round(np.clip(x, 0.0, 1.0) * 255.0) / 255.0
-
-
 def class_prototypes(spec: SyntheticSpec) -> Array:
     """The noiseless per-class patterns (num_classes x side^2)."""
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(3)[0])
@@ -105,17 +103,25 @@ def _balanced_counts(total: int, num_classes: int) -> Array:
 
 
 def _sample_split(protos: Array, spec: SyntheticSpec, rng, total: int) -> Dataset:
+    """Each class's rows are drawn and quantized in place in the one image array."""
     counts = _balanced_counts(total, spec.num_classes)
-    images = []
-    labels = []
+    images = np.empty((total, spec.input_dim))
+    start = 0
     for c, n_c in enumerate(counts):
-        noise = rng.standard_normal((n_c, spec.input_dim)) * spec.noise_sigma
-        images.append(_quantize(protos[c][None, :] + noise))
-        labels.append(np.full(n_c, c, dtype=np.int64))
+        block = images[start:start + n_c]
+        start += n_c
+        rng.standard_normal(out=block)
+        block *= spec.noise_sigma
+        block += protos[c]
+        np.clip(block, 0.0, 1.0, out=block)
+        block *= 255.0
+        np.round(block, out=block)
+        block /= 255.0
+    labels = np.repeat(np.arange(spec.num_classes, dtype=np.int64), counts)
     superclass_of = np.repeat(np.arange(spec.num_superclasses, dtype=np.int64),
                               spec.subclasses_per_superclass)
-    return Dataset(images=np.concatenate(images), labels=np.concatenate(labels),
-                   superclass_of=superclass_of, image_side=spec.image_side)
+    return Dataset(images=images, labels=labels, superclass_of=superclass_of,
+                   image_side=spec.image_side)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
@@ -134,18 +140,56 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
 #   | u8*(n*side^2) pixels
 #
 # Little-endian throughout. Pixels are stored as round(p * 255); load widens
-# back to float64 p/255, which is bit-exact for grid-aligned datasets.
+# back to float64 p/255, which is bit-exact because save rejects a pixel off
+# that grid.
+
+
+def _u16(values: Array, what: str) -> bytes:
+    if len(values) and not (values.min() >= 0 and values.max() <= 0xFFFF):
+        raise UnstorableDataset(f"{what} span [{values.min()}, {values.max()}], "
+                                f"beyond the file's u16 range")
+    return values.astype("<u2").tobytes()
+
+
+def _reject_pixel(chunk: Array, start: int):
+    q = np.round(chunk * 255.0)
+    i = np.argwhere(~((q >= 0.0) & (q <= 255.0) & (q / 255.0 == chunk)))[0]
+    raise UnstorableDataset(f"pixel {chunk[tuple(i)]} in row {start + i[0]} would load back "
+                            f"as another value: pixels must lie on the 1/255 grid of [0, 1]")
 
 
 def save_dataset(d: Dataset, path) -> None:
+    """Raises UnstorableDataset, before anything is written, when the file
+    would not load back as ``d``: images not shaped (samples, image_side^2),
+    more than 65536 classes, a label or superclass id outside u16, or a pixel
+    off the 1/255 grid of [0, 1]."""
+    n, dim = d.num_samples, d.image_side ** 2
+    if d.images.shape != (n, dim):
+        raise UnstorableDataset(f"images shaped {d.images.shape}, not ({n}, {dim}) for "
+                                f"{n} labels of side {d.image_side}")
+    if d.num_classes > 0x10000:
+        raise UnstorableDataset(f"{d.num_classes} classes; the file holds at most 65536")
+    supers, labels = _u16(d.superclass_of, "superclass ids"), _u16(d.labels, "labels")
     num_supers = int(d.superclass_of.max()) + 1 if d.num_classes else 0
-    header = struct.pack("<4sIIIII", DATASET_MAGIC, DATASET_VERSION,
-                         d.num_classes, num_supers, d.image_side, d.num_samples)
-    supers = d.superclass_of.astype("<u2").tobytes()
-    labels = d.labels.astype("<u2").tobytes()
-    scaled = np.multiply(d.images, 255.0)  # quantized in place: one float64 temporary
-    pixels = np.round(scaled, out=scaled).astype(np.uint8).tobytes()
-    write_atomic(path, header + supers + labels + pixels, "dataset")
+    head = struct.pack("<4sIIIII", DATASET_MAGIC, DATASET_VERSION, d.num_classes,
+                       num_supers, d.image_side, n) + supers + labels
+    # pixels are quantized a chunk of rows at a time straight into the file's bytes
+    blob = bytearray(len(head) + n * dim)
+    blob[:len(head)] = head
+    pixels = np.frombuffer(blob, dtype=np.uint8, offset=len(head)).reshape(n, dim)
+    rows = max(1, _SAVE_CHUNK // max(1, dim))
+    scaled = np.empty((rows, dim))
+    for start in range(0, n, rows):
+        chunk = d.images[start:start + rows]
+        q = np.multiply(chunk, 255.0, out=scaled[:len(chunk)])
+        np.round(q, out=q)
+        in_range = q.min() >= 0.0 and q.max() <= 255.0  # False on NaN
+        if in_range:
+            pixels[start:start + len(chunk)] = q
+            q /= 255.0
+        if not (in_range and np.array_equal(q, chunk)):
+            _reject_pixel(chunk, start)
+    write_atomic(path, blob, "dataset")
 
 
 def load_dataset(path) -> Dataset:

@@ -85,6 +85,10 @@ class CorruptFile(TimaError):
     """File contents contradict its own header, or bytes follow the payload."""
 
 
+class UnstorableDataset(TimaError):
+    """A dataset holds a value its file format would not load back exactly."""
+
+
 class IoFailure(TimaError):
     """Underlying OS-level read/write failure."""
 

@@ -1,11 +1,13 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tima.cli import main
+from tima.config import parse_config
 from tima.data import (
     Dataset,
     SyntheticSpec,
@@ -20,6 +22,7 @@ from tima.errors import (
     InvalidSpec,
     LabelOutOfRange,
     TruncatedFile,
+    UnstorableDataset,
     UnsupportedVersion,
 )
 
@@ -91,6 +94,25 @@ class TestGenerate:
         with pytest.raises(InvalidSpec):
             small_spec(noise_sigma=-0.1)
 
+    @pytest.mark.parametrize("field", ["noise_sigma", "within_super_shift"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_scale_rejected(self, field, value):
+        # a NaN scale made every pixel NaN, an infinite one every pixel 0 or 1
+        with pytest.raises(InvalidSpec, match="finite"):
+            small_spec(**{field: value})
+
+    def test_unbalanced_split_is_pinned(self):
+        # 2003 and 97 samples over 9 classes: the first classes get one more
+        # sample each, so every class's rows start at a different offset
+        spec = SyntheticSpec(num_superclasses=3, subclasses_per_superclass=3, image_side=8,
+                             within_super_shift=0.1, noise_sigma=0.2,
+                             train_count=2003, test_count=97, seed=5)
+        h = hashlib.sha256()
+        for d in generate_synthetic(spec):
+            h.update(d.images.tobytes() + d.labels.tobytes() + d.superclass_of.tobytes())
+        assert h.hexdigest() == (
+            "8979b71f674d9be79fa0363baf9f26492d61a7497c5849d453fc2f88cce76ce5")
+
     @given(st.integers(min_value=0, max_value=10_000),
            st.integers(min_value=1, max_value=3),
            st.integers(min_value=1, max_value=3),
@@ -161,6 +183,59 @@ class TestDatasetFile:
         with pytest.raises(LabelOutOfRange):
             load_dataset(path)
 
+    @pytest.mark.parametrize("pixel", [0.5, 1.5, -0.2, float("nan"), float("inf")])
+    def test_pixel_that_would_not_round_trip_rejected(self, tmp_path, pixel):
+        # 0.5 is off the 1/255 grid; the rest are outside [0, 1]. Each used to
+        # be written and loaded back as another value.
+        train, _ = generate_synthetic(small_spec())
+        images = train.images.copy()
+        images[5, 3] = pixel
+        path = tmp_path / "d.timd"
+        with pytest.raises(UnstorableDataset, match="row 5 "):
+            save_dataset(dataclasses.replace(train, images=images), path)
+        assert not path.exists()
+
+    def test_more_classes_than_u16_labels_rejected(self, tmp_path):
+        # label 70000 of a 70001-class set used to load as 4464
+        n = 70001
+        d = Dataset(images=np.zeros((1, 1)), labels=np.array([n - 1]),
+                    superclass_of=np.zeros(n, dtype=np.int64), image_side=1)
+        path = tmp_path / "d.timd"
+        with pytest.raises(UnstorableDataset, match="70001 classes"):
+            save_dataset(d, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("field, value, what", [
+        ("labels", 65542, "labels"), ("superclass_of", -1, "superclass ids")])
+    def test_id_beyond_u16_rejected(self, tmp_path, field, value, what):
+        # an out-of-range label that fits u16 stays writable (see
+        # test_label_out_of_range); label 65542 used to be stored as label 6,
+        # and superclass id -1 as 65535
+        train, _ = generate_synthetic(small_spec())
+        ids = getattr(train, field).copy()
+        ids[0] = value
+        path = tmp_path / "d.timd"
+        with pytest.raises(UnstorableDataset, match=what):
+            save_dataset(dataclasses.replace(train, **{field: ids}), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("images", [np.zeros((40, 9)), np.zeros((39, 16))])
+    def test_images_off_shape_rejected(self, tmp_path, images):
+        # a side-4 set of 40 labels must hold 40 x 16 pixels; either file used
+        # to be written and then fail to load as truncated
+        train, _ = generate_synthetic(small_spec())
+        path = tmp_path / "d.timd"
+        with pytest.raises(UnstorableDataset, match="images shaped"):
+            save_dataset(dataclasses.replace(train, images=images), path)
+        assert not path.exists()
+
+    def test_65536_classes_round_trip(self, tmp_path):
+        n = 65536
+        d = Dataset(images=np.array([[0.0], [1.0]]), labels=np.array([0, n - 1]),
+                    superclass_of=np.arange(n) // 2, image_side=1)
+        save_dataset(d, tmp_path / "d.timd")
+        assert load_dataset(tmp_path / "d.timd") == d
+
     def test_superclass_ids_contradict_header(self, tmp_path):
         train, path = self.saved(tmp_path)
         blob = bytearray(path.read_bytes())
@@ -191,3 +266,32 @@ def test_cli_datasets_are_pinned(tmp_path):
     assert main(["gen-data", "--config", str(config), "--out", str(out)]) == 0
     assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in CLI_DATASETS} == CLI_DATASETS
+
+
+def _traced_peak(fn):
+    """(result, bytes the call allocated at its peak beyond what it started
+    with and what it still holds on return)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - max(start, held)
+
+
+class TestOneFloat64Copy:
+    """Generating or saving a dataset holds no second full-size float64 copy of
+    its images: the peak stays under a fraction of the training set's size."""
+
+    spec = parse_config("").synthetic_spec()
+
+    def test_generate_synthetic(self):
+        (train, _), extra = _traced_peak(lambda: generate_synthetic(self.spec))
+        assert extra < train.images.nbytes / 4
+
+    def test_save_dataset(self, tmp_path):
+        train, _ = generate_synthetic(self.spec)
+        _, extra = _traced_peak(lambda: save_dataset(train, tmp_path / "d.timd"))
+        assert extra < train.images.nbytes / 2
