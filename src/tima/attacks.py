@@ -43,8 +43,9 @@ class AttackConfig:
     def __post_init__(self):
         if not 0 <= self.eps < math.inf:
             raise InvalidConfig(f"eps must be finite and >= 0, got {self.eps}")
-        if min(self.steps, self.restarts, self.seed) < 0:
-            raise InvalidConfig("steps, restarts and seed must be >= 0")
+        if not all(isinstance(n, (int, np.integer)) and n >= 0
+                   for n in (self.steps, self.restarts, self.seed)):
+            raise InvalidConfig("steps, restarts and seed must be integers >= 0")
         if self.steps > 0 and not 0 < self.step_size < math.inf:
             raise InvalidConfig(f"step_size must be finite and positive, got {self.step_size}")
         if self.text_source not in TEXT_SOURCES:
@@ -86,12 +87,11 @@ def _ball(x_center: Array, eps: float) -> Tuple[Array, Array]:
     return np.maximum(x_center - eps, 0.0), np.minimum(x_center + eps, 1.0)
 
 
-def _ascend(x: Array, sign: Array, step_size: float, lo: Array, hi: Array,
-            out: Optional[Array] = None) -> Array:
+def _ascend(x: Array, sign: Array, step_size: float, lo: Array, hi: Array) -> Array:
     """One projected signed-gradient step: clip(x + step_size * sign, lo, hi),
-    bit for bit, into ``out`` (``x`` itself for an in-place step), without
-    the cost of ``np.clip`` with array bounds."""
-    out = np.add(x, sign * step_size, out=out)
+    bit for bit, as a new array, without the cost of ``np.clip`` with array
+    bounds."""
+    out = x + sign * step_size
     np.maximum(out, lo, out=out)
     np.minimum(out, hi, out=out)
     return out
@@ -102,42 +102,23 @@ def _same_bits(a: Array, b: Array) -> bool:
     return np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def pgd_steps(encoder, text_matrix: Array, x_center: Array, x_start: Array,
-              y: Array, eps: float, step_size: float, steps: int) -> Array:
-    """The bare iteration, memoryless in x: running k steps and then k' more
-    from the result equals a single (k+k')-step run. Its inputs are vetted
-    before any step, also when ``steps`` is 0. From the second step on, while
-    a step is left after it, a step that returns its start (a fixed point) or
-    the iterate before (a 2-cycle) ends the run with the iterate all
-    ``steps`` would reach. Compared iterates passed the gradient's leaf
-    check, so a NaN never ends a run."""
-    x = np.array(x_start, dtype=np.float64)
-    text = _checked_text(encoder, text_matrix)
-    y = _check_labels(y, len(text), len(x))
-    if x.shape != np.shape(x_center):
-        raise ShapeMismatch(f"start of shape {x.shape} for a center of shape "
-                            f"{np.shape(x_center)}")
-    lo, hi = _ball(x_center, eps)
-    prev = spare = None
-    for k in range(steps):
-        grad = _ce_input_grad(encoder, text, x, y)[1]
-        nxt = _ascend(x, np.sign(grad, out=grad), step_size, lo, hi, out=spare)
-        left = steps - 1 - k
-        if k and left:
-            if _same_bits(nxt, x):
-                return nxt
-            if _same_bits(nxt, prev):
-                return x if left % 2 else nxt
-        spare, prev, x = prev, x, nxt  # the iterate two steps back is free
-    return x
-
-
 class _Run:
-    """One (config, restart) run of ``pgd_grid``: its iterate and the steps
-    it has left."""
+    """One (config, restart) run of the step loop: its iterate, the iterate
+    before it (None before its first step) and the steps it has left."""
 
     def __init__(self, cfg: AttackConfig, start: Array):
-        self.cfg, self.x, self.left = cfg, start, cfg.steps
+        self.cfg, self.x, self.prev, self.left = cfg, start, None, cfg.steps
+
+    def step(self, nxt: Array) -> None:
+        """Move to ``nxt``. From the second step on, while a step is left after
+        it, a step that returns its start (a fixed point) or the iterate before
+        (a 2-cycle) ends the run with the iterate all its steps would reach.
+        Iterates passed the gradient's leaf check, so a NaN never ends a run."""
+        self.left -= 1
+        if self.prev is not None and self.left and (_same_bits(nxt, self.x)
+                                                    or _same_bits(nxt, self.prev)):
+            nxt, self.left = (self.x if self.left % 2 else nxt), 0
+        self.prev, self.x = self.x, nxt
 
 
 def _split(runs: Sequence[_Run]) -> List[List[_Run]]:
@@ -153,9 +134,55 @@ def _split(runs: Sequence[_Run]) -> List[List[_Run]]:
     return groups
 
 
+def _advance(encoder, text: Array, center: Array, y: Array,
+             runs: Sequence[_Run]) -> Optional[Array]:
+    """The one PGD step loop: each of ``runs`` stepped in its eps-ball around
+    ``center`` until it ends; returns the embeddings of ``center`` when a run
+    steps from that array itself (else None). Runs advance in lockstep, and
+    runs with bit-identical iterates form a group that takes one input
+    gradient per step. A group splits by its members' new iterates and
+    groups never merge, so members share every iterate and a repeat may end
+    a run inside its group. ``text`` and ``y`` are vetted already."""
+    balls = {}  # the ball of each eps, made once
+    clean_z = None
+    groups = _split([run for run in runs if run.left])
+    while groups:
+        stepped = []
+        for group in groups:
+            z, grad = _ce_input_grad(encoder, text, group[0].x, y)
+            if group[0].x is center:
+                clean_z = z
+            sign = np.sign(grad, out=grad)
+            for run in group:
+                eps = run.cfg.eps
+                if eps not in balls:
+                    balls[eps] = _ball(center, eps)
+                run.step(_ascend(run.x, sign, run.cfg.step_size, *balls[eps]))
+            stepped += _split([run for run in group if run.left])
+        groups = stepped
+    return clean_z
+
+
+def pgd_steps(encoder, text_matrix: Array, x_center: Array, x_start: Array,
+              y: Array, eps: float, step_size: float, steps: int) -> Array:
+    """The bare iteration from ``x_start``, one run of the step loop, and
+    memoryless in x: k steps and then k' more from the result equal one
+    (k+k')-step run. ``eps``, ``step_size`` and ``steps`` are checked as
+    ``AttackConfig`` checks them, and every input before any step."""
+    run = _Run(AttackConfig(eps=eps, step_size=step_size, steps=steps),
+               np.array(x_start, dtype=np.float64))
+    text = _checked_text(encoder, text_matrix)
+    y = _check_labels(y, len(text), len(run.x))
+    if run.x.shape != np.shape(x_center):
+        raise ShapeMismatch(f"start of shape {run.x.shape} for a center of shape "
+                            f"{np.shape(x_center)}")
+    _advance(encoder, text, np.asarray(x_center, dtype=np.float64), y, [run])
+    return run.x
+
+
 class Grid(NamedTuple):
     """``pgd_grid``'s result: the adversarial batch of each config, and the
-    clean batch's embeddings when a shared step was taken from it (else None)."""
+    clean batch's embeddings when a run stepped from it (else None)."""
 
     adv: List[Array]
     clean_z: Optional[Array]
@@ -167,11 +194,8 @@ def pgd_grid(encoder, text_matrix: Array, x: Array, y: Array,
     for bit, with every distinct PGD step computed once.
 
     The text and the labels are vetted once, before any config, ε = 0
-    included. Every (config, restart) run advances in lockstep. Runs whose
-    iterates are bit-identical form a group that takes one input gradient
-    per step; after each step a group splits by its members' new iterates,
-    and groups never merge. A run left alone finishes in ``pgd_steps``. On an
-    ε grid with one step size every run without a restart starts at the
+    included. Every (config, restart) run goes to one ``_advance`` call. On
+    an ε grid with one step size every run without a restart starts at the
     clean batch, so they share their steps until the smallest ball clips
     them apart.
     """
@@ -190,32 +214,7 @@ def pgd_grid(encoder, text_matrix: Array, x: Array, y: Array,
             starts += [np.clip(x + rng.uniform(-cfg.eps, cfg.eps, size=x.shape), 0.0, 1.0)
                        for _ in range(cfg.restarts)]
         runs.append([_Run(cfg, start) for start in starts])
-    # the ball of each eps a shared step needs, made once
-    balls = {}
-    clean_z = None
-    groups = _split([run for cfg_runs in runs for run in cfg_runs])
-    while groups:
-        stepped = []
-        for group in groups:
-            group = [run for run in group if run.left]
-            if len(group) == 1:
-                run = group[0]
-                run.x = pgd_steps(encoder, text, x, run.x, y, run.cfg.eps, run.cfg.step_size,
-                                  run.left)
-            elif group:
-                z, grad = _ce_input_grad(encoder, text, group[0].x, y)
-                if clean_z is None and np.array_equal(group[0].x, x):
-                    clean_z = z
-                sign = np.sign(grad, out=grad)
-                for run in group:
-                    eps = run.cfg.eps
-                    if eps not in balls:
-                        balls[eps] = _ball(x, eps)
-                    # a new array: runs may start out sharing one
-                    run.x = _ascend(run.x, sign, run.cfg.step_size, *balls[eps])
-                    run.left -= 1
-                stepped += _split(group)
-        groups = stepped
+    clean_z = _advance(encoder, text, x, y, [run for cfg_runs in runs for run in cfg_runs])
     return Grid([_strongest(encoder, text, x, y, cfg.eps, [run.x for run in cfg_runs])
                  if cfg_runs else x.copy() for cfg, cfg_runs in zip(cfgs, runs)], clean_z)
 

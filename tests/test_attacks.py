@@ -86,6 +86,13 @@ class TestAttackConfig:
         with pytest.raises(InvalidConfig, match="finite"):
             AttackConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["steps", "restarts", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 2.0])
+    def test_non_integer_counts_rejected(self, field, value):
+        # a fractional step count would never run out
+        with pytest.raises(InvalidConfig, match="integers"):
+            AttackConfig(eps=4 / 255, **{field: value})
+
 
 # label fault -> (labels for the 12-sample, 3-class toy batch, expected error)
 BAD_LABELS = {
@@ -174,6 +181,19 @@ class TestPgdAttack:
         with pytest.raises(NotNormalized):
             pgd_steps(self.model, 1.5 * self.text, self.x, self.x, self.y, 2 / 255, 1 / 255, 0)
 
+    # (eps, step size, steps) pgd_steps must reject, as AttackConfig does
+    BAD_STEPS = {
+        "nan step size": (4 / 255, float("nan"), 1),  # an all-NaN batch
+        "negative eps": (-4 / 255, 1 / 255, 1),  # a point 4/255 from the center
+        "negative steps": (4 / 255, 1 / 255, -2),  # the start
+        "fractional steps": (4 / 255, 1 / 255, 2.5),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_STEPS))
+    def test_bad_step_parameters_rejected(self, case):
+        with pytest.raises(InvalidConfig):
+            pgd_steps(self.model, self.text, self.x, self.x, self.y, *self.BAD_STEPS[case])
+
     def test_start_rows_must_match_the_center(self):
         with pytest.raises(ShapeMismatch, match="start of shape"):
             pgd_steps(self.model, self.text, self.x[:4], self.x[:3], self.y[:3],
@@ -207,23 +227,37 @@ class TestPgdAttack:
         monkeypatch.setattr(attacks, "_ce", no_scoring)
         assert np.array_equal(pgd_attack(self.model, self.text, self.x, self.y, cfg), expected)
 
+    @staticmethod
+    def step_past_the_top(monkeypatch):
+        """Make every step of the step loop land ``step_size`` above the
+        ball's upper bound, cut to [0, 1] or not."""
+        steps = []
+
+        def past(x, sign, step_size, lo, hi):
+            steps.append(1)
+            return hi + step_size
+
+        monkeypatch.setattr(attacks, "_ascend", past)
+        return steps
+
     @pytest.mark.parametrize("restarts", [0, 1])
     def test_leaving_the_ball_raises(self, monkeypatch, restarts):
-        monkeypatch.setattr(attacks, "pgd_steps",
-                            lambda enc, t, xc, xs, y, eps, step, k: xc + 2.0 * eps)
+        steps = self.step_past_the_top(monkeypatch)
         x = np.full((3, 6), 0.5)
         cfg = AttackConfig(eps=4 / 255, steps=1, restarts=restarts)
-        with pytest.raises(AttackOutOfBounds):
+        with pytest.raises(AttackOutOfBounds, match="ball"):
             pgd_attack(self.model, self.text, x, self.y[:3], cfg)
+        assert len(steps) == 1 + restarts
 
     @pytest.mark.parametrize("restarts", [0, 1])
     def test_leaving_the_pixel_range_raises(self, monkeypatch, restarts):
-        monkeypatch.setattr(attacks, "pgd_steps",
-                            lambda enc, t, xc, xs, y, eps, step, k: xc + 0.5 * eps)
+        # 1/255 past the top of [0, 1] stays inside the 4/255 ball
+        steps = self.step_past_the_top(monkeypatch)
         x = np.full((3, 6), 1.0)
         cfg = AttackConfig(eps=4 / 255, steps=1, restarts=restarts)
-        with pytest.raises(AttackOutOfBounds):
+        with pytest.raises(AttackOutOfBounds, match="pixel range"):
             pgd_attack(self.model, self.text, x, self.y[:3], cfg)
+        assert len(steps) == 1 + restarts
 
     @given(st.integers(min_value=0, max_value=1000),
            st.sampled_from([1 / 255, 4 / 255, 8 / 255]),
@@ -331,8 +365,11 @@ class TestPgdGrid:
         model, text, _, x, y = grid_case("5")
         clean = model.encode_images(x).data
         assert np.array_equal(pgd_grid(model, text, x, y, grid_cfgs("default")).clean_z, clean)
-        # a run alone is handed to pgd_steps, which keeps no embeddings
-        assert pgd_grid(model, text, x, y, grid_cfgs("default")[:2]).clean_z is None
+        # a run alone steps from the clean batch in the same loop
+        assert np.array_equal(pgd_grid(model, text, x, y, grid_cfgs("default")[:2]).clean_z,
+                              clean)
+        # no run steps: no embeddings
+        assert pgd_grid(model, text, x, y, grid_cfgs("default", steps=0)).clean_z is None
 
     def test_results_never_share_the_input(self):
         model, text, _, x, y = grid_case("")
@@ -372,7 +409,7 @@ def oracle_of(model, text, y):
 
 
 def gradients_until_repeat(grad, x, eps, step, steps):
-    """The gradient evaluations of one ``pgd_steps`` run from ``x``: the plain
+    """The gradient evaluations of one run of the step loop from ``x``: the plain
     loop's iterates cut at the first step k >= 1, with a step left after it,
     whose result repeats iterate k or k - 1."""
     its = [x]
@@ -385,8 +422,8 @@ def gradients_until_repeat(grad, x, eps, step, steps):
 
 
 class TestRepeatExit:
-    """pgd_steps ends a run once its iterate repeats exactly, and returns
-    the bits the plain loop of every step reaches."""
+    """The step loop ends a run once its iterate repeats exactly, alone or in
+    a group, and returns the bits the plain loop of every step reaches."""
 
     @given(st.lists(st.sampled_from([1 / 255, 2 / 255, 4 / 255]), min_size=1, max_size=3),
            st.integers(min_value=0, max_value=30),
@@ -467,10 +504,12 @@ class TestRepeatExit:
     # (rule, steps, gradient evaluations): x_1 = top; the fixed point repeats
     # it at step 1, and the 2-cycle x_1, x_2, x_3 = x_1 closes at step 2 with
     # an even (5 steps) or odd (6 steps) number of steps left
-    @pytest.mark.parametrize("rule, steps, gradients", [
+    FORCED_REPEATS = [
         ("to_the_top", 10, 2), ("column_0_bounces", 5, 3), ("column_0_bounces", 6, 3),
         ("to_the_top", 2, 2), ("column_0_bounces", 3, 3),
-    ])
+    ]
+
+    @pytest.mark.parametrize("rule, steps, gradients", FORCED_REPEATS)
     def test_forced_repeats(self, monkeypatch, rule, steps, gradients):
         model, text, x, y, grad, calls = self.synthetic(monkeypatch, getattr(self, rule))
         want = plain_pgd(grad, x, x, self.EPS, 1 / 255, steps)
@@ -478,6 +517,29 @@ class TestRepeatExit:
         assert len(calls) == gradients
         cfg = AttackConfig(eps=self.EPS, step_size=1 / 255, steps=steps)
         assert same_bits(pgd_attack(model, text, x, y, cfg), want)
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    @pytest.mark.parametrize("rule, steps, gradients", FORCED_REPEATS)
+    def test_forced_repeats_end_a_group(self, monkeypatch, rule, steps, gradients, extra):
+        # two runs of one eps share every iterate, as in the "duplicate" grid
+        # (or run one step longer): the repeat ends both inside their group,
+        # which takes one gradient per step until then
+        model, text, x, y, grad, calls = self.synthetic(monkeypatch, getattr(self, rule))
+        cfgs = [AttackConfig(eps=self.EPS, step_size=1 / 255, steps=k)
+                for k in (steps, steps + extra)]
+        groups, split = [], attacks._split
+
+        def spy(runs):
+            got = split(runs)
+            groups.append([len(group) for group in got])
+            return got
+
+        monkeypatch.setattr(attacks, "_split", spy)
+        adv = pgd_grid(model, text, x, y, cfgs).adv
+        for cfg, got in zip(cfgs, adv, strict=True):
+            assert same_bits(got, plain_pgd(grad, x, x, self.EPS, 1 / 255, cfg.steps))
+        assert len(calls) == gradients
+        assert groups == [[2]] * gradients + [[]]
 
     @staticmethod
     def nan_on_top(x, hi):
@@ -501,26 +563,25 @@ class TestRepeatExit:
             pgd_attack(model, text, x, y, AttackConfig(eps=self.EPS, steps=2))
 
 
-# entry point -> the times one call vets its text: pgd_grid once, and each
-# run pgd_grid leaves alone once more in pgd_steps
+# entry point -> a call that vets its text once, however many runs it steps,
+# with one run left alone or several
 TEXT_VETS = {
-    "pgd_attack 2 steps": (lambda m, t, x, y: pgd_attack(m, t, x, y, AttackConfig(steps=2)), 2),
-    "pgd_attack restarts=2": (lambda m, t, x, y: pgd_attack(
-        m, t, x, y, AttackConfig(eps=4 / 255, steps=2, restarts=2)), 4),
-    "scored_batch one eps": (lambda m, t, x, y: attacks.scored_batch(
-        m, t, x, y, [AttackConfig(eps=4 / 255)]), 2),
-    "scored_batch default grid": (lambda m, t, x, y: attacks.scored_batch(
-        m, t, x, y, grid_cfgs("default")), 4),
+    "pgd_attack 2 steps": lambda m, t, x, y: pgd_attack(m, t, x, y, AttackConfig(steps=2)),
+    "pgd_attack restarts=2": lambda m, t, x, y: pgd_attack(
+        m, t, x, y, AttackConfig(eps=4 / 255, steps=2, restarts=2)),
+    "scored_batch one eps": lambda m, t, x, y: attacks.scored_batch(
+        m, t, x, y, [AttackConfig(eps=4 / 255)]),
+    "scored_batch default grid": lambda m, t, x, y: attacks.scored_batch(
+        m, t, x, y, grid_cfgs("default")),
 }
 
 
 @pytest.mark.parametrize("call", sorted(TEXT_VETS))
 def test_text_vetted_once_per_entry_and_lone_run(monkeypatch, call):
     model, text, _, x, y = grid_case("128")
-    attack, vets = TEXT_VETS[call]
     calls = count_calls(monkeypatch, "_checked_text")
-    attack(model, text, x, y)
-    assert len(calls) == vets
+    TEXT_VETS[call](model, text, x, y)
+    assert len(calls) == 1
 
 
 class TestRobustAccuracy:
@@ -615,8 +676,8 @@ def closed_form_grad(model, text, x, y):
 
 
 class TestClosedFormInputGradient:
-    """pgd_steps takes its input gradient without the tape; the tape is the
-    reference, bit for bit."""
+    """The step loop takes its input gradient without the tape; the tape is
+    the reference, bit for bit."""
 
     @pytest.mark.parametrize("hidden", [(), (5,), (128,)])
     @pytest.mark.parametrize("tau", [1.0, 0.1, 0.01])

@@ -47,3 +47,43 @@ def test_score_batch_is_named_in_tima_attacks_only(path):
              or (isinstance(node, ast.Attribute) and node.attr == "SCORE_BATCH")
              or (isinstance(node, ast.alias) and node.name == "SCORE_BATCH")]
     assert lines == [], f"{path.name} names SCORE_BATCH on lines {lines}"
+
+
+def _calls_by_function(name):
+    """(module, innermost enclosing function) of every call of ``name``, by
+    bare name or as an attribute, in the package source."""
+    found = []
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Name) and f.id == name) or \
+                    (isinstance(f, ast.Attribute) and f.attr == name):
+                found.append((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in MODULES:
+        visit(_tree(path), path.name, None)
+    return found
+
+
+def _function(path, name):
+    [node] = [node for node in ast.walk(_tree(path))
+              if isinstance(node, ast.FunctionDef) and node.name == name]
+    return node
+
+
+def test_one_pgd_step_loop():
+    # attacks._advance alone takes the attack's input gradient: pgd_steps and
+    # pgd_grid hand their runs to it, and pgd_steps steps nothing itself
+    assert _calls_by_function("_ce_input_grad") == [("attacks.py", "_advance")]
+    grid = _function(SRC / "attacks.py", "pgd_grid")
+    assert [node.lineno for node in ast.walk(grid)
+            if (isinstance(node, ast.Name) and node.id == "pgd_steps")
+            or (isinstance(node, ast.Attribute) and node.attr == "pgd_steps")] == []
+    steps = _function(SRC / "attacks.py", "pgd_steps")
+    assert [node.lineno for node in ast.walk(steps)
+            if isinstance(node, (ast.For, ast.While, ast.comprehension))] == []
