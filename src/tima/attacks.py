@@ -16,8 +16,8 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import AttackOutOfBounds, EmptyDataset, InvalidConfig, ShapeMismatch
-from .losses import _check_labels, _checked_text, _log_softmax, _one_hot
-from .tensor import check_finite, log_softmax_backward
+from .losses import _check_labels, _checked_text, _log_softmax
+from .tensor import check_finite
 
 Array = np.ndarray
 
@@ -77,21 +77,30 @@ def _ce_input_grad(encoder, text: Array, x: Array, y: Array) -> Tuple[Array, Arr
     ``_checked_text``, ``y`` from ``_check_labels``."""
     image = encoder.image_forward(check_finite(np.asarray(x, dtype=np.float64), "leaf"))
     log_p = _log_probs(image.z, text, encoder.tau)
-    g_s = log_softmax_backward(-_one_hot(y, log_p.shape[1]), log_p, encoder.tau)
-    return image.z, image.pixels(g_s @ text)
+    return image.z, image.pixels(_ce_logit_grad(log_p, y, encoder.tau) @ text)
+
+
+def _ce_logit_grad(log_p: Array, y: Array, tau: float) -> Array:
+    """(exp(log_p) - onehot(y)) / tau: ``log_softmax_backward(-onehot(y), log_p, tau)``
+    bit for bit, as each row of -onehot sums to exactly -1.0 (-onehot - p * -1.0)."""
+    grad = np.exp(log_p)
+    grad[np.arange(len(y)), y] -= 1.0
+    return np.divide(grad, tau, out=grad)
 
 
 def _ball(x_center: Array, eps: float) -> Tuple[Array, Array]:
     """The bounds of the l-inf ball of radius ``eps`` around ``x_center``,
     cut to the pixel range [0, 1]."""
-    return np.maximum(x_center - eps, 0.0), np.minimum(x_center + eps, 1.0)
+    lo, hi = x_center - eps, x_center + eps
+    return np.maximum(lo, 0.0, out=lo), np.minimum(hi, 1.0, out=hi)
 
 
 def _ascend(x: Array, sign: Array, step_size: float, lo: Array, hi: Array) -> Array:
     """One projected signed-gradient step: clip(x + step_size * sign, lo, hi),
-    bit for bit, as a new array, without the cost of ``np.clip`` with array
-    bounds."""
-    out = x + sign * step_size
+    bit for bit, written over ``sign`` and returned, without the cost of
+    ``np.clip`` with array bounds."""
+    out = np.multiply(sign, step_size, out=sign)
+    out += x
     np.maximum(out, lo, out=out)
     np.minimum(out, hi, out=out)
     return out
@@ -157,7 +166,9 @@ def _advance(encoder, text: Array, center: Array, y: Array,
                 eps = run.cfg.eps
                 if eps not in balls:
                     balls[eps] = _ball(center, eps)
-                run.step(_ascend(run.x, sign, run.cfg.step_size, *balls[eps]))
+                # the group's last run steps in the sign buffer: nothing reads it after
+                run.step(_ascend(run.x, sign if run is group[-1] else sign.copy(),
+                                 run.cfg.step_size, *balls[eps]))
             stepped += _split([run for run in group if run.left])
         groups = stepped
     return clean_z
@@ -232,9 +243,10 @@ def _strongest(encoder, text: Array, x: Array, y: Array, eps: float,
             better = ce > best_ce
             best_x = np.where(better[:, None], cand, best_x)
             best_ce = np.where(better, ce, best_ce)
-    if not np.all(np.abs(best_x - x) <= eps + 1e-9):
+    dist = best_x - x
+    if not np.logical_and.reduce(np.abs(dist, out=dist) <= eps + 1e-9, None):
         raise AttackOutOfBounds(f"attack result left the eps={eps} ball")
-    if not np.all((best_x >= 0.0) & (best_x <= 1.0)):
+    if not np.logical_and.reduce((best_x >= 0.0) & (best_x <= 1.0), None):
         raise AttackOutOfBounds("attack result left the pixel range [0, 1]")
     return best_x
 
@@ -339,7 +351,7 @@ def _check_classes(dataset, encoders: Dict[str, object]) -> None:
 def _accuracy(preds: Array, labels: Array) -> float:
     if len(labels) == 0:
         raise EmptyDataset("cannot evaluate an empty dataset")
-    return int(np.sum(preds == labels)) / len(labels)
+    return int(np.count_nonzero(preds == labels)) / len(labels)
 
 
 def robust_accuracy(model, teacher, dataset, cfg: AttackConfig | None = None) -> float:

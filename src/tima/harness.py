@@ -84,18 +84,18 @@ class TrainConfig:
 
 
 class _Momentum:
-    """Plain SGD with momentum: v <- mu v + g; w <- w - lr v."""
+    """Plain SGD with momentum, in place: v <- mu v + g; w <- w - lr v."""
 
     def __init__(self, params: Sequence[Tensor], lr: float, mu: float):
         self.params = list(params)
         self.lr = lr
         self.mu = mu
-        self.velocity = {id(p): np.zeros_like(p.data) for p in self.params}
+        self.velocity = [np.zeros_like(p.data) for p in self.params]
 
     def step(self, grads: Dict[Tensor, Array]) -> None:
-        for p in self.params:
-            v = self.mu * self.velocity[id(p)] + grads[p]
-            self.velocity[id(p)] = v
+        for p, v in zip(self.params, self.velocity):
+            v *= self.mu
+            v += grads[p]
             p.data -= self.lr * v
 
 

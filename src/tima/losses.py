@@ -98,8 +98,8 @@ class LossComponents:
 
 
 def _check_unit_rows(data: Array, name: str) -> None:
-    norms = np.sqrt(np.sum(data * data, axis=1))
-    worst = float(np.max(np.abs(norms - 1.0))) if norms.size else 0.0
+    norms = np.sqrt(np.add.reduce(data * data, axis=1))
+    worst = float(np.maximum.reduce(np.abs(norms - 1.0))) if norms.size else 0.0
     if worst > NORM_TOLERANCE:
         raise NotNormalized(f"{name} rows deviate from unit norm by {worst:.3e}")
 
@@ -159,11 +159,10 @@ def _tam(s: Array, margin: Optional[Array], y: Array, tau: float):
     n, c = s.shape
     log_p = _log_softmax(s if margin is None else s - margin, tau)
     one_hot = _one_hot(y, c)
-    total = check_finite(np.sum(log_p * one_hot), "sum")
+    total = check_finite(np.add.reduce(log_p * one_hot, None), "sum")
 
     def vjp(g):
-        return log_softmax_backward(np.full((n, c), float(g * (-1.0 / n))) * one_hot,
-                                    log_p, tau)
+        return log_softmax_backward(one_hot * float(g * (-1.0 / n)), log_p, tau)
 
     return total * (-1.0 / n), vjp
 
@@ -174,12 +173,12 @@ def _kl(log_p: Array, log_q: Array):
     n = log_p.shape[0]
     p = np.exp(log_p)
     diff = log_p - log_q
-    total = check_finite(np.sum(p * diff), "sum")
+    total = check_finite(np.add.reduce(p * diff, None), "sum")
 
     def vjp(g):
-        g_terms = np.full(p.shape, float(g * (1.0 / n)))
-        g_diff = g_terms * p
-        return g_diff + g_terms * diff * p, -g_diff
+        g_term = float(g * (1.0 / n))
+        g_diff = p * g_term
+        return g_diff + diff * g_term * p, -g_diff
 
     return total * (1.0 / n), vjp
 
@@ -206,10 +205,10 @@ def _mhe(t: Array):
     denom = by_row + by_row.T - gram * 2.0 + 1.0
     off_diag = 1.0 - np.eye(c)
     scale = 1.0 / (c * (c - 1))
-    value = np.sum(1.0 / denom * off_diag) * scale
+    value = np.add.reduce(1.0 / denom * off_diag, None) * scale
 
     def vjp(g, acc: Optional[Array] = None) -> Array:
-        g_dist = -(np.full((c, c), float(g * scale)) * off_diag) / (denom * denom)
+        g_dist = -(off_diag * float(g * scale)) / (denom * denom)
         g_sq = (g_dist + g_dist.T) @ ones_1c.T @ ones_d1.T
         g_gram = -g_dist * 2.0
         for term in (g_gram @ t, (t.T @ g_gram).T, g_sq * t, g_sq * t):

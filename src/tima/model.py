@@ -145,12 +145,12 @@ class DualEncoder:
             grads: List[Array] = []
             for k in range(len(affine) - 1, 0, -1):
                 if not to_pixels:
-                    grads[:0] = [inputs[k].T @ g, g.sum(axis=0)]
+                    grads[:0] = [inputs[k].T @ g, np.add.reduce(g, axis=0)]
                 a = inputs[k]
                 g = (g @ affine[k][0].data.T) * (1.0 - a * a)
             if to_pixels:
                 return g @ affine[0][0].data.T
-            return [inputs[0].T @ g, g.sum(axis=0)] + grads
+            return [inputs[0].T @ g, np.add.reduce(g, axis=0)] + grads
 
         return ImagePass(z, lambda g_z: pullback(g_z, False), lambda g_z: pullback(g_z, True))
 

@@ -15,6 +15,7 @@ over its direct inputs: the image encoder over its weights and pixels
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, Iterable, Optional, Sequence, TypeVar
 
 import numpy as np
@@ -117,7 +118,7 @@ class Tensor:
     # -- reductions ----------------------------------------------------------
 
     def sum(self) -> "Tensor":
-        return Tensor(np.sum(self.data), (self,), "sum",
+        return Tensor(self.data.sum(), (self,), "sum",
                       lambda g, i: np.full(self.shape, float(g)))
 
     # -- elementwise nonlinearities -------------------------------------------
@@ -138,7 +139,7 @@ class Tensor:
 
 def check_finite(a: Array, op: str) -> Array:
     """``a`` itself, or NonFiniteValue naming ``op`` when any entry is inf/NaN."""
-    if not np.isfinite(a).all():
+    if not (math.isfinite(a) if a.ndim == 0 else np.logical_and.reduce(np.isfinite(a), None)):
         raise NonFiniteValue(f"non-finite values produced by op '{op}'")
     return a
 
@@ -158,29 +159,35 @@ def _fit(grad: Array, shape: tuple) -> Array:
     """Reduce a gradient to a scalar operand's shape after scalar broadcast."""
     if grad.shape == shape:
         return grad
-    return np.sum(grad).reshape(shape)
+    return grad.sum().reshape(shape)
 
 
 # -- array kernels: the math of the row ops, shared with tape-free callers -------
+# They reduce with ``ufunc.reduce``: ``np.sum`` and the like add a Python frame per call.
 
 
 def normalize_rows_forward(m: Array) -> tuple[Array, Array]:
     """(unit rows, row norms) of a matrix.
 
     Raises DegenerateRow when any row norm falls below 1e-12: a zero vector
-    has no direction, so normalizing it would silently fabricate one.
+    has no direction, so normalizing it would silently fabricate one; nor
+    may a squared norm overflow to inf, which would scale the row to zero.
     """
-    norms = np.sqrt(np.sum(m * m, axis=1, keepdims=True))
-    if np.any(norms < ROW_NORM_FLOOR):
-        bad = int(np.argmin(norms))
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.add.reduce(m * m, axis=1, keepdims=True))
+    if np.logical_or.reduce(norms < ROW_NORM_FLOOR, None):
+        bad = int(norms.argmin())
         raise DegenerateRow(f"row {bad} has norm {norms[bad, 0]:.3e} < {ROW_NORM_FLOOR}")
+    if np.logical_or.reduce(norms == math.inf, None):
+        bad = int(norms.argmax())
+        raise DegenerateRow(f"row {bad} has norm {math.hypot(*m[bad]):.3e}: its square overflows")
     return m / norms, norms
 
 
 def normalize_rows_backward(g: Array, out: Array, norms: Array) -> Array:
     """Input gradient of row normalization: per row (g - y (g.y)) / ||x||."""
-    dots = np.sum(g * out, axis=1, keepdims=True)
-    return (g - out * dots) / norms
+    grad = out * np.add.reduce(g * out, axis=1, keepdims=True)
+    return np.divide(np.subtract(g, grad, out=grad), norms, out=grad)
 
 
 def check_temperature(tau) -> None:
@@ -194,15 +201,17 @@ def log_softmax_forward(s: Array, tau: float) -> Array:
     Uses max-subtraction so the result is exact even at tau = 0.01 with
     logits of magnitude 1e4, where the direct exp would overflow.
     """
-    a = s / tau
-    shifted = a - np.max(a, axis=1, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+    shifted = s / tau
+    shifted -= np.maximum.reduce(shifted, axis=1, keepdims=True)
+    return np.subtract(shifted, np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True)),
+                       out=shifted)
 
 
 def log_softmax_backward(g: Array, out: Array, tau: float) -> Array:
     """Gradient with respect to s, given the gradient ``g`` of the log-probabilities ``out``."""
-    p = np.exp(out)
-    return (g - p * np.sum(g, axis=1, keepdims=True)) / tau
+    grad = np.exp(out)
+    grad *= np.add.reduce(g, axis=1, keepdims=True)
+    return np.divide(np.subtract(g, grad, out=grad), tau, out=grad)
 
 
 def l2_normalize_rows(m: Tensor) -> Tensor:

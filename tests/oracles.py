@@ -20,17 +20,23 @@ however many steps they share or skip.
 ``add_rowvec`` and ``row_log_softmax`` are the two elementary row ops those
 compositions need beyond ``tima.tensor``; their op names are the ones the
 package's closed forms report in their errors.
+
+The ``plain_*`` kernels are the package's array kernels as the plain numpy
+formulas they were written as before they reduced without numpy's wrapper
+frames and updated their temporaries in place: ``tima.tensor``'s row kernels,
+the attack's logit gradient and the optimizer's momentum step, which the
+package must match bit for bit.
 """
 
 from typing import Callable
 
 import numpy as np
 
-from tima.attacks import _one_hot
 from tima.errors import ShapeMismatch, TooFewClasses
 from tima.losses import (
     LossComponents,
     _check_labels,
+    _one_hot,
     cosine_sim_matrix,
     teacher_targets,
 )
@@ -262,3 +268,45 @@ def plain_pgd_attack(grad: Callable[[np.ndarray], np.ndarray],
         best = np.where((run_ce > best_ce)[:, None], run, best)
         best_ce = np.maximum(best_ce, run_ce)
     return best
+
+
+# -- the kernels as plain formulas -------------------------------------------------
+
+
+def plain_normalize_rows(m):
+    """(unit rows, row norms) of ``m``, as ``normalize_rows_forward``."""
+    norms = np.sqrt(np.sum(m * m, axis=1, keepdims=True))
+    return m / norms, norms
+
+
+def plain_normalize_rows_backward(g, out, norms):
+    dots = np.sum(g * out, axis=1, keepdims=True)
+    return (g - out * dots) / norms
+
+
+def plain_log_softmax(s, tau: float):
+    a = s / tau
+    shifted = a - np.max(a, axis=1, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+
+
+def plain_log_softmax_backward(g, out, tau: float):
+    p = np.exp(out)
+    return (g - p * np.sum(g, axis=1, keepdims=True)) / tau
+
+
+def plain_ce_logit_grad(log_p, y, tau: float):
+    """The attack's logit gradient through the log-softmax pullback: the
+    gradient -onehot(y) of -sum_i log_p[i, y_i], pulled back."""
+    return plain_log_softmax_backward(-_one_hot(np.asarray(y), log_p.shape[1]), log_p, tau)
+
+
+def plain_momentum(weights, grads, lr: float, mu: float):
+    """The weights after one SGD-momentum step per gradient list of ``grads``,
+    out of place: v = mu v + g; w = w - lr v."""
+    weights = [w.copy() for w in weights]
+    velocity = [np.zeros_like(w) for w in weights]
+    for step in grads:
+        velocity = [mu * v + g for v, g in zip(velocity, step)]
+        weights = [w - lr * v for w, v in zip(weights, velocity)]
+    return weights

@@ -32,7 +32,13 @@ from tima.harness import pretrain_clean
 from tima.model import DualEncoder, EncoderConfig, init_model, snapshot_teacher
 from tima.tensor import Tensor, log_softmax_forward
 
-from oracles import finite_diff_grad, plain_pgd, plain_pgd_attack, tape_ce_input_grad
+from oracles import (
+    finite_diff_grad,
+    plain_ce_logit_grad,
+    plain_pgd,
+    plain_pgd_attack,
+    tape_ce_input_grad,
+)
 
 
 def linear_encoder(w, tau=1.0):
@@ -371,6 +377,32 @@ class TestPgdGrid:
         # no run steps: no embeddings
         assert pgd_grid(model, text, x, y, grid_cfgs("default", steps=0)).clean_z is None
 
+    def test_duplicate_grid_steps_in_the_sign_buffer(self, monkeypatch):
+        # 4/255 runs twice, so a group holds two runs or more: its last run
+        # steps in the gradient's sign buffer, the others in copies of it
+        model, text, _, x, y = grid_case("5", rows=32)
+        buffers, in_buffer = [], []
+        take_grad, ascend = attacks._ce_input_grad, attacks._ascend
+
+        def spy_grad(*args):
+            z, grad = take_grad(*args)
+            buffers.append(grad)
+            return z, grad
+
+        def spy_ascend(v, sign, *rest):
+            in_buffer.append(any(sign is grad for grad in buffers))
+            return ascend(v, sign, *rest)
+
+        monkeypatch.setattr(attacks, "_ce_input_grad", spy_grad)
+        monkeypatch.setattr(attacks, "_ascend", spy_ascend)
+        cfgs = grid_cfgs("duplicate")
+        adv = pgd_grid(model, text, x, y, cfgs).adv
+        assert in_buffer.count(True) == len(buffers) < len(in_buffer)
+        for cfg, got in zip(cfgs, adv, strict=True):
+            want = plain_pgd(lambda v: tape_ce_input_grad(model, text, v, y), x, x,
+                             cfg.eps, cfg.step_size, cfg.steps)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_results_never_share_the_input(self):
         model, text, _, x, y = grid_case("")
         cfgs = [AttackConfig(eps=0.0), AttackConfig(eps=4 / 255, steps=0),
@@ -698,6 +730,22 @@ class TestClosedFormInputGradient:
         assert np.any(np.exp(log_softmax_forward(s, tau)).max(axis=1) == 1.0)
         assert np.array_equal(closed_form_grad(model, text, x, y),
                               tape_ce_input_grad(model, text, x, y))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_logit_gradient_matches_the_log_softmax_pullback(self, seed):
+        # random logits at tau = 0.01; rows 0-1 saturate at their label (p is
+        # exactly one-hot, the gradient exactly 0), row 2 at another class
+        rng = np.random.default_rng(seed)
+        s = rng.uniform(-1.0, 1.0, size=(16, 7))
+        y = rng.integers(0, 7, size=16)
+        s[:3] = -5.0
+        s[[0, 1, 2], [y[0], y[1], (y[2] + 1) % 7]] = 5.0
+        log_p = log_softmax_forward(s, 0.01)
+        got = attacks._ce_logit_grad(log_p, y, 0.01)
+        want = plain_ce_logit_grad(log_p, y, 0.01)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(got[:2].view(np.uint64), np.zeros((2, 7)).view(np.uint64))
+        assert sorted(got[2]) == [-100.0] + [0.0] * 5 + [100.0]
 
     def test_pgd_steps_matches_tape_iteration(self):
         model, text, x, y = grad_case((5,), 0.1)

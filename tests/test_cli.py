@@ -14,6 +14,7 @@ from tima.config import load_config
 from tima.data import load_dataset, save_dataset
 from tima.errors import InvalidConfig
 from tima.harness import TREND_SEEDS, TREND_VARIANTS, read_report, run_grid
+from tima.model import load_model, save_model
 
 # small, fast recipe: linear encoder, tiny images, short training
 FAST_CONFIG = """
@@ -256,6 +257,20 @@ class TestRejectedInputs:
         assert err.startswith("error: the test set has no sample of classes [3]")
         assert not (out / "report.json").exists()
         assert not (out / "matrices").exists()
+
+    def test_eval_on_a_model_whose_embeddings_overflow(self, config_file, tmp_path, capsys):
+        # the encoder names the row whose squared norm overflows, instead of a
+        # RuntimeWarning and a zero class mean's "norm 0.000e+00" afterwards
+        out = tmp_path / "out"
+        run_stages(config_file, out, ["gen-data"], ["pretrain"], ["finetune"])
+        ckpt = out / "finetuned_tima.timm"
+        student = load_model(ckpt)
+        student.out_b.data[:] = 1e160
+        save_model(student, ckpt)
+        err = failed_stage(config_file, out, capsys, "eval", "--model", str(ckpt))
+        assert err.startswith("error: row 0 has norm ")
+        assert err.endswith(": its square overflows\n")
+        assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("stage", ["pretrain", "finetune"])
     def test_training_on_no_sample(self, config_file, tmp_path, capsys, stage):

@@ -16,6 +16,7 @@ from tima.config import parse_config
 from tima.data import SyntheticSpec, generate_synthetic
 from tima.errors import (
     AttackOutOfBounds,
+    DegenerateRow,
     EmptyDataset,
     InvalidConfig,
     InvalidVariant,
@@ -45,6 +46,8 @@ from tima.harness import (
 from tima.losses import LossWeights
 from tima.model import DualEncoder, EncoderConfig, TeacherSnapshot, init_model, snapshot_teacher
 from tima.tensor import Tensor
+
+from oracles import plain_momentum
 
 
 def small_data(seed=0):
@@ -231,6 +234,19 @@ def test_one_optimizer_step_per_batch(monkeypatch, stage):
     assert len(steps) == cfg.epochs * math.ceil(train.num_samples / cfg.batch_size) == 8
 
 
+def test_momentum_steps_in_place_as_the_plain_update():
+    # v = mu v + g; w = w - lr v, out of place, is the reference bit for bit
+    rng = np.random.default_rng(4)
+    params = [Tensor(rng.normal(size=shape)) for shape in [(5, 3), (3,), (4, 4)]]
+    start = [p.data.copy() for p in params]
+    grads = [[rng.normal(size=p.shape) * 10.0 ** k for p in params] for k in range(-2, 4)]
+    opt = harness._Momentum(params, 0.05, 0.9)
+    for step in grads:
+        opt.step(dict(zip(params, step)))
+    for got, want in zip(params, plain_momentum(start, grads, 0.05, 0.9), strict=True):
+        assert np.array_equal(got.data.view(np.uint64), want.view(np.uint64))
+
+
 class TestEvalClean:
     def test_constant_predictor(self):
         # a model whose images all land on t_0's direction scores 1.0 on label-0 data
@@ -243,6 +259,18 @@ class TestEvalClean:
         model.out_b = Tensor(t0 * 2.0)
         all_zero = dataclasses.replace(train, labels=np.zeros_like(train.labels))
         assert eval_clean(model, all_zero) == 1.0
+
+    def test_overflowing_embeddings_raise_at_the_encoder(self):
+        # an output bias of 1e160 squares to inf; normalizing by an inf norm
+        # made every embedding a zero vector, which scored as class 0
+        _, test = small_data()
+        model = small_model()
+        model.out_b.data[:] = 1e160
+        teacher = snapshot_teacher(small_model())
+        with pytest.raises(DegenerateRow, match="^row 0 has norm .*: its square overflows$"):
+            eval_clean(model, test)
+        with pytest.raises(DegenerateRow, match="its square overflows"):
+            robust_accuracy(model, teacher, test, AttackConfig(eps=4 / 255, steps=2))
 
     def test_random_model_near_chance(self):
         spec = SyntheticSpec(num_superclasses=4, subclasses_per_superclass=2,

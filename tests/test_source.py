@@ -87,3 +87,19 @@ def test_one_pgd_step_loop():
     steps = _function(SRC / "attacks.py", "pgd_steps")
     assert [node.lineno for node in ast.walk(steps)
             if isinstance(node, (ast.For, ast.While, ast.comprehension))] == []
+
+
+# the numeric kernels every training and PGD step runs reduce through the
+# ufunc's ``reduce`` or the array method: np.sum and the like add a Python
+# wrapper frame per call that costs more than the reduction on a batch
+KERNEL_MODULES = ("tensor.py", "model.py", "losses.py", "attacks.py")
+WRAPPED_REDUCTIONS = {"sum", "max", "min", "any", "all", "mean"}
+
+
+@pytest.mark.parametrize("name", KERNEL_MODULES)
+def test_kernels_call_no_wrapped_numpy_reduction(name):
+    lines = [node.lineno for node in ast.walk(_tree(SRC / name))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in WRAPPED_REDUCTIONS
+             and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"]
+    assert lines == [], f"{name} calls a wrapped numpy reduction on lines {lines}"

@@ -9,9 +9,25 @@ from tima.errors import (
     NonScalarLoss,
     ShapeMismatch,
 )
-from tima.tensor import Tensor, backward, l2_normalize_rows
+from tima.tensor import (
+    Tensor,
+    backward,
+    l2_normalize_rows,
+    log_softmax_backward,
+    log_softmax_forward,
+    normalize_rows_backward,
+    normalize_rows_forward,
+)
 
-from oracles import add_rowvec, finite_diff_grad, row_log_softmax
+from oracles import (
+    add_rowvec,
+    finite_diff_grad,
+    plain_log_softmax,
+    plain_log_softmax_backward,
+    plain_normalize_rows,
+    plain_normalize_rows_backward,
+    row_log_softmax,
+)
 
 REL_TOL = 1e-4
 ABS_FLOOR = 1e-7
@@ -103,6 +119,16 @@ class TestNormalizeRows:
     def test_zero_row_degenerate(self):
         with pytest.raises(DegenerateRow):
             l2_normalize_rows(Tensor(np.array([[0.0, 0.0]])))
+
+    @pytest.mark.parametrize("big", [1.4e154, 1e160, 1e308])
+    def test_row_whose_squared_norm_overflows_is_degenerate(self, big):
+        # its norm would be inf and the row would scale to a silent zero
+        # vector; no RuntimeWarning either (the suite turns one into an error)
+        m = np.array([[3.0, 4.0], [big, big], [1.0, 0.0]])
+        with pytest.raises(DegenerateRow) as exc:
+            normalize_rows_forward(m)
+        assert str(exc.value) == (f"row 1 has norm {big * np.sqrt(2.0):.3e}: "
+                                  "its square overflows")
 
     def test_gradient_matches_finite_diff(self):
         rng = np.random.default_rng(11)
@@ -271,3 +297,50 @@ class TestPrunedBackward:
         h = x * 3.0
         loss = (h * h).sum()
         assert np.array_equal(backward(loss, [h])[h], 2.0 * h.data)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestKernelsMatchPlainFormulas:
+    """The row kernels reduce through the ufunc and update temporaries in
+    place; the plain numpy formulas are the reference, bit for bit."""
+
+    @given(st.integers(min_value=0, max_value=10_000),
+           st.sampled_from([1e-10, 1e-3, 1.0, 1e4, 1e150]),
+           st.integers(min_value=1, max_value=40))
+    @settings(max_examples=40, deadline=None)
+    def test_normalize_rows(self, seed, scale, width):
+        rng = np.random.default_rng(seed)
+        # entries of magnitude [0.5, 2) * scale: every row norm clears the floor
+        m = rng.uniform(0.5, 2.0, size=(7, width)) * rng.choice([-scale, scale], size=(7, width))
+        g = rng.normal(size=m.shape)
+        out, norms = normalize_rows_forward(m)
+        want_out, want_norms = plain_normalize_rows(m)
+        assert np.array_equal(bits(out), bits(want_out))
+        assert np.array_equal(bits(norms), bits(want_norms))
+        assert np.array_equal(bits(normalize_rows_backward(g, out, norms)),
+                              bits(plain_normalize_rows_backward(g, out, norms)))
+
+    @given(st.integers(min_value=0, max_value=10_000),
+           st.sampled_from([0.001, 0.01, 0.1, 1.0]),
+           st.floats(min_value=0.1, max_value=1e4))
+    @settings(max_examples=40, deadline=None)
+    def test_log_softmax(self, seed, tau, scale):
+        rng = np.random.default_rng(seed)
+        s = rng.uniform(-scale, scale, size=(6, 9))
+        g = rng.normal(size=s.shape)
+        out = log_softmax_forward(s, tau)
+        assert np.array_equal(bits(out), bits(plain_log_softmax(s, tau)))
+        assert np.array_equal(bits(log_softmax_backward(g, out, tau)),
+                              bits(plain_log_softmax_backward(g, out, tau)))
+
+    def test_inputs_are_left_alone(self):
+        rng = np.random.default_rng(3)
+        m, g = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
+        before = m.copy(), g.copy()
+        out, norms = normalize_rows_forward(m)
+        normalize_rows_backward(g, out, norms)
+        log_softmax_backward(g, log_softmax_forward(m, 0.1), 0.1)
+        assert np.array_equal(m, before[0]) and np.array_equal(g, before[1])
