@@ -98,10 +98,15 @@ class LossComponents:
 
 
 def _check_unit_rows(data: Array, name: str) -> None:
-    norms = np.sqrt(np.add.reduce(data * data, axis=1))
-    worst = float(np.maximum.reduce(np.abs(norms - 1.0))) if norms.size else 0.0
-    if worst > NORM_TOLERANCE:
-        raise NotNormalized(f"{name} rows deviate from unit norm by {worst:.3e}")
+    """Reject ``data`` unless every row has unit norm, naming the row that
+    deviates most; a row whose squared norm overflows deviates by inf."""
+    with np.errstate(over="ignore"):
+        deviation = np.abs(np.sqrt(np.add.reduce(data * data, axis=1)) - 1.0)
+    if deviation.size:
+        worst = int(deviation.argmax())
+        if deviation[worst] > NORM_TOLERANCE:
+            raise NotNormalized(f"{name} row {worst} deviates from unit norm "
+                                f"by {deviation[worst]:.3e}")
 
 
 def _check_sims_operands(a: Array, b: Array) -> None:

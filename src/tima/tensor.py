@@ -191,7 +191,7 @@ def normalize_rows_backward(g: Array, out: Array, norms: Array) -> Array:
 
 
 def check_temperature(tau) -> None:
-    if not (isinstance(tau, (int, float)) and tau > 0 and np.isfinite(tau)):
+    if not (isinstance(tau, (int, float)) and tau > 0 and math.isfinite(tau)):
         raise InvalidTemperature(f"tau must be a positive finite number, got {tau!r}")
 
 

@@ -793,3 +793,19 @@ class TestClosedFormInputGradient:
     def test_non_unit_text_raises_not_normalized(self):
         model, text, x, y = grad_case((5,), 0.1)
         self._both_raise(NotNormalized, model, 1.5 * text, x, y)
+
+    @pytest.mark.parametrize("scale, message", [
+        (1.5, "right row 1 deviates from unit norm by 5.000e-01"),
+        # the squared norm overflows: the deviation is inf, not a
+        # RuntimeWarning (which the suite turns into an error)
+        (1e160, "right row 1 deviates from unit norm by inf"),
+    ], ids=["finite", "overflow"])
+    def test_non_unit_text_names_the_worst_row(self, scale, message):
+        model, _, x, y = grad_case((), 0.1)
+        text = np.eye(3, 4)
+        text[0] *= 1.25
+        text[1] *= scale
+        tape_msg, new_msg = self._both_raise(NotNormalized, model, text, x, y)
+        assert tape_msg == new_msg == message
+        with pytest.raises(NotNormalized, match=f"^{message}$"):
+            per_sample_ce(model, text, x, y)

@@ -3,6 +3,7 @@ import json
 import os
 import signal
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -304,6 +305,7 @@ class TestRejectedInputs:
         def scored_batch(*args):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
+            time.sleep(0.2)  # the caller runs jobs too: a child claims one meanwhile
             return original(*args)
 
         monkeypatch.setattr(attacks, "scored_batch", scored_batch)
@@ -379,7 +381,16 @@ class TestSweepCells:
         assert printed.out == ""
 
     def test_killed_worker_reaches_cli(self, pretrained_out, monkeypatch, capsys):
-        self.failing_cell(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        # the caller runs cells too: only a forked child dies
+        caller = os.getpid()
+        original = harness.finetune
+
+        def finetune(*args):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return original(*args)
+
+        monkeypatch.setattr(harness, "finetune", finetune)
         code, printed, _ = self.sweep(monkeypatch, capsys, *pretrained_out, workers=2)
         assert code == 1
         assert printed.err.startswith("error: a cell worker process died")

@@ -855,8 +855,31 @@ class TestForkedCells:
         assert run_cells(lambda x: x * x, range(7)) == [x * x for x in range(7)]
 
     def test_cells_run_in_workers_and_do_not_nest(self):
-        pids = run_cells(lambda _: run_cells(lambda _: os.getpid(), range(3)), range(4))
-        assert all(len(set(inner)) == 1 and inner[0] != os.getpid() for inner in pids)
+        # the caller is one of the two workers; each sleeps in its cell, so
+        # both claim one, and each inner list runs in its outer cell's process
+        def cell(_):
+            time.sleep(0.2)
+            return os.getpid(), run_cells(lambda _: os.getpid(), range(3))
+
+        ran = run_cells(cell, range(4))
+        assert all(inner == [pid] * 3 for pid, inner in ran)
+        pids = {pid for pid, _ in ran}
+        assert os.getpid() in pids and len(pids) == 2
+
+    def test_every_cell_runs_once_with_more_workers_than_cpus(self, monkeypatch, tmp_path):
+        # a lost update of the shared claim counter would skip a cell or run one twice
+        monkeypatch.setattr(harness, "_cell_workers", lambda count: min(count, 4))
+        log = os.open(tmp_path / "ran", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+        def cell(x):
+            os.write(log, b"%d\n" % x)
+            return x
+
+        try:
+            assert run_cells(cell, range(400)) == list(range(400))
+        finally:
+            os.close(log)
+        assert sorted(map(int, (tmp_path / "ran").read_text().split())) == list(range(400))
 
     def test_tima_error_reraises_with_class_and_message(self):
         def cell(x):
@@ -868,11 +891,27 @@ class TestForkedCells:
             run_cells(cell, range(4))
         assert str(info.value) == "label 2 in cell"
 
+    def test_lowest_index_error_wins(self):
+        # cell 1 fails at once and stops further claims; cell 0, claimed
+        # first, fails later and is the one raised
+        def cell(x):
+            if x == 0:
+                time.sleep(0.3)
+                raise LabelOutOfRange("cell 0")
+            if x == 1:
+                raise InvalidConfig("cell 1")
+            return x
+
+        with pytest.raises(LabelOutOfRange, match="^cell 0$"):
+            run_cells(cell, range(6))
+
     @pytest.mark.parametrize("die", [lambda: os._exit(3),
                                      lambda: os.kill(os.getpid(), signal.SIGKILL)])
     def test_dead_worker_raises_and_cancels_pending_cells(self, tmp_path, die):
+        caller = os.getpid()
+
         def cell(x):
-            if x == 0:
+            if os.getpid() != caller:
                 die()
             time.sleep(0.5)
             (tmp_path / str(x)).touch()
@@ -881,3 +920,29 @@ class TestForkedCells:
         with pytest.raises(WorkerDied):
             run_cells(cell, range(10))
         assert len(list(tmp_path.iterdir())) < 9
+
+    @pytest.mark.parametrize("where, error", [
+        (None, None),
+        ("child", LabelOutOfRange),
+        ("caller", LabelOutOfRange),
+        ("child", WorkerDied),
+        ("caller", KeyboardInterrupt),
+    ])
+    def test_no_child_process_remains(self, where, error):
+        caller = os.getpid()
+
+        def cell(x):
+            time.sleep(0.05)
+            if where == ("caller" if os.getpid() == caller else "child"):
+                if error is WorkerDied:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise error(f"cell {x}")
+            return x
+
+        if error is None:
+            assert run_cells(cell, range(6)) == list(range(6))
+        else:
+            with pytest.raises(error):
+                run_cells(cell, range(6))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
