@@ -69,12 +69,13 @@ def cmd_pretrain(args) -> int:
 
 def cmd_finetune(args) -> int:
     cfg = _resolve_config(args)
+    variant = args.variant or cfg["variant"]
+    recipe = cfg.finetune_config(variant)  # an unknown variant fails before any file is read
     out = _out_dir(args)
     train = _load_dataset(out / "train.timd")
     student = _load_model(out / "pretrained.timm")
     teacher = model_mod.snapshot_teacher(student)
-    variant = args.variant or cfg["variant"]
-    student, trace = harness.finetune(student, teacher, train, cfg.finetune_config(variant))
+    student, trace = harness.finetune(student, teacher, train, recipe)
     ckpt = out / f"finetuned_{variant}.timm"
     model_mod.save_model(student, ckpt)
     print(f"finetuned variant={variant} for {len(trace)} epochs, "
@@ -82,19 +83,22 @@ def cmd_finetune(args) -> int:
     return 0
 
 
-def _eval_inputs(args, cfg: RunConfig, out: Path):
-    """The student, frozen teacher and test set that eval-style commands use."""
+def _eval_inputs(args, cfg: RunConfig):
+    """The output directory, student, frozen teacher and test set that
+    eval-style commands use. An unknown ``--variant`` fails as it does in
+    ``finetune``, before any file is read or made, even with ``--model``."""
     variant = args.variant or cfg["variant"]
+    cfg.finetune_config(variant)
+    out = _out_dir(args)
     student = _load_model(Path(args.model) if args.model else out / f"finetuned_{variant}.timm")
     teacher = model_mod.snapshot_teacher(_load_model(out / "pretrained.timm"))
     test = _load_dataset(Path(args.data) if args.data else out / "test.timd")
-    return student, teacher, test
+    return out, student, teacher, test
 
 
 def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
-    out = _out_dir(args)
-    student, teacher, test = _eval_inputs(args, cfg, out)
+    out, student, teacher, test = _eval_inputs(args, cfg)
     report = harness.evaluate(student, teacher, test, cfg.eval_eps(),
                               attack=cfg.eval_attack(), matrices_dir=out / "matrices",
                               config_echo=cfg.echo(), seed=cfg["seed"])
@@ -107,8 +111,7 @@ def cmd_eval(args) -> int:
 
 def cmd_export_matrices(args) -> int:
     cfg = _resolve_config(args)
-    out = _out_dir(args)
-    student, teacher, test = _eval_inputs(args, cfg, out)
+    out, student, teacher, test = _eval_inputs(args, cfg)
     manifest = harness.export_similarity_matrices(student, teacher, test,
                                                   cfg.eval_eps(), out / "matrices",
                                                   attack=cfg.eval_attack())
@@ -235,6 +238,9 @@ def main(argv=None) -> int:
     except (TimaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # run_cells has killed and reaped its children
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ diagnostics, all deterministic per seed.
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
 import math
 import os
@@ -19,7 +18,7 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -277,32 +276,24 @@ def _claim(counter, count: int, cancel: bool = False) -> int:
         fcntl.lockf(counter, fcntl.LOCK_UN)
 
 
-def _serve_cells(fn: Callable, items: List, counter, pipe: int, inherited: List[int]) -> NoReturn:
-    """The life of a forked child: run claimed cells until none is left or
-    one fails, then write a pickled ``(index, ok, result or exception)``
-    record per cell to ``pipe`` and exit. It exits with ``os._exit``, so
-    none of the caller's cleanup, buffered output or exit handlers runs
-    here; a failure to report exits with status 1."""
+def _run_claimed(fn: Callable, items: List, counter, stop=lambda: False) -> Dict[int, tuple]:
+    """``run_cells``' one loop, in the caller and each child: run claimed cells
+    until none is left, one raises an ``Exception`` or ``stop()`` is true, then
+    claim every cell left. Returns ``{index: (ok, result or exception)}``."""
     global _in_cell
-    code = 1
+    _in_cell, done = True, {}
     try:
-        for fd in inherited:
-            os.close(fd)
-        _in_cell = True
-        records = io.BytesIO()
-        index = _claim(counter, len(items))
-        try:
-            while index < len(items):
-                records.write(pickle.dumps((index, True, fn(items[index]))))
-                index = _claim(counter, len(items))
-        except BaseException as exc:  # the caller re-raises it
-            _claim(counter, len(items), cancel=True)
-            records.write(pickle.dumps((index, False, exc)))
-        with os.fdopen(pipe, "wb") as out:
-            out.write(records.getbuffer())
-        code = 0
+        for index in iter(lambda: _claim(counter, len(items)), len(items)):
+            try:
+                done[index] = (True, fn(items[index]))
+            except Exception as exc:  # run_cells re-raises it
+                done[index] = (False, exc)
+            if not done[index][0] or stop():
+                _claim(counter, len(items), cancel=True)
+                break
     finally:
-        os._exit(code)
+        _in_cell = False
+    return done
 
 
 def run_cells(fn: Callable, items: Sequence) -> List:
@@ -310,32 +301,30 @@ def run_cells(fn: Callable, items: Sequence) -> List:
     child processes.
 
     ``_cell_workers`` sets the process count; the caller forks one child
-    fewer and runs cells itself. Each process claims the next unclaimed
-    cell until none is left, so a slow cell holds up only its own process.
-    With one process, without Linux ``fork``, or inside a cell, the same
-    loop runs in-process. ``fn`` reaches the children by fork inheritance;
-    only each child's results are pickled, to a pipe the caller reads at
-    the end. Cells must be independent, print nothing and write no files:
-    the caller reports their results.
+    fewer. It and each child run one loop, ``_run_claimed``, which claims the
+    next cell until none is left, so a slow cell holds up only its own
+    process. With one process, without Linux ``fork``, or inside a cell, the
+    cells run in-process. ``fn`` reaches the children by fork inheritance;
+    each child pickles its loop's map to a pipe, and the caller merges those
+    maps into its own. Cells must be independent, print nothing and write no
+    files: the caller reports their results.
 
-    A cell's exception (a ``TimaError`` keeps its class and message)
-    stops further claims and re-raises here once the running cells end;
-    of several, the lowest index wins. A child that dies raises
-    ``WorkerDied``: the caller checks its children between its own cells
-    and then claims every cell not yet started. Every child is reaped,
-    and killed first if the caller itself is interrupted, before this
-    returns or raises.
+    A cell's exception (a ``TimaError`` keeps its class and message; a result
+    a child cannot pickle raises the pickling error) stops further claims and
+    re-raises here once the running cells end; of several, the lowest index
+    wins. A child that dies, or whose cell raises a ``BaseException`` that is
+    not an ``Exception``, raises ``WorkerDied``: the caller checks its children
+    between its own cells. Every child is reaped, and killed first if the
+    caller itself is interrupted, before this returns or raises.
     """
-    global _in_cell
     items = list(items)
-    count = len(items)
-    workers = _cell_workers(count)
+    workers = _cell_workers(len(items))
     if workers <= 1 or _in_cell or not sys.platform.startswith("linux"):
         return [fn(item) for item in items]
     import signal  # not at module level: its import costs a CLI start about 1 ms
 
     pids: List[int] = []
-    reads: List[int] = []  # the read ends of the children's pipes, until read
+    pipes = []  # the read ends of the children's pipes
     exits: Dict[int, int] = {}  # reaped child pid -> exit code
 
     def reap(flags: int) -> bool:
@@ -346,58 +335,49 @@ def run_cells(fn: Callable, items: Sequence) -> List:
                     exits[pid] = os.waitstatus_to_exitcode(status)
         return any(exits.values())
 
-    results: Dict[int, object] = {}
-    errors: Dict[int, BaseException] = {}
-    payloads = []
     with tempfile.TemporaryFile() as counter:
         try:
             for _ in range(workers - 1):
                 read_end, write_end = os.pipe()
-                reads.append(read_end)
+                pipes.append(os.fdopen(read_end, "rb"))
                 try:
                     pid = os.fork()
-                    if pid == 0:
-                        _serve_cells(fn, items, counter, write_end, reads)
+                    if pid == 0:  # a child leaves by os._exit, past the caller's cleanup
+                        try:
+                            for pipe in pipes:
+                                pipe.close()
+                            done = _run_claimed(fn, items, counter)
+                            with os.fdopen(write_end, "wb") as out:
+                                try:
+                                    out.write(pickle.dumps(done))
+                                except Exception as exc:  # a result that cannot be pickled
+                                    out.write(pickle.dumps({min(done): (False, exc)}))
+                            os._exit(0)
+                        finally:
+                            os._exit(1)
                 finally:
                     os.close(write_end)
                 pids.append(pid)
-            _in_cell = True
-            try:
-                index = _claim(counter, count)
-                while index < count:
-                    try:
-                        results[index] = fn(items[index])
-                    except Exception as exc:
-                        errors[index] = exc
-                    if errors or reap(os.WNOHANG):
-                        _claim(counter, count, cancel=True)
-                        break
-                    index = _claim(counter, count)
-            finally:
-                _in_cell = False
-            while reads:
-                with os.fdopen(reads.pop(), "rb") as pipe:
-                    payloads.append(pipe.read())
+            done = _run_claimed(fn, items, counter, lambda: reap(os.WNOHANG))
+            payloads = [pipe.read() for pipe in pipes]
             reap(0)
         finally:
             for pid in pids:
                 if pid not in exits:
                     os.kill(pid, signal.SIGKILL)
                     os.waitpid(pid, 0)
-            for fd in reads:
-                os.close(fd)
+            for pipe in pipes:
+                pipe.close()
     dead = [code for code in exits.values() if code]
     if dead:
         how = f"signal {signal.Signals(-dead[0]).name}" if dead[0] < 0 else f"exit code {dead[0]}"
         raise WorkerDied(f"a cell worker process died ({how})")
     for payload in payloads:
-        records = io.BytesIO(payload)
-        while records.tell() < len(payload):
-            index, ok, value = pickle.load(records)
-            (results if ok else errors)[index] = value
-    if errors:
-        raise errors[min(errors)]
-    return [results[i] for i in range(count)]
+        done.update(pickle.loads(payload))
+    failed = [index for index, (ok, _) in done.items() if not ok]
+    if failed:
+        raise done[min(failed)][1]
+    return [done[index][1] for index in range(len(items))]
 
 
 def _superclass_counts(preds: Array, test_data: Dataset) -> List[List[int]]:

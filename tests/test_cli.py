@@ -295,6 +295,32 @@ class TestRejectedInputs:
                        f"does not train; use one of tima, tai_only\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("stage", [["finetune"], ["eval"], ["export-matrices"],
+                                       ["eval", "--model", "absent.timm"]])
+    def test_unknown_variant(self, config_file, tmp_path, capsys, stage):
+        # eval and export-matrices reject the variant as finetune does, even
+        # with --model, before they read a file or make the output directory
+        out = tmp_path / "out"
+        err = failed_stage(config_file, out, capsys, *stage, "--variant", "bogus")
+        assert err.startswith("error: unknown variant 'bogus'; expected one of (")
+        assert not out.exists()
+
+    def test_interrupt_is_one_error_line_and_exit_code_130(self, tmp_path, monkeypatch, capsys):
+        # Ctrl-C in a stage whose cells fork: every child is reaped, and the
+        # CLI prints one line instead of a traceback
+        def run_grid(*args):
+            time.sleep(0.1)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(harness, "run_grid", run_grid)
+        monkeypatch.setattr(harness, "_cell_workers", lambda count: min(count, 2))
+        code = main(["trend", "--out", str(tmp_path / "out")])
+        printed = capsys.readouterr()
+        assert code == 130
+        assert printed.out == "" and printed.err == "error: interrupted\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="cells fork on Linux only")
     def test_killed_pass_worker_during_eval(self, config_file, tmp_path, monkeypatch, capsys):
         out = tmp_path / "out"

@@ -905,6 +905,28 @@ class TestForkedCells:
         with pytest.raises(LabelOutOfRange, match="^cell 0$"):
             run_cells(cell, range(6))
 
+    def test_plain_exception_in_a_child_reraises_with_class_and_message(self):
+        caller = os.getpid()
+
+        def cell(x):
+            time.sleep(0.1)  # the child claims a cell meanwhile
+            if os.getpid() != caller:
+                raise ValueError(f"cell {x} in a child")
+            return x
+
+        with pytest.raises(ValueError, match=r"^cell \d in a child$"):
+            run_cells(cell, range(6))
+
+    def test_result_a_child_cannot_pickle_raises_the_pickling_error(self):
+        caller = os.getpid()
+
+        def cell(x):
+            time.sleep(0.1)  # the child claims a cell meanwhile
+            return x if os.getpid() == caller else (lambda: x)
+
+        with pytest.raises(AttributeError, match="^Can't pickle local object"):
+            run_cells(cell, range(6))
+
     @pytest.mark.parametrize("die", [lambda: os._exit(3),
                                      lambda: os.kill(os.getpid(), signal.SIGKILL)])
     def test_dead_worker_raises_and_cancels_pending_cells(self, tmp_path, die):

@@ -89,6 +89,13 @@ def test_one_pgd_step_loop():
             if isinstance(node, (ast.For, ast.While, ast.comprehension))] == []
 
 
+def test_one_cell_loop():
+    # harness._run_claimed alone claims cells: run_cells's caller and each of
+    # its forked children run that one loop
+    assert set(_calls_by_function("_claim")) == {("harness.py", "_run_claimed")}
+    assert {function for _, function in _calls_by_function("_run_claimed")} == {"run_cells"}
+
+
 # the numeric kernels every training and PGD step runs reduce through the
 # ufunc's ``reduce`` or the array method: np.sum and the like add a Python
 # wrapper frame per call that costs more than the reduction on a batch
