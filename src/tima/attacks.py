@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import AttackOutOfBounds, EmptyDataset, InvalidConfig, ShapeMismatch
+from .errors import AttackOutOfBounds, EmptyDataset, InvalidConfig, ShapeMismatch, _is_int
 from .losses import _check_labels, _checked_text, _log_softmax
 from .tensor import check_finite
 
@@ -43,8 +43,7 @@ class AttackConfig:
     def __post_init__(self):
         if not 0 <= self.eps < math.inf:
             raise InvalidConfig(f"eps must be finite and >= 0, got {self.eps}")
-        if not all(isinstance(n, (int, np.integer)) and n >= 0
-                   for n in (self.steps, self.restarts, self.seed)):
+        if not all(_is_int(n) and n >= 0 for n in (self.steps, self.restarts, self.seed)):
             raise InvalidConfig("steps, restarts and seed must be integers >= 0")
         if self.steps > 0 and not 0 < self.step_size < math.inf:
             raise InvalidConfig(f"step_size must be finite and positive, got {self.step_size}")

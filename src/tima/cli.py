@@ -16,7 +16,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import harness, model as model_mod
-from .config import RunConfig, load_config, parse_config, parse_fraction
+from .config import RunConfig, load_config, parse_config
 from .errors import InvalidVariant, IoFailure, TimaError
 from .files import make_dir
 
@@ -83,22 +83,14 @@ def cmd_finetune(args) -> int:
     return 0
 
 
-def _eval_inputs(args, cfg: RunConfig):
-    """The output directory, student, frozen teacher and test set that
-    eval-style commands use. An unknown ``--variant`` fails as it does in
-    ``finetune``, before any file is read or made, even with ``--model``."""
+def cmd_eval(args) -> int:
+    cfg = _resolve_config(args)
     variant = args.variant or cfg["variant"]
-    cfg.finetune_config(variant)
+    cfg.finetune_config(variant)  # an unknown variant fails first, even with --model
     out = _out_dir(args)
     student = _load_model(Path(args.model) if args.model else out / f"finetuned_{variant}.timm")
     teacher = model_mod.snapshot_teacher(_load_model(out / "pretrained.timm"))
     test = _load_dataset(Path(args.data) if args.data else out / "test.timd")
-    return out, student, teacher, test
-
-
-def cmd_eval(args) -> int:
-    cfg = _resolve_config(args)
-    out, student, teacher, test = _eval_inputs(args, cfg)
     report = harness.evaluate(student, teacher, test, cfg.eval_eps(),
                               attack=cfg.eval_attack(), matrices_dir=out / "matrices",
                               config_echo=cfg.echo(), seed=cfg["seed"])
@@ -106,16 +98,6 @@ def cmd_eval(args) -> int:
     robust = ", ".join(f"eps={k}: {v:.3f}" for k, v in report.robust_accuracy.items())
     print(f"clean accuracy {report.clean_accuracy:.3f}; robust {robust}")
     print(f"wrote {out / 'report.json'}")
-    return 0
-
-
-def cmd_export_matrices(args) -> int:
-    cfg = _resolve_config(args)
-    out, student, teacher, test = _eval_inputs(args, cfg)
-    manifest = harness.export_similarity_matrices(student, teacher, test,
-                                                  cfg.eval_eps(), out / "matrices",
-                                                  attack=cfg.eval_attack())
-    print(f"wrote {len(manifest)} matrices under {out / 'matrices'}")
     return 0
 
 
@@ -135,7 +117,7 @@ def cmd_sweep(args) -> int:
         for eta in cfg["sweep_eta"]:
             weights = dataclasses.replace(base.loss_weights, m=m, eta=eta)
             configs[m, eta] = dataclasses.replace(base, loss_weights=weights)
-    eps_list = [(t, parse_fraction(t)) for t in cfg["sweep_eps"]]
+    eps_list = cfg["sweep_eps"]
 
     def cell(key):
         m, eta = key
@@ -212,15 +194,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
 
     for name, fn in (("gen-data", cmd_gen_data), ("pretrain", cmd_pretrain),
-                     ("finetune", cmd_finetune), ("eval", cmd_eval),
-                     ("export-matrices", cmd_export_matrices), ("sweep", cmd_sweep),
+                     ("finetune", cmd_finetune), ("eval", cmd_eval), ("sweep", cmd_sweep),
                      ("trend", cmd_trend)):
         p = sub.add_parser(name)
         common(p)
-        if name in ("finetune", "eval", "export-matrices"):
+        if name in ("finetune", "eval"):
             p.add_argument("--variant", default=None,
                            help="override the config variant for this run")
-        if name in ("eval", "export-matrices"):
+        if name == "eval":
             p.add_argument("--model", default=None, help="checkpoint to evaluate")
             p.add_argument("--data", default=None, help="dataset file to evaluate on")
         p.set_defaults(fn=fn)

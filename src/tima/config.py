@@ -18,7 +18,7 @@ from .errors import ConfigRangeError, ConfigTypeError, UnknownKey
 from .files import read_file
 from .harness import VARIANTS, TrainConfig, resolve_variant
 from .losses import MARGIN_SIGN_LITERAL, MARGIN_SIGN_NEGATE, LossWeights
-from .model import EncoderConfig
+from .model import _SEED_LIMIT, EncoderConfig
 
 
 def parse_fraction(text: str) -> float:
@@ -58,7 +58,8 @@ _PARSERS = {
     "str": _parse_str,
     "int_list": lambda t: tuple(_parse_int(p) for p in _split_list(t)),
     "float_list": lambda t: tuple(_parse_float(p) for p in _split_list(t)),
-    "frac_list": lambda t: tuple(_split_list(t)),  # keep the eps texts verbatim
+    # (text, value) pairs: the texts stay verbatim, as the keys of every report
+    "frac_list": lambda t: tuple((p, parse_fraction(p)) for p in _split_list(t)),
 }
 
 # checks receive the parsed value and return an error string or None
@@ -66,14 +67,17 @@ _unit_open = lambda v: None if 0.0 < v < 1.0 else "must lie in (0, 1)"
 _nonneg = lambda v: None if v >= 0 else "must be >= 0"
 _positive = lambda v: None if v > 0 else "must be positive"
 _at_least_1 = lambda v: None if v >= 1 else "must be >= 1"
+_nonneg_fracs = lambda v: None if all(x >= 0 for _, x in v) else "fractions must be >= 0"
 
 
 def _finite(kind: str, value) -> str | None:
     """The problem with a float-valued key holding inf or NaN, or None."""
     if kind in ("float", "frac"):
         value = (value,)
+    elif kind == "frac_list":
+        value = [v for _, v in value]
     elif kind != "float_list":
-        return None  # frac_list texts: see _frac_list_ok
+        return None
     return None if all(math.isfinite(v) for v in value) else "must be finite"
 
 
@@ -81,22 +85,9 @@ def _choice(options):
     return lambda v: None if v in options else f"must be one of {', '.join(options)}"
 
 
-def _frac_list_ok(texts):
-    for t in texts:
-        try:
-            v = parse_fraction(t)
-        except (ValueError, ZeroDivisionError, OverflowError):
-            return f"bad fraction {t!r}"
-        if not math.isfinite(v):
-            return f"fraction {t!r} must be finite"
-        if v < 0:
-            return f"fraction {t!r} must be >= 0"
-    return None
-
-
 # key -> (kind, default text, check)
 SCHEMA: Dict[str, Tuple[str, str, object]] = {
-    "seed": ("int", "0", _nonneg),
+    "seed": ("int", "0", lambda v: None if 0 <= v < _SEED_LIMIT else "must lie in [0, 2**64)"),
     # synthetic data
     "num_superclasses": ("int", "4", _at_least_1),
     "subclasses_per_superclass": ("int", "2", _at_least_1),
@@ -136,7 +127,7 @@ SCHEMA: Dict[str, Tuple[str, str, object]] = {
     "train_restarts": ("int", "0", _nonneg),
     "attack_text_source": ("str", "student", _choice(TEXT_SOURCES)),
     # evaluation attack
-    "eval_eps_list": ("frac_list", "0,1/255,4/255,8/255", _frac_list_ok),
+    "eval_eps_list": ("frac_list", "0,1/255,4/255,8/255", _nonneg_fracs),
     "eval_steps": ("int", "10", _nonneg),
     "eval_step_size": ("frac", "1/255", _positive),
     "eval_restarts": ("int", "0", _nonneg),
@@ -145,7 +136,7 @@ SCHEMA: Dict[str, Tuple[str, str, object]] = {
                 lambda v: None if all(x >= 0 for x in v) else "margins must be >= 0"),
     "sweep_eta": ("float_list", "0.9,0.95",
                   lambda v: None if all(0.0 < x < 1.0 for x in v) else "etas must lie in (0, 1)"),
-    "sweep_eps": ("frac_list", "1/255,4/255", _frac_list_ok),
+    "sweep_eps": ("frac_list", "1/255,4/255", _nonneg_fracs),
 }
 
 
@@ -214,8 +205,9 @@ class RunConfig:
                             steps=v["eval_steps"], restarts=v["eval_restarts"],
                             seed=v["seed"], text_source="student")
 
-    def eval_eps(self) -> List[Tuple[str, float]]:
-        return [(t, parse_fraction(t)) for t in self.values["eval_eps_list"]]
+    def eval_eps(self) -> Tuple[Tuple[str, float], ...]:
+        """The report's (ε text, value) pairs, parsed once with the config."""
+        return self.values["eval_eps_list"]
 
     def pretrain_config(self) -> TrainConfig:
         v = self.values

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorruptFile, InvalidSpec, LabelOutOfRange, UnstorableDataset
+from .errors import CorruptFile, InvalidSpec, LabelOutOfRange, UnstorableDataset, _is_int
 from .files import Reader, read_file, write_atomic
 
 Array = np.ndarray
@@ -44,12 +44,12 @@ class SyntheticSpec:
     def __post_init__(self):
         counts = (self.num_superclasses, self.subclasses_per_superclass,
                   self.image_side, self.train_count, self.test_count)
-        if any(c < 1 for c in counts):
-            raise InvalidSpec(f"counts must be >= 1: {self}")
+        if not all(_is_int(c) and c >= 1 for c in counts):
+            raise InvalidSpec(f"counts must be integers >= 1: {self}")
         if not all(0 <= v < math.inf for v in (self.noise_sigma, self.within_super_shift)):
             raise InvalidSpec(f"noise/shift must be finite and >= 0: {self}")
-        if self.seed < 0:
-            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise InvalidSpec(f"seed must be an integer >= 0, got {self.seed!r}")
 
     @property
     def num_classes(self) -> int:

@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer test that
+config objects raise them on."""
+
+import numpy as np
+
+
+def _is_int(value) -> bool:
+    """True for an int or a numpy integer, never for a bool: every count, size
+    and seed a config object holds must pass it (2.0 epochs do not)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class TimaError(Exception):

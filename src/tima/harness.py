@@ -38,6 +38,7 @@ from .errors import (
     ReportSchemaError,
     TooFewClasses,
     WorkerDied,
+    _is_int,
 )
 from .files import make_dir, read_file, write_atomic
 from .losses import LossWeights, _check_labels, _tam, teacher_targets, tima_loss
@@ -77,12 +78,10 @@ class TrainConfig:
                                 f"got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise InvalidConfig(f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.epochs < 1:
-            raise InvalidConfig(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise InvalidConfig(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.seed < 0:
-            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
+        for name, least in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
+            n = getattr(self, name)
+            if not (_is_int(n) and n >= least):
+                raise InvalidConfig(f"{name} must be an integer >= {least}, got {n!r}")
 
 
 class _Momentum:

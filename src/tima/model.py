@@ -15,7 +15,7 @@ from typing import Callable, List, NamedTuple, Tuple
 
 import numpy as np
 
-from .errors import CorruptFile, InvalidConfig, ShapeMismatch, TruncatedFile
+from .errors import CorruptFile, InvalidConfig, ShapeMismatch, TruncatedFile, _is_int
 from .files import Reader, read_file, write_atomic
 from .tensor import (
     Tensor,
@@ -31,6 +31,7 @@ CHECKPOINT_MAGIC = b"TIMM"
 CHECKPOINT_VERSION = 1
 
 DEFAULT_TAU = 0.01
+_SEED_LIMIT = 2 ** 64  # a checkpoint stores the seed as a u64
 
 
 @dataclass(frozen=True)
@@ -45,14 +46,16 @@ class EncoderConfig:
     seed: int = 0
 
     def __post_init__(self):
+        dims = (self.input_dim, self.embed_dim, self.num_classes) + tuple(self.hidden_dims)
+        if not all(_is_int(n) for n in dims + (self.seed,)):
+            raise InvalidConfig(f"dimensions and seed must be integers: {self}")
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
-        dims = (self.input_dim, self.embed_dim, self.num_classes) + self.hidden_dims
         if any(d < 1 for d in dims):
             raise InvalidConfig(f"all dimensions must be >= 1: {self}")
         if self.embed_dim < 2:
             raise InvalidConfig(f"embed_dim must be >= 2, got {self.embed_dim}")
-        if self.seed < 0:
-            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < _SEED_LIMIT:
+            raise InvalidConfig(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 class ImagePass(NamedTuple):

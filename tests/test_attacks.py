@@ -93,7 +93,7 @@ class TestAttackConfig:
             AttackConfig(**{field: value})
 
     @pytest.mark.parametrize("field", ["steps", "restarts", "seed"])
-    @pytest.mark.parametrize("value", [2.5, 2.0])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True])
     def test_non_integer_counts_rejected(self, field, value):
         # a fractional step count would never run out
         with pytest.raises(InvalidConfig, match="integers"):

@@ -139,13 +139,14 @@ class TestSubcommands:
         b = load_dataset(out2 / "train.timd")
         assert not np.array_equal(a.images, b.images)
 
-    def test_export_matrices_subcommand(self, config_file, tmp_path):
+    def test_export_matrices_is_no_subcommand(self, tmp_path, capsys):
+        # `eval` writes the matrices; there is no second entry into evaluate
         out = tmp_path / "out"
-        run_pipeline(config_file, out)
-        (out / "matrices" / "student_text_text.csv").unlink()
-        assert main(["export-matrices", "--config", str(config_file),
-                     "--out", str(out)]) == 0
-        assert (out / "matrices" / "student_text_text.csv").exists()
+        code = main(["export-matrices", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "invalid choice: 'export-matrices'" in err
+        assert not out.exists()
 
     def test_non_utf8_config(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -295,15 +296,23 @@ class TestRejectedInputs:
                        f"does not train; use one of tima, tai_only\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("stage", [["finetune"], ["eval"], ["export-matrices"],
+    @pytest.mark.parametrize("stage", [["finetune"], ["eval"],
                                        ["eval", "--model", "absent.timm"]])
     def test_unknown_variant(self, config_file, tmp_path, capsys, stage):
-        # eval and export-matrices reject the variant as finetune does, even
-        # with --model, before they read a file or make the output directory
+        # eval rejects the variant as finetune does, even with --model,
+        # before it reads a file or makes the output directory
         out = tmp_path / "out"
         err = failed_stage(config_file, out, capsys, *stage, "--variant", "bogus")
         assert err.startswith("error: unknown variant 'bogus'; expected one of (")
         assert not out.exists()
+
+    def test_seed_a_checkpoint_cannot_store(self, config_file, tmp_path, capsys):
+        # the checkpoint stores the seed as a u64: the seed fails before training
+        out = tmp_path / "out"
+        run_stages(config_file, out, ["gen-data"])
+        err = failed_stage(config_file, out, capsys, "pretrain", "--seed", str(2 ** 64))
+        assert err.startswith("error: seed must lie in [0, 2**64)")
+        assert not (out / "pretrained.timm").exists()
 
     def test_interrupt_is_one_error_line_and_exit_code_130(self, tmp_path, monkeypatch, capsys):
         # Ctrl-C in a stage whose cells fork: every child is reaped, and the

@@ -78,8 +78,22 @@ class TestErrors:
             parse_config("train_eps = -1/255")
 
     def test_bad_fraction_in_list(self):
-        with pytest.raises(ConfigRangeError):
+        # a list's fraction fails to parse as a lone train_eps = zzz/255 does
+        with pytest.raises(ConfigTypeError, match="line 1"):
             parse_config("eval_eps_list = 0,zzz/255")
+
+    def test_zero_denominator_in_list(self):
+        with pytest.raises(ConfigTypeError, match="line 1: key 'sweep_eps'"):
+            parse_config("sweep_eps = 1/0")
+
+    def test_negative_fraction_in_list(self):
+        with pytest.raises(ConfigRangeError, match="line 1: key 'sweep_eps'"):
+            parse_config("sweep_eps = 1/255,-1/255")
+
+    def test_seed_a_checkpoint_cannot_store(self):
+        assert parse_config(f"seed = {2 ** 64 - 1}")["seed"] == 2 ** 64 - 1
+        with pytest.raises(ConfigRangeError, match="line 1: key 'seed'"):
+            parse_config(f"seed = {2 ** 64}")
 
     @pytest.mark.parametrize("key", [k for k, (kind, _, _) in SCHEMA.items()
                                      if kind in ("float", "frac", "float_list", "frac_list")])
@@ -125,6 +139,8 @@ class TestBuilders:
         eps = cfg.eval_eps()
         assert [t for t, _ in eps] == ["0", "1/255", "4/255", "8/255"]
         assert eps[2][1] == 4 / 255
+        assert eps is cfg["eval_eps_list"]  # the pairs parse_config stored
+        assert cfg.echo()["eval_eps_list"] == "0,1/255,4/255,8/255"
 
     def test_with_seed_updates_echo(self):
         cfg = parse_config("seed = 3\n").with_seed(9)

@@ -94,6 +94,15 @@ class TestGenerate:
         with pytest.raises(InvalidSpec):
             small_spec(noise_sigma=-0.1)
 
+    @pytest.mark.parametrize("field,value", [("train_count", 2.5), ("image_side", 2.0),
+                                             ("test_count", True), ("num_superclasses", 3.0),
+                                             ("subclasses_per_superclass", 2.5),
+                                             ("seed", 1.5), ("seed", True)])
+    def test_non_integer_counts_rejected(self, field, value):
+        # generate_synthetic raised a bare TypeError on these
+        with pytest.raises(InvalidSpec, match="integer"):
+            small_spec(**{field: value})
+
     @pytest.mark.parametrize("field", ["noise_sigma", "within_super_shift"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_scale_rejected(self, field, value):

@@ -90,6 +90,14 @@ def test_train_config_rejects_a_negative_seed():
         fast_train_cfg(seed=-1)
 
 
+@pytest.mark.parametrize("field,value", [("epochs", 2.0), ("epochs", True),
+                                         ("batch_size", 2.5), ("seed", 1.5), ("seed", False)])
+def test_train_config_rejects_non_integer_counts(field, value):
+    # pretrain_clean raised a bare TypeError on these
+    with pytest.raises(InvalidConfig, match=f"{field} must be an integer"):
+        fast_train_cfg(**{field: value})
+
+
 class TestPretrain:
     def test_loss_non_increasing_early(self):
         train, _ = small_data()

@@ -61,6 +61,21 @@ class TestInit:
         with pytest.raises(InvalidConfig, match="seed"):
             EncoderConfig(input_dim=6, hidden_dims=(5,), embed_dim=4, num_classes=3, seed=-1)
 
+    def test_seed_a_checkpoint_cannot_store_rejected(self):
+        # before training: save_model packs the seed as a u64
+        with pytest.raises(InvalidConfig, match="seed"):
+            tiny_cfg(seed=2 ** 64)
+
+    @pytest.mark.parametrize("field,value", [("hidden_dims", (1.5,)), ("hidden_dims", (True,)),
+                                             ("embed_dim", 2.5), ("embed_dim", 4.0),
+                                             ("input_dim", 6.0), ("num_classes", True),
+                                             ("seed", 1.5), ("seed", False)])
+    def test_non_integer_counts_rejected(self, field, value):
+        # int() truncated a (1.5,) hidden width to a width-1 layer
+        kw = dict(input_dim=6, hidden_dims=(5,), embed_dim=4, num_classes=3, seed=0)
+        with pytest.raises(InvalidConfig, match="integers"):
+            EncoderConfig(**{**kw, field: value})
+
 
 class TestEncode:
     def setup_method(self):
@@ -213,6 +228,12 @@ class TestCheckpoint:
         for pa, pb in zip(model.parameters(), loaded.parameters()):
             assert np.array_equal(pa.data, pb.data)
         assert loaded.fingerprint() == model.fingerprint()
+
+    def test_round_trip_largest_seed(self, tmp_path):
+        model = init_model(tiny_cfg(seed=2 ** 64 - 1))
+        path = tmp_path / "model.timm"
+        save_model(model, path)
+        assert load_model(path).cfg.seed == 2 ** 64 - 1
 
     def test_round_trip_no_hidden(self, tmp_path):
         model = init_model(tiny_cfg(seed=9, hidden=()))

@@ -96,6 +96,12 @@ def test_one_cell_loop():
     assert {function for _, function in _calls_by_function("_run_claimed")} == {"run_cells"}
 
 
+def test_eps_texts_are_parsed_in_tima_config_only():
+    # parse_config turns each ε text into its (text, value) pair once;
+    # commands read the pairs and never parse a fraction themselves
+    assert {module for module, _ in _calls_by_function("parse_fraction")} == {"config.py"}
+
+
 # the numeric kernels every training and PGD step runs reduce through the
 # ufunc's ``reduce`` or the array method: np.sum and the like add a Python
 # wrapper frame per call that costs more than the reduction on a batch
