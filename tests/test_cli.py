@@ -297,10 +297,11 @@ class TestRejectedInputs:
         assert not out.exists()
 
     @pytest.mark.parametrize("stage", [["finetune"], ["eval"],
+                                       ["eval", "--data", "absent.timd"],
                                        ["eval", "--model", "absent.timm"]])
     def test_unknown_variant(self, config_file, tmp_path, capsys, stage):
-        # eval rejects the variant as finetune does, even with --model,
-        # before it reads a file or makes the output directory
+        # eval rejects the variant as finetune does, even with --data or
+        # --model, before it reads a file or makes the output directory
         out = tmp_path / "out"
         err = failed_stage(config_file, out, capsys, *stage, "--variant", "bogus")
         assert err.startswith("error: unknown variant 'bogus'; expected one of (")
