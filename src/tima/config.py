@@ -155,6 +155,10 @@ class RunConfig:
         return {k: self.texts[k] for k in SCHEMA}
 
     def with_seed(self, seed: int) -> "RunConfig":
+        """This config with ``seed``, checked as the config file's ``seed`` is."""
+        problem = SCHEMA["seed"][2](seed)
+        if problem:
+            raise ConfigRangeError(f"seed {problem} (got {seed})")
         values = dict(self.values)
         texts = dict(self.texts)
         values["seed"] = seed

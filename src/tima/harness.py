@@ -43,7 +43,7 @@ from .errors import (
 from .files import make_dir, read_file, write_atomic
 from .losses import LossWeights, _check_labels, _tam, teacher_targets, tima_loss
 from .model import DualEncoder, TeacherSnapshot, init_model, snapshot_teacher
-from .tensor import Tensor, backward, normalize_rows_forward, once_per_gradient
+from .tensor import Tensor, backward, check_finite, normalize_rows_forward
 
 Array = np.ndarray
 
@@ -100,26 +100,30 @@ class _Momentum:
             p.data -= self.lr * v
 
 
-def contrastive_ce(model: DualEncoder, x: Array, y: Array) -> Tensor:
-    """Clean contrastive cross-entropy at the model temperature, as one tape
-    node over the image-embedding node and the class-text node."""
-    z = model.encode_images(x)
-    t = model.encode_classes()
-    s = z.data @ t.data.T
+def contrastive_ce(model: DualEncoder, x: Array, y: Array) -> Tuple[float, Dict[Tensor, Array]]:
+    """Clean contrastive cross-entropy at the model temperature and its
+    gradient for every ``model.parameters()`` entry, from ``image_forward``'s
+    and ``text_forward``'s pullbacks without the tape: the value, gradients
+    and errors (same checks, order and op names) of the tape's form."""
+    image = model.image_forward(check_finite(np.asarray(x, dtype=np.float64), "const"))
+    text = model.text_forward()
+    s = image.z @ text.t.T
     value, vjp = _tam(s, None, _check_labels(y, s.shape[1], s.shape[0]), model.tau)
-    g_s = once_per_gradient(vjp)
-    return Tensor(value, (z, t), "contrastive_ce",
-                  lambda g, i: g_s(g) @ t.data if i == 0 else (z.data.T @ g_s(g)).T)
+    g_s = vjp(1.0)
+    grads = image.weights(g_s @ text.t) + text.weights((image.z.T @ g_s).T)
+    return float(value), dict(zip(model.parameters(), grads))
 
 
 def _train(params: Sequence[Tensor], cfg: TrainConfig, stream: int, n: int,
-           batch_loss: Callable[[int, int, Array], Tensor]) -> List[float]:
+           batch_loss: Callable[[int, int, Array], Tuple[float, Dict[Tensor, Array]]]
+           ) -> List[float]:
     """The epoch loop both training stages share.
 
     Each epoch walks ``n`` samples in batches of a permutation drawn from
     ``SeedSequence((cfg.seed, stream))`` and takes one SGD-momentum step on
-    ``params`` per batch, against ``batch_loss(epoch, batch, idx)``.
-    Returns the per-epoch mean losses.
+    ``params`` per batch. ``batch_loss(epoch, batch, idx)`` returns the
+    batch's loss value and the gradient of each of ``params``, keyed by the
+    parameter. Returns the per-epoch mean losses.
     """
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, stream)))
     opt = _Momentum(params, cfg.learning_rate, cfg.momentum)
@@ -129,9 +133,9 @@ def _train(params: Sequence[Tensor], cfg: TrainConfig, stream: int, n: int,
         total = 0.0
         for bi, lo in enumerate(range(0, n, cfg.batch_size)):
             idx = perm[lo:lo + cfg.batch_size]
-            loss = batch_loss(epoch, bi, idx)
-            opt.step(backward(loss, opt.params))
-            total += loss.item() * len(idx)
+            value, grads = batch_loss(epoch, bi, idx)
+            opt.step(grads)
+            total += value * len(idx)
         trace.append(total / n)
     return trace
 
@@ -145,8 +149,9 @@ def _training_samples(train_data: Dataset) -> int:
 
 def pretrain_clean(model: DualEncoder, train_data: Dataset,
                    cfg: TrainConfig) -> Tuple[DualEncoder, List[float]]:
-    """Clean contrastive pretraining of both encoders; this is the model that
-    then gets frozen via snapshot_teacher. Returns (model, per-epoch losses)."""
+    """Clean contrastive pretraining of both encoders, on ``contrastive_ce``'s
+    closed form: no step builds a tape node. This is the model that then
+    gets frozen via snapshot_teacher. Returns (model, per-epoch losses)."""
     images, labels = train_data.images, train_data.labels
     return model, _train(model.parameters(), cfg, 0x9E, _training_samples(train_data),
                          lambda epoch, bi, idx: contrastive_ce(model, images[idx], labels[idx]))
@@ -193,16 +198,25 @@ def finetune(model: DualEncoder, teacher: TeacherSnapshot, train_data: Dataset,
     # the student's class text, encoded once per batch when the attack or
     # the text branch of the loss needs it
     own_text = attack.text_source == "student" or w.lam > 0.0
+    # The last adversarial batch stays referenced until the next attack
+    # returns: freed with the rest of its step, a step's ~1 MB of pixel arrays
+    # can pass glibc's heap trim threshold, and each step then re-faults it
+    # (a default ``run_grid``: 688k page faults without this, 41k with it).
+    held = []
 
-    def batch_loss(epoch: int, bi: int, idx: Array) -> Tensor:
+    def batch_loss(epoch: int, bi: int, idx: Array) -> Tuple[float, Dict[Tensor, Array]]:
         xb = train_data.images[idx]
         yb = train_data.labels[idx]
         student_text = model.encode_classes() if own_text else None
         text = attack_text(model, teacher, attack, student_text)
-        batch_attack = dataclasses.replace(attack, seed=attack.seed + 1000003 * epoch + bi)
+        # the seed places only the random restarts: without any it is never read
+        batch_attack = (dataclasses.replace(attack, seed=attack.seed + 1000003 * epoch + bi)
+                        if attack.restarts else attack)
         x_adv = pgd_attack(model, text, xb, yb, batch_attack)
-        return tima_loss(model, teacher, xb, x_adv, yb, w,
+        held[:] = [x_adv]
+        loss = tima_loss(model, teacher, xb, x_adv, yb, w,
                          targets=targets.take(idx), student_text=student_text)[0]
+        return loss.item(), backward(loss, params)
 
     return model, _train(params, cfg, 0xF7, n, batch_loss)
 

@@ -371,24 +371,31 @@ def tam_loss(s_adv, margin: Array, y, tau: float) -> Tensor:
 
 class TeacherTargets(NamedTuple):
     """What the frozen teacher contributes to the loss, one row per sample:
-    clean image embeddings ``z`` and adaptive-margin rows ``margin`` (all
-    zeros when m = 0)."""
+    clean image embeddings ``z``, adaptive-margin rows ``margin`` (all zeros
+    when m = 0) and ``log_probs``, the teacher's clean log-probabilities over
+    its own text at the loss temperature (what TAKD and IAKD distill)."""
 
     z: Array
     margin: Array
+    log_probs: Array
 
     def take(self, idx) -> "TeacherTargets":
-        return TeacherTargets(self.z[idx], self.margin[idx])
+        return TeacherTargets(self.z[idx], self.margin[idx], self.log_probs[idx])
 
 
 def teacher_targets(teacher, x, y, w: LossWeights,
                     batch_size: Optional[int] = None) -> TeacherTargets:
-    """Teacher embeddings and margin rows of every sample of ``x``.
+    """Teacher embeddings, margin rows and log-probabilities of every sample
+    of ``x``, so a training run computes them once rather than per batch.
 
     Works through ``x`` in chunks of ``batch_size`` rows (one chunk when
     None) so peak memory stays that of one batch. Each row depends only on
-    its own sample, so it is bit-identical to the row the same sample gets
-    inside any other batch.
+    its own sample and on its chunk's length: the encoder, the similarity
+    matmul and the row log-softmax are row-wise, but BLAS may take a
+    one-row product, or one of a few hundred rows, through a kernel whose
+    last bits differ. With the training batch size as ``batch_size`` every
+    row is bit-identical to the one a training batch computes for the same
+    sample.
     """
     x = np.asarray(x, dtype=np.float64)
     t_hat = teacher.t_hat
@@ -399,17 +406,18 @@ def teacher_targets(teacher, x, y, w: LossWeights,
     if w.m != 0.0:  # the margin scores against the text: vet it once
         t_hat = _checked_text(teacher.model, t_hat)
         s_tt = t_hat @ t_hat.T
-    zs, margins = [], []
+    zs, margins, log_probs = [], [], []
     for lo in range(0, max(n, 1), step):
         z = teacher.encode_images(x[lo:lo + step])
+        s_it = z @ t_hat.T
         if w.m == 0.0:
             margin = np.zeros((z.shape[0], c))
         else:
-            s_it = z @ t_hat.T
             margin = adaptive_margin(s_it, s_tt, y[lo:lo + step], w.m, w.eta, w.margin_sign)
         zs.append(z)
         margins.append(margin)
-    return TeacherTargets(np.concatenate(zs), np.concatenate(margins))
+        log_probs.append(_log_softmax(s_it, w.tau))
+    return TeacherTargets(np.concatenate(zs), np.concatenate(margins), np.concatenate(log_probs))
 
 
 def tima_loss(student, teacher, x_clean: Array, x_adv: Array, y,
@@ -429,7 +437,10 @@ def tima_loss(student, teacher, x_clean: Array, x_adv: Array, y,
     node; ``backward`` gets their gradients in closed form.
 
     ``targets`` are this batch's rows of ``teacher_targets`` under the same
-    weights; when omitted they are computed from ``x_clean``.
+    weights; when omitted they are computed from ``x_clean``. Their teacher
+    embeddings are vetted here (finite, unit rows, one per sample) as the
+    tape's similarity op vets them, and TAKD and IAKD read the teacher's
+    log-probabilities from them.
     ``student_text`` is ``student.encode_classes()`` when the caller already
     has it for these weights; when omitted it is encoded here.
     """
@@ -454,7 +465,11 @@ def tima_loss(student, teacher, x_clean: Array, x_adv: Array, y,
     def teacher_log_probs() -> Array:
         """The teacher's clean distribution over its text, shared by TAKD and IAKD."""
         _check_unit_rows(check_finite(tz, "const"), "left")
-        return _log_softmax(tz @ t_hat.T, w.tau)
+        log_probs = np.asarray(targets.log_probs, dtype=np.float64)
+        if log_probs.shape != s.shape:
+            raise ShapeMismatch(f"tima_loss: teacher log-probabilities of shape "
+                                f"{log_probs.shape} for similarities of shape {s.shape}")
+        return check_finite(log_probs, "const")
 
     takd = 0.0
     if w.lam_v > 0.0:

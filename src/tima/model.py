@@ -68,6 +68,14 @@ class ImagePass(NamedTuple):
     pixels: Callable[[Array], Array]
 
 
+class TextPass(NamedTuple):
+    """``DualEncoder.text_forward``'s unit-row class text and its pullback:
+    ``weights(g_t)`` gives one gradient per ``text_parameters()`` entry."""
+
+    t: Array
+    weights: Callable[[Array], List[Array]]
+
+
 class DualEncoder:
     """Trainable image encoder (theta) and class-text table (phi).
 
@@ -158,14 +166,27 @@ class DualEncoder:
         return ImagePass(z, lambda g_z: pullback(g_z, False), lambda g_z: pullback(g_z, True))
 
     def encode_classes(self) -> Tensor:
-        """Class-text embedding matrix (num_classes x embed_dim, unit rows):
-        ``class_table @ text_proj`` with its rows normalized, as one tape
-        node whose backward gives both weights' gradients in closed form."""
-        table, proj = self.class_table, self.text_proj
-        t, norms = normalize_rows_forward(check_finite(table.data @ proj.data, "matmul"))
-        g_m = once_per_gradient(lambda g: normalize_rows_backward(g, t, norms))
-        return Tensor(t, (table, proj), "encode_classes",
-                      lambda g, i: g_m(g) @ proj.data.T if i == 0 else table.data.T @ g_m(g))
+        """Class-text embedding matrix (num_classes x embed_dim, unit rows),
+        as one tape node over both text weights; ``backward`` gets their
+        gradients from ``text_forward``'s pullback, once per gradient."""
+        text = self.text_forward()
+        weights = once_per_gradient(text.weights)
+        return Tensor(text.t, self.text_parameters(), "encode_classes",
+                      lambda g, i: weights(g)[i])
+
+    def text_forward(self) -> "TextPass":
+        """The text branch without the tape: ``class_table @ text_proj`` with
+        its rows normalized, and the pullback of a class-text gradient to
+        both weights, bit for bit the elementary tape composition (matmul,
+        row normalization) with its checks under its op names."""
+        table, proj = self.class_table.data, self.text_proj.data
+        t, norms = normalize_rows_forward(check_finite(table @ proj, "matmul"))
+
+        def weights(g_t: Array) -> List[Array]:
+            g_m = normalize_rows_backward(g_t, t, norms)
+            return [g_m @ proj.T, table.T @ g_m]
+
+        return TextPass(t, weights)
 
     # -- copying / hashing ----------------------------------------------------
 

@@ -25,10 +25,13 @@ The ``plain_*`` kernels are the package's array kernels as the plain numpy
 formulas they were written as before they reduced without numpy's wrapper
 frames and updated their temporaries in place: ``tima.tensor``'s row kernels,
 the attack's logit gradient and the optimizer's momentum step, which the
-package must match bit for bit.
+package must match bit for bit. ``plain_row_norm_error`` and
+``plain_bounds_error`` are the row-normalization and attack-result checks as
+elementwise comparisons, whose errors the one-reduction checks must raise.
 """
 
-from typing import Callable
+import math
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -41,6 +44,7 @@ from tima.losses import (
     teacher_targets,
 )
 from tima.tensor import (
+    ROW_NORM_FLOOR,
     Tensor,
     _lift,
     backward,
@@ -192,7 +196,7 @@ def tape_tima_loss(student, teacher, x_clean, x_adv, y, w, *, targets=None,
     y = _check_labels(y, t_hat.shape[0], n)
     if targets is None:
         targets = teacher_targets(teacher, x_clean, y, w)
-    teacher_z, margin = targets
+    teacher_z, margin = targets.z, targets.margin
     if teacher_z.shape[0] != n:
         raise ShapeMismatch(f"tima_loss: {teacher_z.shape[0]} teacher rows for {n} samples")
 
@@ -277,6 +281,32 @@ def plain_normalize_rows(m):
     """(unit rows, row norms) of ``m``, as ``normalize_rows_forward``."""
     norms = np.sqrt(np.sum(m * m, axis=1, keepdims=True))
     return m / norms, norms
+
+
+def plain_row_norm_error(m) -> Optional[str]:
+    """The DegenerateRow message of ``normalize_rows_forward(m)``, or None,
+    from a compare-and-reduce pass per condition: a norm below the floor
+    (checked first), then one whose square overflowed to inf. NaN norms
+    satisfy neither, and ``argmin``/``argmax`` name the first NaN row."""
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.sum(m * m, axis=1, keepdims=True))
+    if np.any(norms < ROW_NORM_FLOOR):
+        bad = int(norms.argmin())
+        return f"row {bad} has norm {norms[bad, 0]:.3e} < {ROW_NORM_FLOOR}"
+    if np.any(norms == np.inf):
+        bad = int(norms.argmax())
+        return f"row {bad} has norm {math.hypot(*m[bad]):.3e}: its square overflows"
+    return None
+
+
+def plain_bounds_error(best_x, x, eps: float) -> Optional[str]:
+    """The AttackOutOfBounds message for an attack result ``best_x`` around
+    ``x``, or None, from elementwise comparisons: NaN fails each of them."""
+    if not np.all(np.abs(best_x - x) <= eps + 1e-9):
+        return f"attack result left the eps={eps} ball"
+    if not np.all((best_x >= 0.0) & (best_x <= 1.0)):
+        return "attack result left the pixel range [0, 1]"
+    return None
 
 
 def plain_normalize_rows_backward(g, out, norms):

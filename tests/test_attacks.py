@@ -34,6 +34,7 @@ from tima.tensor import Tensor, log_softmax_forward
 
 from oracles import (
     finite_diff_grad,
+    plain_bounds_error,
     plain_ce_logit_grad,
     plain_pgd,
     plain_pgd_attack,
@@ -809,3 +810,78 @@ class TestClosedFormInputGradient:
         assert tape_msg == new_msg == message
         with pytest.raises(NotNormalized, match=f"^{message}$"):
             per_sample_ce(model, text, x, y)
+
+
+class TestOneReductionKernels:
+    """The attack's gradient sign, its result check and evaluation's per-class
+    sums, each against the plain numpy form it replaces, bit for bit and
+    error for error, NaN, inf and empty inputs included."""
+
+    @pytest.mark.parametrize("fault", [None, (np.nan,), (np.inf,), (-np.inf,),
+                                       (np.inf, -np.inf), (1e308, 1e308)],
+                             ids=["clean", "nan", "inf", "-inf", "both_infs", "overflow"])
+    @pytest.mark.parametrize("rows", [0, 1, 7, 128])
+    def test_sign(self, fault, rows):
+        # two of 1e308 are finite entries whose sum overflows; no case warns
+        rng = np.random.default_rng(rows)
+        g = rng.normal(size=(rows, 33)) * 10.0 ** rng.integers(-300, 300, size=(rows, 1))
+        g[rng.uniform(size=g.shape) < 0.2] = 0.0
+        g[rng.uniform(size=g.shape) < 0.1] = -0.0
+        if fault is not None and rows:
+            g[rows // 2, :2] = fault
+        want = np.sign(g)
+        got = attacks._sign(g)
+        assert got is g and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("fault", ["clean", "nan", "inf", "outside_ball", "below_zero",
+                                       "above_one", "empty"])
+    def test_result_check(self, fault):
+        rng = np.random.default_rng(3)
+        eps = 4 / 255
+        x = rng.uniform(0.0, 1.0, size=(16, 9))
+        x[0, 0], x[1, 1] = 0.0, 1.0
+        best = np.clip(x + rng.uniform(-eps, eps, size=x.shape), 0.0, 1.0)
+        if fault == "nan":
+            best[3, 4] = np.nan
+        elif fault == "inf":
+            best[3, 4] = np.inf
+        elif fault == "outside_ball":
+            best[5, 2] = x[5, 2] + 2 * eps
+        elif fault == "below_zero":
+            best[0, 0] = -1e-12
+        elif fault == "above_one":
+            best[1, 1] = 1.0 + 1e-12
+        elif fault == "empty":
+            x, best = x[:0], best[:0]
+        want = plain_bounds_error(best, x, eps)
+        assert (want is None) == (fault in ("clean", "empty"))
+        with np.errstate(invalid="ignore"):  # inf - x in the ball check
+            if want is None:
+                assert attacks._strongest(None, None, x, None, eps, [best]) is best
+            else:
+                with pytest.raises(AttackOutOfBounds) as exc:
+                    attacks._strongest(None, None, x, None, eps, [best])
+                assert str(exc.value) == want
+
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=300),
+           st.integers(min_value=1, max_value=12), st.integers(min_value=2, max_value=40))
+    @settings(max_examples=60, deadline=None)
+    def test_class_sums_are_add_at(self, seed, rows, classes, width):
+        # a label never drawn leaves its class empty: a row of +0.0
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(rows, width)) * 10.0 ** rng.integers(-5, 5, size=(rows, 1))
+        z[rng.uniform(size=z.shape) < 0.1] = -0.0
+        labels = rng.integers(0, classes, size=rows) * (rng.uniform(size=rows) < 0.9)
+        want = np.zeros((classes, width))
+        np.add.at(want, labels, z)
+        got = attacks._class_sums(z, labels, classes)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_class_sums_start_at_positive_zero(self):
+        # add.at adds to +0.0: a column whose rows all hold -0.0 sums to +0.0
+        z = np.array([[-0.0, 1.0], [-0.0, -0.0], [2.0, -0.0]])
+        labels = np.array([1, 1, 2])
+        want = np.zeros((4, 2))
+        np.add.at(want, labels, z)
+        got = attacks._class_sums(z, labels, 4)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

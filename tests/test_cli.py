@@ -315,6 +315,14 @@ class TestRejectedInputs:
         assert err.startswith("error: seed must lie in [0, 2**64)")
         assert not (out / "pretrained.timm").exists()
 
+    def test_gen_data_rejects_a_seed_a_checkpoint_cannot_store(self, config_file, tmp_path,
+                                                                capsys):
+        # the --seed override is checked as the config file's seed is: no dataset is written
+        out = tmp_path / "out"
+        err = failed_stage(config_file, out, capsys, "gen-data", "--seed", str(2 ** 64))
+        assert err.startswith("error: seed must lie in [0, 2**64)")
+        assert not list(tmp_path.rglob("*.timd"))
+
     def test_interrupt_is_one_error_line_and_exit_code_130(self, tmp_path, monkeypatch, capsys):
         # Ctrl-C in a stage whose cells fork: every child is reaped, and the
         # CLI prints one line instead of a traceback

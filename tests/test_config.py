@@ -95,6 +95,14 @@ class TestErrors:
         with pytest.raises(ConfigRangeError, match="line 1: key 'seed'"):
             parse_config(f"seed = {2 ** 64}")
 
+    @pytest.mark.parametrize("seed", [2 ** 64, -1])
+    def test_with_seed_checks_the_seed(self, seed):
+        # as the config file's seed key is checked, not at the first stage that stores it
+        with pytest.raises(ConfigRangeError, match=re.escape(f"seed must lie in [0, 2**64) "
+                                                             f"(got {seed})")):
+            parse_config("").with_seed(seed)
+        assert parse_config("").with_seed(2 ** 64 - 1)["seed"] == 2 ** 64 - 1
+
     @pytest.mark.parametrize("key", [k for k, (kind, _, _) in SCHEMA.items()
                                      if kind in ("float", "frac", "float_list", "frac_list")])
     @pytest.mark.parametrize("bad", ["inf", "-inf", "nan", "1e400"])

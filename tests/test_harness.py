@@ -242,6 +242,23 @@ def test_one_optimizer_step_per_batch(monkeypatch, stage):
     assert len(steps) == cfg.epochs * math.ceil(train.num_samples / cfg.batch_size) == 8
 
 
+def test_pretraining_builds_no_tape_node(monkeypatch):
+    # contrastive_ce's closed form: the same weights and losses, no Tensor, no backward
+    train, _ = small_data()
+    cfg = fast_train_cfg(epochs=2, batch_size=48)
+    want, want_trace = pretrain_clean(small_model(), train, cfg)
+    model = small_model()
+
+    def no_tape(*args, **kwargs):
+        raise AssertionError("pretraining built a tape node")
+
+    monkeypatch.setattr(Tensor, "__init__", no_tape)
+    monkeypatch.setattr(harness, "backward", no_tape)
+    _, trace = pretrain_clean(model, train, cfg)
+    monkeypatch.undo()
+    assert trace == want_trace and model.fingerprint() == want.fingerprint()
+
+
 def test_momentum_steps_in_place_as_the_plain_update():
     # v = mu v + g; w = w - lr v, out of place, is the reference bit for bit
     rng = np.random.default_rng(4)

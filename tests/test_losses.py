@@ -462,6 +462,43 @@ class TestTeacherTargets:
         with pytest.raises(ShapeMismatch):
             tima_loss(student, teacher, x_clean, x_adv, y, w, targets=rows)
 
+    @pytest.mark.parametrize("batch_size", [1, 4, 128, None])
+    def test_log_probs_equal_per_batch_rows(self, batch_size):
+        # what tima_loss computed per batch on the tape, from the batch's
+        # teacher rows, in a run whose batches are as long as the chunks
+        cfg = parse_config("train_count = 300\nhidden_dims = 16\n")
+        train, _ = generate_synthetic(cfg.synthetic_spec())
+        teacher = snapshot_teacher(init_model(cfg.encoder_config(), tau=cfg["tau"]))
+        w = LossWeights(tau=0.05, m=0.1, eta=0.5)
+        targets = teacher_targets(teacher, train.images, train.labels, w, batch_size=batch_size)
+        assert targets.log_probs.shape == (train.num_samples, train.num_classes)
+        perm = np.random.default_rng(1).permutation(train.num_samples)
+        step = batch_size or train.num_samples
+        for lo in range(0, train.num_samples, step):
+            rows = targets.take(perm[lo:lo + step])
+            want = row_log_softmax(cosine_sim_matrix(rows.z, teacher.t_hat), w.tau).data
+            assert np.array_equal(rows.log_probs.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("fault, error, message", [
+        (lambda lp: np.where(lp == lp[1, 2], np.nan, lp), NonFiniteValue, "op 'const'"),
+        (lambda lp: lp[:, :-1], ShapeMismatch, "teacher log-probabilities of shape"),
+        (lambda lp: lp[:-1], ShapeMismatch, "teacher log-probabilities of shape"),
+    ], ids=["nan", "columns", "rows"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_log_probs_are_vetted_where_read(self, fault, error, message, variant):
+        # a variant with TAKD or IAKD reads them and rejects a faulty row;
+        # the others never look at them
+        student, teacher, x_clean, x_adv, y = fused_case((5,), 0.1, seed=3)
+        w, _, _ = resolve_variant(variant, LossWeights(tau=0.1), False, AttackConfig())
+        targets = teacher_targets(teacher, x_clean, y, w)
+        faulty = targets._replace(log_probs=fault(targets.log_probs))
+        if w.lam_v > 0.0 or (w.lam > 0.0 and w.lam_t > 0.0):
+            with pytest.raises(error, match=message):
+                tima_loss(student, teacher, x_clean, x_adv, y, w, targets=faulty)
+        else:
+            assert tima_loss(student, teacher, x_clean, x_adv, y, w, targets=faulty)[1] == \
+                tima_loss(student, teacher, x_clean, x_adv, y, w, targets=targets)[1]
+
 
 # -- the fused closed forms against the tape they replace ---------------------------
 
@@ -520,10 +557,16 @@ class TestFusedMatchesTape:
     @pytest.mark.parametrize("hidden", [(), (5,), (128,)])
     @pytest.mark.parametrize("tau", [1.0, 0.1, 0.01])
     def test_contrastive_ce_bitwise(self, hidden, tau):
+        # the closed form returns the value and every parameter's gradient
         student, _, x, _, y = fused_case(hidden, tau, seed=1)
-        for params in (student.parameters(), student.text_parameters()):
-            assert_same_node(contrastive_ce(student, x, y), tape_contrastive_ce(student, x, y),
-                             params)
+        value, grads = contrastive_ce(student, x, y)
+        tape = tape_contrastive_ce(student, x, y)
+        params = student.parameters()
+        assert type(value) is float and value == tape.item()
+        assert list(grads) == params
+        tape_grads = backward(tape, params)
+        for p in params:
+            assert np.array_equal(grads[p].view(np.uint64), tape_grads[p].view(np.uint64))
 
 
 def _inf_image_weight(case):

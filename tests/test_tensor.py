@@ -26,6 +26,7 @@ from oracles import (
     plain_log_softmax_backward,
     plain_normalize_rows,
     plain_normalize_rows_backward,
+    plain_row_norm_error,
     row_log_softmax,
 )
 
@@ -343,3 +344,52 @@ class TestKernelsMatchPlainFormulas:
         normalize_rows_backward(g, out, norms)
         log_softmax_backward(g, log_softmax_forward(m, 0.1), 0.1)
         assert np.array_equal(m, before[0]) and np.array_equal(g, before[1])
+
+
+class TestOneReductionChecks:
+    """The log-softmax row max (down a transposed copy) and the degenerate-row
+    test (one fmin and one fmax) reduce once per array; the plain elementwise
+    forms are the reference, for NaN, inf and empty inputs too."""
+
+    @pytest.mark.parametrize("fault", [None, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("rows", [0, 1, 5, 128])
+    def test_log_softmax(self, fault, rows):
+        rng = np.random.default_rng(rows)
+        s = rng.uniform(-3.0, 3.0, size=(rows, 8))
+        if fault is not None and rows:
+            s[rows // 2, 3] = fault
+        with np.errstate(invalid="ignore"):  # inf - inf in a faulty row
+            out, want = log_softmax_forward(s, 0.1), plain_log_softmax(s, 0.1)
+        assert out.shape == (rows, 8)
+        assert np.array_equal(bits(out), bits(want))
+
+    def test_log_softmax_without_columns_raises_as_before(self):
+        with pytest.raises(ValueError) as got:
+            log_softmax_forward(np.zeros((3, 0)), 0.1)
+        with pytest.raises(ValueError) as want:
+            plain_log_softmax(np.zeros((3, 0)), 0.1)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("faults", [
+        (), ("zero",), ("huge",), ("nan",), ("nan", "zero"), ("zero", "nan"),
+        ("nan", "huge"), ("huge", "zero"), ("zero", "huge", "nan"), ("empty",),
+    ], ids=lambda f: "-".join(f) or "clean")
+    def test_degenerate_rows(self, faults):
+        rng = np.random.default_rng(len(faults))
+        m = rng.normal(size=(6, 4))
+        if faults == ("empty",):
+            m = m[:0]
+        else:
+            for row, fault in enumerate(faults):
+                m[row + 1] = {"zero": 0.0, "huge": 1e200, "nan": np.nan}[fault]
+        want = plain_row_norm_error(m)
+        if want is None:
+            with np.errstate(invalid="ignore"):  # a NaN row divides to NaN
+                out, norms = normalize_rows_forward(m)
+                want_out, want_norms = plain_normalize_rows(m)
+            assert np.array_equal(bits(out), bits(want_out))
+            assert np.array_equal(bits(norms), bits(want_norms))
+        else:
+            with pytest.raises(DegenerateRow) as exc:
+                normalize_rows_forward(m)
+            assert str(exc.value) == want
