@@ -193,8 +193,7 @@ def finetune(model: DualEncoder, teacher: TeacherSnapshot, train_data: Dataset,
     if not cfg.freeze_text:
         params = params + model.text_parameters()
     # the teacher is frozen: its rows for each sample are fixed for the run
-    targets = teacher_targets(teacher, train_data.images, train_data.labels, w,
-                              batch_size=cfg.batch_size)
+    targets = teacher_targets(teacher, train_data.images, train_data.labels, w)
     # the student's class text, encoded once per batch when the attack or
     # the text branch of the loss needs it
     own_text = attack.text_source == "student" or w.lam > 0.0

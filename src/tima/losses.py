@@ -49,6 +49,8 @@ Array = np.ndarray
 
 NORM_TOLERANCE = 1e-6
 
+TEACHER_CHUNK = 128  # rows per chunk of ``teacher_targets``
+
 MARGIN_SIGN_LITERAL = "literal"
 MARGIN_SIGN_NEGATE = "negate_negatives"
 
@@ -373,7 +375,8 @@ class TeacherTargets(NamedTuple):
     """What the frozen teacher contributes to the loss, one row per sample:
     clean image embeddings ``z``, adaptive-margin rows ``margin`` (all zeros
     when m = 0) and ``log_probs``, the teacher's clean log-probabilities over
-    its own text at the loss temperature (what TAKD and IAKD distill)."""
+    its own text at the loss temperature (what TAKD and IAKD distill). A
+    row depends on its own sample only, not on how the data is cut."""
 
     z: Array
     margin: Array
@@ -383,37 +386,35 @@ class TeacherTargets(NamedTuple):
         return TeacherTargets(self.z[idx], self.margin[idx], self.log_probs[idx])
 
 
-def teacher_targets(teacher, x, y, w: LossWeights,
-                    batch_size: Optional[int] = None) -> TeacherTargets:
+def teacher_targets(teacher, x, y, w: LossWeights) -> TeacherTargets:
     """Teacher embeddings, margin rows and log-probabilities of every sample
     of ``x``, so a training run computes them once rather than per batch.
 
-    Works through ``x`` in chunks of ``batch_size`` rows (one chunk when
-    None) so peak memory stays that of one batch. Each row depends only on
-    its own sample and on its chunk's length: the encoder, the similarity
-    matmul and the row log-softmax are row-wise, but BLAS may take a
-    one-row product, or one of a few hundred rows, through a kernel whose
-    last bits differ. With the training batch size as ``batch_size`` every
-    row is bit-identical to the one a training batch computes for the same
-    sample.
+    Works through ``x`` in chunks of ``TEACHER_CHUNK`` rows, so peak memory
+    stays that of one batch; a one-row remainder joins the chunk before it.
+    Each step is row-wise, but on this BLAS build (numpy's scipy-openblas
+    0.3.31, Haswell kernels) a product against the transposed text takes
+    another kernel, with other last bits, for one row and for 151 rows or
+    more. Every chunk of 2-150 rows gives the same bits, so each row equals
+    the one any batch of 2-150 rows computes for its sample.
     """
     x = np.asarray(x, dtype=np.float64)
     t_hat = teacher.t_hat
     c = t_hat.shape[0]
     n = x.shape[0]
     y = _check_labels(y, c, n)
-    step = batch_size or max(n, 1)
     if w.m != 0.0:  # the margin scores against the text: vet it once
         t_hat = _checked_text(teacher.model, t_hat)
         s_tt = t_hat @ t_hat.T
+    starts = list(range(0, max(n - 1, 1), TEACHER_CHUNK))  # no one-row chunk unless n = 1
     zs, margins, log_probs = [], [], []
-    for lo in range(0, max(n, 1), step):
-        z = teacher.encode_images(x[lo:lo + step])
+    for lo, hi in zip(starts, starts[1:] + [n]):
+        z = teacher.encode_images(x[lo:hi])
         s_it = z @ t_hat.T
         if w.m == 0.0:
             margin = np.zeros((z.shape[0], c))
         else:
-            margin = adaptive_margin(s_it, s_tt, y[lo:lo + step], w.m, w.eta, w.margin_sign)
+            margin = adaptive_margin(s_it, s_tt, y[lo:hi], w.m, w.eta, w.margin_sign)
         zs.append(z)
         margins.append(margin)
         log_probs.append(_log_softmax(s_it, w.tau))

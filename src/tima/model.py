@@ -9,6 +9,7 @@ is nearest text embedding by cosine similarity.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Tuple
@@ -317,7 +318,7 @@ def load_model(path) -> DualEncoder:
         dims = r.unpack(f"<{rank}I")
         if dims != shape:
             raise CorruptFile(f"{path}: tensor {i} has shape {dims}, header implies {shape}")
-        arr = np.frombuffer(r.take(8 * int(np.prod(dims))), dtype="<f8").reshape(dims).copy()
+        arr = np.frombuffer(r.take(8 * math.prod(dims)), dtype="<f8").reshape(dims).copy()
         tensors.append(Tensor(arr, op="leaf"))
     r.finish()
     layers = [(tensors[2 * i], tensors[2 * i + 1]) for i in range(len(hidden))]

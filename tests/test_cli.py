@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import signal
+import struct
 import sys
 import time
 
@@ -273,6 +274,17 @@ class TestRejectedInputs:
         assert err.startswith("error: row 0 has norm ")
         assert err.endswith(": its square overflows\n")
         assert not (out / "report.json").exists()
+
+    def test_finetune_on_a_checkpoint_whose_size_overflows(self, config_file, tmp_path, capsys):
+        # tensor 0 declares (2**32 - 1)**2 values: the read fails as truncated
+        out = tmp_path / "out"
+        run_stages(config_file, out, ["gen-data"])
+        big = 2**32 - 1
+        (out / "pretrained.timm").write_bytes(b"TIMM" + struct.pack(
+            "<IIIIIIQdIIII", 1, big, 1, big, 4, 2, 0, 0.07, 6, 2, big, big))
+        err = failed_stage(config_file, out, capsys, "finetune")
+        assert "expected 147573952520956936200 more bytes at offset 60" in err
+        assert not list(out.glob("finetuned_*.timm"))
 
     @pytest.mark.parametrize("stage", ["pretrain", "finetune"])
     def test_training_on_no_sample(self, config_file, tmp_path, capsys, stage):

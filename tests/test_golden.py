@@ -46,6 +46,26 @@ def test_mlp_encoder_fingerprint():
     assert short_run("hidden_dims = 128\n", ("tima",))["tima"] == GOLDEN_MLP_TIMA
 
 
+# Batches cut the data otherwise than the teacher's 128-row chunks: batches
+# of 160 rows, and 136 samples at 45 rows, whose last batch has one row.
+# Every sample's teacher rows stay those of the default cut.
+GOLDEN_CUTS = {
+    "batch_size = 160\n": {
+        "tima": "9da913338b40a5cbb79dd5c3bb2d86f69c81cddb1ed199991b284e2210cee059",
+        "iat_only": "2fa93932a3e594a0d8146b3d4af7ab9edbd5130591d09760b93b069e6b7d6b1b",
+    },
+    "train_count = 136\nbatch_size = 45\n": {
+        "tima": "e29bcb636161bec604c59c1ae7104b50beb9667d0d6510687c1e18829ad1b00d",
+        "iat_only": "de5db85baf53ce6707a7ba87c828170592104ecfeb80593c3df83f93725d5dfd",
+    },
+}
+
+
+@pytest.mark.parametrize("extra_config", GOLDEN_CUTS, ids=["batch160", "n136-batch45"])
+def test_fingerprint_under_another_cut(extra_config):
+    assert short_run(extra_config, tuple(GOLDEN_CUTS[extra_config])) == GOLDEN_CUTS[extra_config]
+
+
 # A tiny CLI pipeline: three test batches of the 128-row attack, one restart,
 # and a 2 x 1 x 2 sweep, so per-batch seeds, restarts and the per-point
 # reports all feed the digests below.

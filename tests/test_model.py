@@ -285,6 +285,16 @@ class TestCheckpoint:
         with pytest.raises(CorruptFile):
             load_model(path)
 
+    def test_tensor_size_past_int64_is_truncated(self, tmp_path):
+        # input_dim = the hidden width = 2**32 - 1: tensor 0 declares
+        # (2**32 - 1)**2 values, whose byte count no int64 holds
+        big = 2**32 - 1
+        path = tmp_path / "model.timm"
+        path.write_bytes(b"TIMM" + struct.pack("<IIIIIIQdIIII", 1, big, 1, big, 4, 2, 0, 0.07,
+                                               6, 2, big, big))
+        with pytest.raises(TruncatedFile, match="expected 147573952520956936200 more bytes"):
+            load_model(path)
+
     @pytest.mark.parametrize("tau", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_temperature_rejected(self, tmp_path, tau):
         path = tmp_path / "model.timm"
