@@ -64,8 +64,9 @@ def per_sample_ce(encoder, text_matrix: Array, x: Array, y: Array) -> Array:
 
 
 def _ce(encoder, text: Array, x: Array, y: Array) -> Array:
-    """``per_sample_ce`` on text and labels vetted already."""
-    log_p = _log_probs(encoder.encode_images(x).data, text, encoder.tau)
+    """``per_sample_ce`` on text and labels vetted already, without the tape."""
+    z = encoder.image_forward(check_finite(np.asarray(x, dtype=np.float64), "const")).z
+    log_p = _log_probs(z, text, encoder.tau)
     return -log_p[np.arange(len(y)), y]
 
 
@@ -283,13 +284,13 @@ def pgd_attack(encoder, text_matrix: Array, x: Array, y: Array,
     return pgd_grid(encoder, text_matrix, x, y, [cfg]).adv[0]
 
 
-def attack_text(model, teacher, cfg: AttackConfig, student_text=None) -> Array:
+def attack_text(model, teacher, cfg: AttackConfig, student_text: Optional[Array] = None) -> Array:
     """The class-text embeddings ``cfg.text_source`` names: the student's own
-    (``student_text``, this model's ``encode_classes()``, when the caller
+    (``student_text``, this model's class-text array, when the caller
     already has it), or the frozen teacher's."""
     if cfg.text_source != "student":
         return teacher.t_hat
-    return (model.encode_classes() if student_text is None else student_text).data
+    return model.encode_classes().data if student_text is None else student_text
 
 
 # rows per job of ``scored_passes``; each attacked batch is seeded

@@ -219,6 +219,9 @@ def main(argv=None) -> int:
     except (TimaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # e.g. a configured size no array can have
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     except KeyboardInterrupt:  # run_cells has killed and reaped its children
         print("error: interrupted", file=sys.stderr)
         return 130

@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the integer test that
-config objects raise them on."""
+config objects and the report reader share."""
 
 import numpy as np
 

@@ -43,7 +43,7 @@ from .errors import (
 from .files import make_dir, read_file, write_atomic
 from .losses import LossWeights, _check_labels, _tam, teacher_targets, tima_loss
 from .model import DualEncoder, TeacherSnapshot, init_model, snapshot_teacher
-from .tensor import Tensor, backward, check_finite, normalize_rows_forward
+from .tensor import Tensor, check_finite, normalize_rows_forward
 
 Array = np.ndarray
 
@@ -184,7 +184,8 @@ def finetune(model: DualEncoder, teacher: TeacherSnapshot, train_data: Dataset,
     """Adversarial fine-tuning against a frozen teacher.
 
     Per batch: attack the current student inside the training epsilon-ball,
-    evaluate the combined loss with ``cfg.loss_weights``, update with SGD
+    take the combined loss with ``cfg.loss_weights`` and its gradients from
+    ``tima_loss``'s closed form (no step builds a tape node), update with SGD
     momentum. Returns (model, per-epoch mean losses).
     """
     n = _training_samples(train_data)
@@ -206,16 +207,15 @@ def finetune(model: DualEncoder, teacher: TeacherSnapshot, train_data: Dataset,
     def batch_loss(epoch: int, bi: int, idx: Array) -> Tuple[float, Dict[Tensor, Array]]:
         xb = train_data.images[idx]
         yb = train_data.labels[idx]
-        student_text = model.encode_classes() if own_text else None
-        text = attack_text(model, teacher, attack, student_text)
+        student_text = model.text_forward() if own_text else None
+        text = attack_text(model, teacher, attack, student_text.t if own_text else None)
         # the seed places only the random restarts: without any it is never read
         batch_attack = (dataclasses.replace(attack, seed=attack.seed + 1000003 * epoch + bi)
                         if attack.restarts else attack)
         x_adv = pgd_attack(model, text, xb, yb, batch_attack)
         held[:] = [x_adv]
-        loss = tima_loss(model, teacher, xb, x_adv, yb, w,
-                         targets=targets.take(idx), student_text=student_text)[0]
-        return loss.item(), backward(loss, params)
+        return tima_loss(model, teacher, xb, x_adv, yb, w,
+                         targets=targets.take(idx), student_text=student_text)[:2]
 
     return model, _train(params, cfg, 0xF7, n, batch_loss)
 
@@ -484,12 +484,8 @@ class EvalReport:
 REPORT_KEYS = tuple(f.name for f in dataclasses.fields(EvalReport))
 
 
-def _integer(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _number_in(lo: float, hi: float) -> Callable[[object], bool]:
-    return lambda v: (_integer(v) or isinstance(v, float)) and lo <= v <= hi
+    return lambda v: (_is_int(v) or isinstance(v, float)) and lo <= v <= hi
 
 
 def _object_of(check: Callable[[object], bool]) -> Callable[[object], bool]:
@@ -498,7 +494,7 @@ def _object_of(check: Callable[[object], bool]) -> Callable[[object], bool]:
 
 def _square_counts(v) -> bool:
     return isinstance(v, list) and all(
-        isinstance(row, list) and len(row) == len(v) and all(_integer(c) and c >= 0 for c in row)
+        isinstance(row, list) and len(row) == len(v) and all(_is_int(c) and c >= 0 for c in row)
         for row in v)
 
 
@@ -509,7 +505,7 @@ def _string(v) -> bool:
 # what ``read_report`` accepts as the JSON value of each EvalReport field
 _REPORT_CHECKS: Dict[str, Callable[[object], bool]] = {
     "config": _object_of(_string),
-    "seed": _integer,
+    "seed": _is_int,
     "clean_accuracy": _number_in(0.0, 1.0),
     "robust_accuracy": _object_of(_number_in(0.0, 1.0)),
     "text_min_distance": _object_of(_number_in(0.0, sys.float_info.max)),
@@ -549,7 +545,7 @@ def evaluate(model: DualEncoder, teacher: TeacherSnapshot, test_data: Dataset,
             raise EmptyDataset(f"the test set has no sample of classes {missing.tolist()}; "
                                f"every class needs one for the similarity matrices")
     student_text = model.encode_classes()
-    models = [(model, attack_text(model, teacher, attack, student_text))]
+    models = [(model, attack_text(model, teacher, attack, student_text.data))]
     if matrices_dir is not None:
         models.append((teacher.model, teacher.t_hat))
     attacks = {eps_text: dataclasses.replace(attack, eps=eps) for eps_text, eps in eps_list}

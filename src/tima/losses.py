@@ -13,15 +13,15 @@ elementary tape operations the term is defined by, in the same order, so that
 values and gradients are the tape's bit for bit (``tests/oracles.py`` keeps
 that composition as the reference). The public term functions are one-node
 tape wrappers over the kernels; ``tima_loss`` runs the kernels on plain
-arrays and is one tape node over the student's image embeddings (the
-``encode_images`` node) and class text (the ``encode_classes`` node).
+arrays and returns its parameter gradients in closed form, from the
+student's image and text pullbacks, without building a tape node.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .errors import (
     ShapeMismatch,
     TooFewClasses,
 )
+from .model import TextPass
 from .tensor import (
     Tensor,
     _lift,
@@ -421,9 +422,9 @@ def teacher_targets(teacher, x, y, w: LossWeights) -> TeacherTargets:
     return TeacherTargets(np.concatenate(zs), np.concatenate(margins), np.concatenate(log_probs))
 
 
-def tima_loss(student, teacher, x_clean: Array, x_adv: Array, y,
-              w: LossWeights, *, targets: Optional[TeacherTargets] = None,
-              student_text: Optional[Tensor] = None) -> tuple[Tensor, LossComponents]:
+def tima_loss(student, teacher, x_clean: Array, x_adv: Array, y, w: LossWeights, *,
+              targets: Optional[TeacherTargets] = None, student_text: Optional[TextPass] = None
+              ) -> Tuple[float, Dict[Tensor, Array], LossComponents]:
     """Combined loss: TAM + lam_v*TAKD + lam*(MHE + lam_t*IAKD).
 
     ``student`` is the trainable dual encoder, ``teacher`` the frozen
@@ -433,17 +434,18 @@ def tima_loss(student, teacher, x_clean: Array, x_adv: Array, y,
     Gradients reach the image encoder through TAM + TAKD only and the text
     encoder through MHE + IAKD only.
 
-    The loss is one tape node. Its parents are the student's
-    ``encode_images`` node and, when the text branch is on, its class-text
-    node; ``backward`` gets their gradients in closed form.
+    Returns the value, each ``student.parameters()`` entry's gradient (exact
+    zeros for the text when lam = 0) and the per-term values: the tape
+    form's values, gradients and errors (same checks, order and op names),
+    from ``image_forward``'s and ``text_forward``'s pullbacks.
 
     ``targets`` are this batch's rows of ``teacher_targets`` under the same
     weights; when omitted they are computed from ``x_clean``. Their teacher
     embeddings are vetted here (finite, unit rows, one per sample) as the
     tape's similarity op vets them, and TAKD and IAKD read the teacher's
     log-probabilities from them.
-    ``student_text`` is ``student.encode_classes()`` when the caller already
-    has it for these weights; when omitted it is encoded here.
+    ``student_text`` is ``student.text_forward()`` when the caller already
+    has it; when omitted it is computed here if the text branch is on.
     """
     t_hat = teacher.t_hat
     n = np.asarray(x_adv).shape[0]
@@ -454,8 +456,8 @@ def tima_loss(student, teacher, x_clean: Array, x_adv: Array, y,
     if tz.shape[0] != n:
         raise ShapeMismatch(f"tima_loss: {tz.shape[0]} teacher rows for {n} samples")
 
-    z_node = student.encode_images(x_adv)
-    z = z_node.data
+    image = student.image_forward(check_finite(np.asarray(x_adv, dtype=np.float64), "const"))
+    z = image.z
     if z.shape[1] != t_hat.shape[1]:
         raise ShapeMismatch(f"cosine_sim_matrix: {z.shape} vs {t_hat.shape}")
     s = z @ t_hat.T
@@ -479,37 +481,34 @@ def tima_loss(student, teacher, x_clean: Array, x_adv: Array, y,
         takd, takd_vjp = _distill(teacher_log_probs(), s, w.tau)
         total = _weighted(total, takd, w.lam_v)
 
-    def z_grad(g):
-        # on the tape TAKD's contribution reaches z before TAM's
-        tam_term = tam_vjp(g) @ t_hat
-        return takd_vjp(g * w.lam_v) @ t_hat + tam_term if w.lam_v > 0.0 else tam_term
-
     mhe = iakd = 0.0
-    student_t = None
+    text = None
     if w.lam > 0.0:
-        student_t = student.encode_classes() if student_text is None else student_text
-        if student_t.shape[0] < 2:
-            raise TooFewClasses(f"need at least 2 class embeddings, got {student_t.shape[0]}")
-        mhe, mhe_vjp = _mhe(student_t.data)
-        text = mhe
+        text = student.text_forward() if student_text is None else student_text
+        if text.t.shape[0] < 2:
+            raise TooFewClasses(f"need at least 2 class embeddings, got {text.t.shape[0]}")
+        mhe, mhe_vjp = _mhe(text.t)
+        branch = mhe
         if w.lam_t > 0.0:
-            if t_hat.shape != student_t.shape:
+            if t_hat.shape != text.t.shape:
                 raise ShapeMismatch(f"iakd_loss: teacher text {t_hat.shape} "
-                                    f"vs student text {student_t.shape}")
-            iakd, iakd_vjp = _distill(teacher_log_probs(), tz @ student_t.data.T, w.tau)
-            text = _weighted(mhe, iakd, w.lam_t)
-        total = _weighted(total, text, w.lam)
+                                    f"vs student text {text.t.shape}")
+            iakd, iakd_vjp = _distill(teacher_log_probs(), tz @ text.t.T, w.tau)
+            branch = _weighted(mhe, iakd, w.lam_t)
+        total = _weighted(total, branch, w.lam)
 
-    def text_grad(g):
-        g_text = g * w.lam
-        acc = (tz.T @ iakd_vjp(g_text * w.lam_t)).T if w.lam_t > 0.0 else None
-        return mhe_vjp(g_text, acc)
-
+    g_z = tam_vjp(1.0) @ t_hat
+    if w.lam_v > 0.0:  # on the tape TAKD's contribution reaches z before TAM's
+        g_z = takd_vjp(w.lam_v) @ t_hat + g_z
+    grads = image.weights(g_z)
+    if text is None:
+        grads += [np.zeros_like(p.data) for p in student.text_parameters()]
+    else:
+        g_t = (tz.T @ iakd_vjp(w.lam * w.lam_t)).T if w.lam_t > 0.0 else None
+        grads += text.weights(mhe_vjp(w.lam, g_t))
     comps = LossComponents(total=float(total), tam=float(tam), takd=float(takd),
                            mhe=float(mhe), iakd=float(iakd))
-    parents = (z_node,) if student_t is None else (z_node, student_t)
-    loss = Tensor(total, parents, "tima_loss", lambda g, i: z_grad(g) if i == 0 else text_grad(g))
-    return loss, comps
+    return comps.total, dict(zip(student.parameters(), grads)), comps
 
 
 __all__ = [

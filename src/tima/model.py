@@ -130,7 +130,7 @@ class DualEncoder:
 
     def image_forward(self, x: Array) -> "ImagePass":
         """The image branch on a float64 pixel array, without the tape: the
-        one image forward that ``encode_images`` and the attack build on.
+        one image forward that ``encode_images``, the attack and training use.
 
         ``z`` and the pullbacks equal, bit for bit and with the same checks
         under the same op names, what the elementary tape composition (affine
@@ -224,7 +224,7 @@ class TeacherSnapshot:
     def __init__(self, model: DualEncoder):
         self.model = model.clone(frozen=True)
         self.tau = self.model.tau
-        t_hat = self.model.encode_classes().data
+        t_hat = self.model.text_forward().t
         t_hat.flags.writeable = False
         self.t_hat = t_hat
 
@@ -233,7 +233,7 @@ class TeacherSnapshot:
 
     def encode_images(self, x) -> Array:
         """Forward pass through the frozen weights; plain values."""
-        return self.model.encode_images(np.asarray(x, dtype=np.float64)).data
+        return self.model.image_forward(check_finite(np.asarray(x, dtype=np.float64), "const")).z
 
     def fingerprint(self) -> str:
         return self.model.fingerprint()

@@ -9,8 +9,8 @@ is asked for one parent's contribution at a time, and never for a parent with
 no path to a requested leaf (a constant input, or a weight nobody asked for).
 Besides the elementary operations here, a node may be a whole closed form
 over its direct inputs: the image encoder over its weights and pixels
-(``DualEncoder.encode_images``), or a loss over the embeddings
-(``losses.tima_loss``).
+(``DualEncoder.encode_images``), or a loss term over the embeddings
+(``losses.tam_loss`` and the others); no training step builds a node.
 """
 
 from __future__ import annotations

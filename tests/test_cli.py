@@ -286,6 +286,16 @@ class TestRejectedInputs:
         assert "expected 147573952520956936200 more bytes at offset 60" in err
         assert not list(out.glob("finetuned_*.timm"))
 
+    def test_gen_data_whose_arrays_cannot_be_allocated(self, tmp_path, capsys):
+        # 10**14 pixels per image: numpy refuses the first array (5.68 PiB,
+        # past any address space) before it touches memory
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("image_side = 10000000\n")
+        out = tmp_path / "out"
+        err = failed_stage(cfg, out, capsys, "gen-data")
+        assert err.startswith("error: out of memory: Unable to allocate ")
+        assert not list(out.glob("*.timd"))
+
     @pytest.mark.parametrize("stage", ["pretrain", "finetune"])
     def test_training_on_no_sample(self, config_file, tmp_path, capsys, stage):
         out = tmp_path / "out"

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from tima import attacks, harness, losses
+from tima import attacks, harness, losses, tensor
 from tima.attacks import AttackConfig, robust_accuracy
 from tima.config import parse_config
 from tima.data import SyntheticSpec, generate_synthetic
@@ -175,13 +175,13 @@ class TestFinetuneVariants:
     @pytest.mark.parametrize("variant, per_batch", [("tima", 1), ("tecoa", 0)])
     def test_student_text_encoded_once_per_batch(self, monkeypatch, variant, per_batch):
         calls = []
-        original = DualEncoder.encode_classes
+        original = DualEncoder.text_forward
 
         def counting(model):
             calls.append(1)
             return original(model)
 
-        monkeypatch.setattr(DualEncoder, "encode_classes", counting)
+        monkeypatch.setattr(DualEncoder, "text_forward", counting)
         finetune(self.pretrained.clone(), self.teacher, self.train,
                  fast_train_cfg(variant=variant, epochs=3))
         batches = 3 * -(-self.train.num_samples // 32)
@@ -242,19 +242,28 @@ def test_one_optimizer_step_per_batch(monkeypatch, stage):
     assert len(steps) == cfg.epochs * math.ceil(train.num_samples / cfg.batch_size) == 8
 
 
-def test_pretraining_builds_no_tape_node(monkeypatch):
-    # contrastive_ce's closed form: the same weights and losses, no Tensor, no backward
+@pytest.mark.parametrize("stage", ("pretrain",) + harness.VARIANTS)
+def test_training_builds_no_tape_node(monkeypatch, stage):
+    # contrastive_ce's and tima_loss's closed forms: with every Tensor and
+    # backward call failing, a stage gives the same weights and losses
     train, _ = small_data()
-    cfg = fast_train_cfg(epochs=2, batch_size=48)
-    want, want_trace = pretrain_clean(small_model(), train, cfg)
-    model = small_model()
+    cfg = fast_train_cfg(variant="tima" if stage == "pretrain" else stage,
+                         epochs=2, batch_size=48)
+    if stage == "pretrain":
+        make_model, run = small_model, lambda model: pretrain_clean(model, train, cfg)
+    else:
+        pretrained = small_model()
+        teacher = snapshot_teacher(pretrained)
+        make_model, run = pretrained.clone, lambda model: finetune(model, teacher, train, cfg)
+    want, want_trace = run(make_model())
+    model = make_model()
 
     def no_tape(*args, **kwargs):
-        raise AssertionError("pretraining built a tape node")
+        raise AssertionError("a training step built a tape node")
 
     monkeypatch.setattr(Tensor, "__init__", no_tape)
-    monkeypatch.setattr(harness, "backward", no_tape)
-    _, trace = pretrain_clean(model, train, cfg)
+    monkeypatch.setattr(tensor, "backward", no_tape)
+    _, trace = run(model)
     monkeypatch.undo()
     assert trace == want_trace and model.fingerprint() == want.fingerprint()
 

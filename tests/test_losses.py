@@ -348,26 +348,26 @@ class TestTimaLoss:
     def test_tecoa_reduction_equals_plain_ce(self):
         student, teacher, x_clean, x_adv, y = tiny_setup()
         w = LossWeights(tau=0.5, m=0.0, lam=0.0, lam_v=0.0)
-        total, comps = tima_loss(student, teacher, x_clean, x_adv, y, w)
+        total, _, comps = tima_loss(student, teacher, x_clean, x_adv, y, w)
         z = student.encode_images(x_adv).data
         log_p = row_log_softmax(Tensor(z @ teacher.t_hat.T), 0.5).data
         plain = -log_p[np.arange(len(y)), y].sum() / len(y)
-        assert abs(total.item() - plain) < 1e-12
+        assert abs(total - plain) < 1e-12
         assert comps.mhe == 0.0 and comps.iakd == 0.0 and comps.takd == 0.0
 
     def test_unit_weights_compose(self):
         student, teacher, x_clean, x_adv, y = tiny_setup(seed=2)
         w = LossWeights(tau=0.5, m=0.1, eta=0.95, lam=1.0, lam_t=1.0, lam_v=1.0)
-        total, comps = tima_loss(student, teacher, x_clean, x_adv, y, w)
-        assert total.item() == pytest.approx(
+        total, _, comps = tima_loss(student, teacher, x_clean, x_adv, y, w)
+        assert total == pytest.approx(
             comps.tam + comps.takd + comps.mhe + comps.iakd, abs=1e-12)
 
     def test_weighted_sum_matches_components(self):
         student, teacher, x_clean, x_adv, y = tiny_setup(seed=3)
         w = LossWeights(tau=0.5, m=0.05, eta=0.9, lam=2.0, lam_t=0.5, lam_v=3.0)
-        total, comps = tima_loss(student, teacher, x_clean, x_adv, y, w)
+        total, _, comps = tima_loss(student, teacher, x_clean, x_adv, y, w)
         expected = comps.tam + 3.0 * comps.takd + 2.0 * (comps.mhe + 0.5 * comps.iakd)
-        assert total.item() == pytest.approx(expected, abs=1e-12)
+        assert total == pytest.approx(expected, abs=1e-12)
 
     def test_gradient_partition(self):
         # image params get zero grad through the text branch and vice versa
@@ -375,8 +375,8 @@ class TestTimaLoss:
         w = LossWeights(tau=0.5, m=0.1, lam=1.0, lam_t=1.0, lam_v=1.0)
 
         text_only = dataclasses.replace(w, m=0.0, lam_v=0.0)
-        total, _ = tima_loss(student, teacher, x_clean, x_adv, y, text_only)
-        grads = backward(total, student.parameters())
+        _, grads, _ = tima_loss(student, teacher, x_clean, x_adv, y, text_only)
+        assert list(grads) == student.parameters()
         # TAM still reaches theta; subtract it by evaluating the text branch alone
         from tima.losses import iakd_loss as _iakd, mhe_loss as _mhe
         st_t = student.encode_classes()
@@ -386,8 +386,7 @@ class TestTimaLoss:
             assert np.all(text_grads[p] == 0.0)
 
         image_branch_w = dataclasses.replace(w, lam=0.0)
-        total_img, _ = tima_loss(student, teacher, x_clean, x_adv, y, image_branch_w)
-        img_grads = backward(total_img, student.parameters())
+        _, img_grads, _ = tima_loss(student, teacher, x_clean, x_adv, y, image_branch_w)
         for p in student.text_parameters():
             assert np.all(img_grads[p] == 0.0)
         for p in student.image_parameters():
@@ -398,16 +397,14 @@ class TestTimaLoss:
         student, teacher, x_clean, x_adv, y = tiny_setup(seed=seed)
         w = LossWeights(tau=0.5, m=0.05, eta=0.9, lam=1.0, lam_t=1.0, lam_v=1.0)
         params = student.parameters()
-        total, _ = tima_loss(student, teacher, x_clean, x_adv, y, w)
-        analytic = backward(total, params)
+        _, analytic, _ = tima_loss(student, teacher, x_clean, x_adv, y, w)
         for p in params:
             original = p.data.copy()
 
             def f(v):
                 p.data = v.copy()
                 try:
-                    val, _ = tima_loss(student, teacher, x_clean, x_adv, y, w)
-                    return val.item()
+                    return tima_loss(student, teacher, x_clean, x_adv, y, w)[0]
                 finally:
                     p.data = original.copy()
 
@@ -476,11 +473,11 @@ class TestTeacherTargets:
         student, teacher, x_clean, x_adv, y = tiny_setup(seed=7, n=6)
         w = LossWeights(tau=0.5, m=m, eta=0.9, lam=1.0, lam_t=1.0, lam_v=1.0)
         params = student.parameters()
-        plain, plain_comps = tima_loss(student, teacher, x_clean, x_adv, y, w)
+        plain, g_plain, plain_comps = tima_loss(student, teacher, x_clean, x_adv, y, w)
         rows = teacher_targets(teacher, x_clean, y, w)
-        cached, cached_comps = tima_loss(student, teacher, x_clean, x_adv, y, w, targets=rows)
-        assert plain_comps == cached_comps
-        g_plain, g_cached = backward(plain, params), backward(cached, params)
+        cached, g_cached, cached_comps = tima_loss(student, teacher, x_clean, x_adv, y, w,
+                                                   targets=rows)
+        assert plain == cached and plain_comps == cached_comps
         for p in params:
             assert np.array_equal(g_plain[p], g_cached[p])
 
@@ -521,8 +518,8 @@ class TestTeacherTargets:
             with pytest.raises(error, match=message):
                 tima_loss(student, teacher, x_clean, x_adv, y, w, targets=faulty)
         else:
-            assert tima_loss(student, teacher, x_clean, x_adv, y, w, targets=faulty)[1] == \
-                tima_loss(student, teacher, x_clean, x_adv, y, w, targets=targets)[1]
+            assert tima_loss(student, teacher, x_clean, x_adv, y, w, targets=faulty)[2] == \
+                tima_loss(student, teacher, x_clean, x_adv, y, w, targets=targets)[2]
 
 
 # -- the fused closed forms against the tape they replace ---------------------------
@@ -546,13 +543,6 @@ BASE_WEIGHTS = {
 }
 
 
-def assert_same_node(fused, tape, params):
-    assert np.array_equal(fused.data, tape.data)
-    g_fused, g_tape = backward(fused, params), backward(tape, params)
-    for p in params:
-        assert np.array_equal(g_fused[p], g_tape[p])
-
-
 class TestFusedMatchesTape:
     """``tima_loss`` and ``contrastive_ce`` are closed forms of the tape
     compositions in ``oracles``: the same value, loss components and
@@ -568,16 +558,20 @@ class TestFusedMatchesTape:
             w, _, _ = resolve_variant(variant, base_w, False, AttackConfig())
             for given in (False, True):
                 targets = teacher_targets(teacher, x_clean, y, w) if given else None
-                fused, fused_comps = tima_loss(
+                value, grads, comps = tima_loss(
                     student, teacher, x_clean, x_adv, y, w, targets=targets,
-                    student_text=student.encode_classes() if given else None)
+                    student_text=student.text_forward() if given else None)
                 tape, tape_comps = tape_tima_loss(
                     student, teacher, x_clean, x_adv, y, w, targets=targets,
                     student_text=tape_encode_classes(student) if given else None)
-                assert dataclasses.astuple(fused_comps) == dataclasses.astuple(tape_comps)
-                # with frozen text only the image parameters are asked for
+                assert type(value) is float and same_bits(np.asarray(value), tape.data)
+                assert dataclasses.astuple(comps) == dataclasses.astuple(tape_comps)
+                assert list(grads) == student.parameters()
+                # with frozen text the tape is asked for the image parameters only
                 for params in (student.image_parameters(), student.parameters()):
-                    assert_same_node(fused, tape, params)
+                    tape_grads = backward(tape, params)
+                    for p in params:
+                        assert same_bits(grads[p], tape_grads[p])
 
     @pytest.mark.parametrize("hidden", [(), (5,), (128,)])
     @pytest.mark.parametrize("tau", [1.0, 0.1, 0.01])

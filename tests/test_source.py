@@ -96,6 +96,12 @@ def test_one_cell_loop():
     assert {function for _, function in _calls_by_function("_run_claimed")} == {"run_cells"}
 
 
+def test_no_module_calls_backward():
+    # both training losses return their gradients in closed form: the tape's
+    # backward is for the tests' reference compositions and the benchmark
+    assert _calls_by_function("backward") == []
+
+
 def test_eps_texts_are_parsed_in_tima_config_only():
     # parse_config turns each ε text into its (text, value) pair once;
     # commands read the pairs and never parse a fraction themselves
