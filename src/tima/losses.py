@@ -43,7 +43,6 @@ from .tensor import (
     check_temperature,
     log_softmax_backward,
     log_softmax_forward,
-    once_per_gradient,
 )
 
 Array = np.ndarray
@@ -264,7 +263,6 @@ def kl_rows(logits_p, logits_q, tau: float) -> Tensor:
         raise ShapeMismatch(f"kl_rows: {logits_p.shape} vs {logits_q.shape}")
     logs = (_log_softmax(logits_p.data, tau), _log_softmax(logits_q.data, tau))
     value, vjp = _kl(*logs)
-    vjp = once_per_gradient(vjp)
     return Tensor(value, (logits_p, logits_q), "kl_rows",
                   lambda g, i: log_softmax_backward(vjp(g)[i], logs[i], tau))
 

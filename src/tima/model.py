@@ -23,7 +23,6 @@ from .tensor import (
     check_finite,
     normalize_rows_backward,
     normalize_rows_forward,
-    once_per_gradient,
 )
 
 Array = np.ndarray
@@ -118,15 +117,13 @@ class DualEncoder:
     def encode_images(self, x) -> Tensor:
         """Batch of images -> unit-norm embeddings, as one tape node over the
         image parameters and, when ``x`` is a Tensor, its pixels. ``backward``
-        gets their gradients from ``image_forward``'s pullbacks, the weights'
-        once per gradient."""
+        gets their gradients from ``image_forward``'s pullbacks."""
         xt = x if isinstance(x, Tensor) else None
         image = self.image_forward(
             xt.data if xt is not None else check_finite(np.asarray(x, dtype=np.float64), "const"))
         params = self.image_parameters()
-        weights = once_per_gradient(image.weights)
         return Tensor(image.z, params + ([] if xt is None else [xt]), "encode_images",
-                      lambda g, i: weights(g)[i] if i < len(params) else image.pixels(g))
+                      lambda g, i: image.weights(g)[i] if i < len(params) else image.pixels(g))
 
     def image_forward(self, x: Array) -> "ImagePass":
         """The image branch on a float64 pixel array, without the tape: the
@@ -169,11 +166,10 @@ class DualEncoder:
     def encode_classes(self) -> Tensor:
         """Class-text embedding matrix (num_classes x embed_dim, unit rows),
         as one tape node over both text weights; ``backward`` gets their
-        gradients from ``text_forward``'s pullback, once per gradient."""
+        gradients from ``text_forward``'s pullback."""
         text = self.text_forward()
-        weights = once_per_gradient(text.weights)
         return Tensor(text.t, self.text_parameters(), "encode_classes",
-                      lambda g, i: weights(g)[i])
+                      lambda g, i: text.weights(g)[i])
 
     def text_forward(self) -> "TextPass":
         """The text branch without the tape: ``class_table @ text_proj`` with

@@ -4,9 +4,6 @@ Every operation returns a fresh node wired to its parents, so graphs are
 acyclic by construction and a creation-order topological sort always exists.
 Gradients are computed by :func:`backward` as a pure function of the graph:
 nothing is cached on the nodes, so repeated calls give identical results.
-Only gradients along paths to the requested leaves are computed: an operation
-is asked for one parent's contribution at a time, and never for a parent with
-no path to a requested leaf (a constant input, or a weight nobody asked for).
 Besides the elementary operations here, a node may be a whole closed form
 over its direct inputs: the image encoder over its weights and pixels
 (``DualEncoder.encode_images``), or a loss term over the embeddings
@@ -16,7 +13,7 @@ over its direct inputs: the image encoder over its weights and pixels
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -29,7 +26,6 @@ from .errors import (
 )
 
 Array = np.ndarray
-T = TypeVar("T")
 
 ROW_NORM_FLOOR = 1e-12
 
@@ -229,33 +225,12 @@ def l2_normalize_rows(m: Tensor) -> Tensor:
                   lambda g, i: normalize_rows_backward(g, out, norms))
 
 
-def once_per_gradient(fn: Callable[[Array], T]) -> Callable[[Array], T]:
-    """``fn`` computed once per gradient array: ``backward`` asks an op for one
-    parent's contribution at a time, each time with the same ``g``, so parents
-    of a closed-form op that share work share one call of ``fn(g)``."""
-    last: list = []
-
-    def call(g: Array) -> T:
-        if not last or last[0] is not g:
-            last[:] = [g, fn(g)]
-        return last[1]
-
-    return call
-
-
 def backward(loss: Tensor, leaves: Optional[Iterable[Tensor]] = None) -> Dict[Tensor, Array]:
     """Gradients of a scalar loss with respect to leaf tensors.
 
     Accumulates in reverse topological order with a fixed node numbering, so
     results are bit-deterministic and repeat calls over the same graph return
     identical values. Leaves with no path to the loss get exact zeros.
-
-    Only gradients along paths to the requested leaves are computed. A node
-    is needed when it is a requested leaf or has a needed parent; an op's
-    backward runs only for its needed parents, so constants and unrequested
-    weights cost nothing. Every needed node still receives all of its
-    contributions in the same order, so each sum rounds exactly as it would
-    with every leaf requested.
 
     Returns a dict keyed by the leaf Tensor objects themselves. When
     ``leaves`` is None, every leaf reachable from ``loss`` is reported.
@@ -281,13 +256,6 @@ def backward(loss: Tensor, leaves: Optional[Iterable[Tensor]] = None) -> Dict[Te
 
     if leaves is None:
         leaves = [n for n in topo if not n.parents]
-    else:
-        leaves = list(leaves)
-    # topo lists every parent before its children
-    needed: set[Tensor] = set(leaves)
-    for node in topo:
-        if any(p in needed for p in node.parents):
-            needed.add(node)
 
     grads: Dict[Tensor, Array] = {loss: np.ones_like(loss.data)}
     for node in reversed(topo):
@@ -295,10 +263,9 @@ def backward(loss: Tensor, leaves: Optional[Iterable[Tensor]] = None) -> Dict[Te
         if g is None or node._backward is None:
             continue
         for i, parent in enumerate(node.parents):
-            if parent in needed:
-                contrib = node._backward(g, i)
-                acc = grads.get(parent)
-                grads[parent] = contrib if acc is None else acc + contrib
+            contrib = node._backward(g, i)
+            acc = grads.get(parent)
+            grads[parent] = contrib if acc is None else acc + contrib
 
     out: Dict[Tensor, Array] = {}
     for leaf in leaves:
