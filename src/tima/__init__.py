@@ -8,7 +8,7 @@ accuracy and embedding-geometry diagnostics.
 """
 
 from .attacks import AttackConfig, pgd_attack, robust_accuracy
-from .data import Dataset, SyntheticSpec, generate_synthetic, load_dataset, save_dataset
+from .data import Dataset, SyntheticSpec, generate_synthetic, load_dataset, pixels, save_dataset
 from .harness import EvalReport, TrainConfig, eval_clean, evaluate, finetune, pretrain_clean
 from .losses import (
     LossComponents,
@@ -37,7 +37,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttackConfig", "pgd_attack", "robust_accuracy",
-    "Dataset", "SyntheticSpec", "generate_synthetic", "load_dataset", "save_dataset",
+    "Dataset", "SyntheticSpec", "generate_synthetic", "load_dataset", "pixels", "save_dataset",
     "EvalReport", "TrainConfig", "eval_clean", "evaluate", "finetune", "pretrain_clean",
     "LossComponents", "LossWeights", "adaptive_margin", "cosine_sim_matrix",
     "iakd_loss", "kl_rows", "mhe_loss", "takd_loss", "tam_loss", "tima_loss",

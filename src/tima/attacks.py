@@ -15,6 +15,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .data import pixels
 from .errors import AttackOutOfBounds, EmptyDataset, InvalidConfig, ShapeMismatch, _is_int
 from .losses import _check_labels, _checked_text, _log_softmax
 from .tensor import check_finite
@@ -337,7 +338,7 @@ def scored_passes(models: Sequence[Tuple[object, Array]], dataset, cfgs: Sequenc
     def job(item):
         i, lo = item
         encoder, text = models[i]
-        return scored_batch(encoder, text, dataset.images[lo:lo + SCORE_BATCH],
+        return scored_batch(encoder, text, pixels(dataset.images[lo:lo + SCORE_BATCH]),
                             dataset.labels[lo:lo + SCORE_BATCH],
                             [dataclasses.replace(cfg, seed=cfg.seed + lo) for cfg in cfgs])
 

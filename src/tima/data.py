@@ -6,7 +6,9 @@ classes sharing a superclass look alike. That gives the margin logic real
 similarity matrices a block structure worth preserving.
 
 Pixels are quantized to the 256-level grid at generation time, matching the
-1/255 perturbation granularity and making the 8-bit on-disk format lossless.
+1/255 perturbation granularity. A ``Dataset`` holds the 8-bit codes, one byte
+per pixel in memory as in its file; ``pixels`` widens the rows a step reads
+to float64, so no code path holds a float64 copy of a whole dataset.
 """
 
 from __future__ import annotations
@@ -17,14 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorruptFile, InvalidSpec, LabelOutOfRange, UnstorableDataset, _is_int
+from .errors import (CorruptFile, InvalidSpec, LabelNotInteger, LabelOutOfRange, ShapeMismatch,
+                     UnstorableDataset, _is_int)
 from .files import Reader, read_file, write_atomic
 
 Array = np.ndarray
 
 DATASET_MAGIC = b"TIMD"
 DATASET_VERSION = 1
-_SAVE_CHUNK = 1 << 16  # float64 elements quantized per step of save_dataset
 
 
 @dataclass(frozen=True)
@@ -60,12 +62,39 @@ class SyntheticSpec:
         return self.image_side * self.image_side
 
 
+def pixels(codes: Array) -> Array:
+    """The float64 pixels of 8-bit ``codes``: code q is q / 255, bit for bit
+    the value the generator quantizes to (``round(v * 255) / 255``).
+    Multiplying by 1/255 instead would differ on 24 of the 256 codes."""
+    return np.divide(codes, 255.0, dtype=np.float64)
+
+
 @dataclass
 class Dataset:
-    images: Array                # (n, side^2) float64 in [0, 1]
+    """A labelled image set. ``images`` are the 8-bit pixel codes, shaped
+    (n, side^2) uint8; ``pixels`` widens the rows a step reads. Construction
+    rejects images that are not such codes, one row per label, and labels
+    that are not a 1-D integer array."""
+
+    images: Array                # (n, side^2) uint8 codes; pixel = code / 255
     labels: Array                # (n,) class ids
     superclass_of: Array         # (num_classes,) superclass ids
     image_side: int
+
+    def __post_init__(self):
+        labels, images = self.labels, self.images
+        if not (isinstance(labels, np.ndarray) and labels.ndim == 1
+                and np.issubdtype(labels.dtype, np.integer)):
+            raise LabelNotInteger(f"labels must be a 1-D integer array, got "
+                                  f"{getattr(labels, 'dtype', type(labels).__name__)} "
+                                  f"shaped {np.shape(labels)}")
+        if not (isinstance(images, np.ndarray) and images.dtype == np.uint8):
+            raise UnstorableDataset(f"images must be uint8 pixel codes (pixel = code / 255), "
+                                    f"got {getattr(images, 'dtype', type(images).__name__)}")
+        dim = self.image_side ** 2
+        if images.shape != (len(labels), dim):
+            raise ShapeMismatch(f"images shaped {images.shape}, not ({len(labels)}, {dim}) for "
+                                f"{len(labels)} labels of side {self.image_side}")
 
     @property
     def num_classes(self) -> int:
@@ -103,20 +132,22 @@ def _balanced_counts(total: int, num_classes: int) -> Array:
 
 
 def _sample_split(protos: Array, spec: SyntheticSpec, rng, total: int) -> Dataset:
-    """Each class's rows are drawn and quantized in place in the one image array."""
+    """Each class's rows are drawn and quantized in one float64 scratch block;
+    only their 8-bit codes are kept."""
     counts = _balanced_counts(total, spec.num_classes)
-    images = np.empty((total, spec.input_dim))
+    images = np.empty((total, spec.input_dim), dtype=np.uint8)
+    scratch = np.empty((int(counts.max()), spec.input_dim))
     start = 0
     for c, n_c in enumerate(counts):
-        block = images[start:start + n_c]
-        start += n_c
+        block = scratch[:n_c]
         rng.standard_normal(out=block)
         block *= spec.noise_sigma
         block += protos[c]
         np.clip(block, 0.0, 1.0, out=block)
         block *= 255.0
         np.round(block, out=block)
-        block /= 255.0
+        images[start:start + n_c] = block
+        start += n_c
     labels = np.repeat(np.arange(spec.num_classes, dtype=np.int64), counts)
     superclass_of = np.repeat(np.arange(spec.num_superclasses, dtype=np.int64),
                               spec.subclasses_per_superclass)
@@ -139,9 +170,8 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
 #   | u32 image_side | u32 n | u16*num_classes superclass map | u16*n labels
 #   | u8*(n*side^2) pixels
 #
-# Little-endian throughout. Pixels are stored as round(p * 255); load widens
-# back to float64 p/255, which is bit-exact because save rejects a pixel off
-# that grid.
+# Little-endian throughout. The pixel bytes are the dataset's own 8-bit codes,
+# so save and load copy them as they are.
 
 
 def _u16(values: Array, what: str) -> bytes:
@@ -151,45 +181,17 @@ def _u16(values: Array, what: str) -> bytes:
     return values.astype("<u2").tobytes()
 
 
-def _reject_pixel(chunk: Array, start: int):
-    q = np.round(chunk * 255.0)
-    i = np.argwhere(~((q >= 0.0) & (q <= 255.0) & (q / 255.0 == chunk)))[0]
-    raise UnstorableDataset(f"pixel {chunk[tuple(i)]} in row {start + i[0]} would load back "
-                            f"as another value: pixels must lie on the 1/255 grid of [0, 1]")
-
-
 def save_dataset(d: Dataset, path) -> None:
     """Raises UnstorableDataset, before anything is written, when the file
-    would not load back as ``d``: images not shaped (samples, image_side^2),
-    more than 65536 classes, a label or superclass id outside u16, or a pixel
-    off the 1/255 grid of [0, 1]."""
-    n, dim = d.num_samples, d.image_side ** 2
-    if d.images.shape != (n, dim):
-        raise UnstorableDataset(f"images shaped {d.images.shape}, not ({n}, {dim}) for "
-                                f"{n} labels of side {d.image_side}")
+    would not load back as ``d``: more than 65536 classes, or a label or
+    superclass id outside u16. (``Dataset`` itself guarantees the codes.)"""
     if d.num_classes > 0x10000:
         raise UnstorableDataset(f"{d.num_classes} classes; the file holds at most 65536")
     supers, labels = _u16(d.superclass_of, "superclass ids"), _u16(d.labels, "labels")
     num_supers = int(d.superclass_of.max()) + 1 if d.num_classes else 0
     head = struct.pack("<4sIIIII", DATASET_MAGIC, DATASET_VERSION, d.num_classes,
-                       num_supers, d.image_side, n) + supers + labels
-    # pixels are quantized a chunk of rows at a time straight into the file's bytes
-    blob = bytearray(len(head) + n * dim)
-    blob[:len(head)] = head
-    pixels = np.frombuffer(blob, dtype=np.uint8, offset=len(head)).reshape(n, dim)
-    rows = max(1, _SAVE_CHUNK // max(1, dim))
-    scaled = np.empty((rows, dim))
-    for start in range(0, n, rows):
-        chunk = d.images[start:start + rows]
-        q = np.multiply(chunk, 255.0, out=scaled[:len(chunk)])
-        np.round(q, out=q)
-        in_range = q.min() >= 0.0 and q.max() <= 255.0  # False on NaN
-        if in_range:
-            pixels[start:start + len(chunk)] = q
-            q /= 255.0
-        if not (in_range and np.array_equal(q, chunk)):
-            _reject_pixel(chunk, start)
-    write_atomic(path, blob, "dataset")
+                       num_supers, d.image_side, d.num_samples) + supers + labels
+    write_atomic(path, head + d.images.tobytes(), "dataset")
 
 
 def load_dataset(path) -> Dataset:
@@ -197,7 +199,7 @@ def load_dataset(path) -> Dataset:
     num_classes, num_supers, side, n = r.unpack("<IIII")
     superclass_of = np.frombuffer(r.take(2 * num_classes), dtype="<u2").astype(np.int64)
     labels = np.frombuffer(r.take(2 * n), dtype="<u2").astype(np.int64)
-    images = np.frombuffer(r.take(n * side * side), dtype=np.uint8).astype(np.float64) / 255.0
+    images = np.frombuffer(r.take(n * side * side), dtype=np.uint8)
     r.finish()
     if n and labels.max() >= num_classes:
         raise LabelOutOfRange(f"{path}: label {labels.max()} in a {num_classes}-class file")

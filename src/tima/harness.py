@@ -30,7 +30,7 @@ from .attacks import (
     pgd_attack,
     scored_passes,
 )
-from .data import Dataset, generate_synthetic
+from .data import Dataset, generate_synthetic, pixels
 from .errors import (
     EmptyDataset,
     InvalidConfig,
@@ -154,7 +154,8 @@ def pretrain_clean(model: DualEncoder, train_data: Dataset,
     gets frozen via snapshot_teacher. Returns (model, per-epoch losses)."""
     images, labels = train_data.images, train_data.labels
     return model, _train(model.parameters(), cfg, 0x9E, _training_samples(train_data),
-                         lambda epoch, bi, idx: contrastive_ce(model, images[idx], labels[idx]))
+                         lambda epoch, bi, idx: contrastive_ce(model, pixels(images[idx]),
+                                                               labels[idx]))
 
 
 def resolve_variant(variant: str, w: LossWeights, freeze_text: bool,
@@ -205,7 +206,7 @@ def finetune(model: DualEncoder, teacher: TeacherSnapshot, train_data: Dataset,
     held = []
 
     def batch_loss(epoch: int, bi: int, idx: Array) -> Tuple[float, Dict[Tensor, Array]]:
-        xb = train_data.images[idx]
+        xb = pixels(train_data.images[idx])  # the attack's and the loss's clean batch
         yb = train_data.labels[idx]
         student_text = model.text_forward() if own_text else None
         text = attack_text(model, teacher, attack, student_text.t if own_text else None)

@@ -25,6 +25,7 @@ from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from .data import pixels
 from .errors import (
     InvalidConfig,
     InvalidEta,
@@ -389,6 +390,8 @@ def teacher_targets(teacher, x, y, w: LossWeights) -> TeacherTargets:
     """Teacher embeddings, margin rows and log-probabilities of every sample
     of ``x``, so a training run computes them once rather than per batch.
 
+    ``x`` is float pixels, or a dataset's uint8 codes, which each chunk
+    widens with ``data.pixels`` as it reads them.
     Works through ``x`` in chunks of ``TEACHER_CHUNK`` rows, so peak memory
     stays that of one batch; a one-row remainder joins the chunk before it.
     Each step is row-wise, but on this BLAS build (numpy's scipy-openblas
@@ -397,7 +400,10 @@ def teacher_targets(teacher, x, y, w: LossWeights) -> TeacherTargets:
     more. Every chunk of 2-150 rows gives the same bits, so each row equals
     the one any batch of 2-150 rows computes for its sample.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
+    codes = x.dtype == np.uint8
+    if not codes:
+        x = np.asarray(x, dtype=np.float64)
     t_hat = teacher.t_hat
     c = t_hat.shape[0]
     n = x.shape[0]
@@ -408,7 +414,7 @@ def teacher_targets(teacher, x, y, w: LossWeights) -> TeacherTargets:
     starts = list(range(0, max(n - 1, 1), TEACHER_CHUNK))  # no one-row chunk unless n = 1
     zs, margins, log_probs = [], [], []
     for lo, hi in zip(starts, starts[1:] + [n]):
-        z = teacher.encode_images(x[lo:hi])
+        z = teacher.encode_images(pixels(x[lo:hi]) if codes else x[lo:hi])
         s_it = z @ t_hat.T
         if w.m == 0.0:
             margin = np.zeros((z.shape[0], c))

@@ -16,7 +16,7 @@ from tima.attacks import (
     scored_passes,
 )
 from tima.config import parse_config
-from tima.data import Dataset, SyntheticSpec, generate_synthetic
+from tima.data import Dataset, SyntheticSpec, generate_synthetic, pixels
 from tima.errors import (
     AttackOutOfBounds,
     DegenerateRow,
@@ -288,7 +288,7 @@ def grid_case(hidden: str, rows: int = 128):
     model = init_model(cfg.encoder_config(), tau=cfg["tau"])
     other = init_model(dataclasses.replace(cfg.encoder_config(), seed=12), tau=cfg["tau"])
     return (model, model.encode_classes().data, snapshot_teacher(other).t_hat,
-            test.images[:rows], test.labels[:rows])
+            pixels(test.images[:rows]), test.labels[:rows])
 
 
 # name -> (eps, step size) per config of a 10-step grid
@@ -428,7 +428,7 @@ def pretrained_case(rows: int = 32):
     train, test = generate_synthetic(cfg.synthetic_spec())
     model, _ = pretrain_clean(init_model(cfg.encoder_config(), tau=cfg["tau"]), train,
                               cfg.pretrain_config())
-    return model, model.encode_classes().data, test.images[:rows], test.labels[:rows]
+    return model, model.encode_classes().data, pixels(test.images[:rows]), test.labels[:rows]
 
 
 CLOSED_FORM_GRAD = attacks._ce_input_grad
@@ -689,10 +689,10 @@ class TestRobustAccuracy:
         assert robust_accuracy(model, self.teacher, four, AttackConfig(steps=1)) > 0.0
 
     def test_classify_ties_break_low(self):
-        encoder = linear_encoder(np.eye(2))
+        encoder = linear_encoder(np.eye(4, 2))  # the first two of four pixels
         text = np.array([[1.0, 0.0], [1.0, 0.0]])  # identical rows: tie
-        one = Dataset(images=np.array([[0.5, 0.0]]), labels=np.array([1]),
-                      superclass_of=np.array([0, 0]), image_side=1)
+        one = Dataset(images=np.array([[128, 0, 0, 0]], dtype=np.uint8), labels=np.array([1]),
+                      superclass_of=np.array([0, 0]), image_side=2)
         [[(preds, _)]] = scored_passes([(encoder, text)], one, [])
         assert preds[0] == 0
 

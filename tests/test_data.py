@@ -14,13 +14,16 @@ from tima.data import (
     class_prototypes,
     generate_synthetic,
     load_dataset,
+    pixels,
     save_dataset,
 )
 from tima.errors import (
     BadMagic,
     CorruptFile,
     InvalidSpec,
+    LabelNotInteger,
     LabelOutOfRange,
+    ShapeMismatch,
     TruncatedFile,
     UnstorableDataset,
     UnsupportedVersion,
@@ -47,12 +50,13 @@ class TestGenerate:
     def test_pixels_in_range(self):
         train, test = generate_synthetic(small_spec(noise_sigma=0.5))
         for d in (train, test):
-            assert d.images.min() >= 0.0 and d.images.max() <= 1.0
+            p = pixels(d.images)
+            assert p.min() == 0.0 and p.max() == 1.0  # sigma 0.5 clips at both ends
 
     def test_counts_and_shapes(self):
         train, test = generate_synthetic(small_spec())
         assert train.num_samples == 40 and test.num_samples == 17
-        assert train.images.shape == (40, 16)
+        assert train.images.shape == (40, 16) and train.images.dtype == np.uint8
         assert train.num_classes == 6
 
     def test_class_counts_balanced_within_one(self):
@@ -118,7 +122,8 @@ class TestGenerate:
                              train_count=2003, test_count=97, seed=5)
         h = hashlib.sha256()
         for d in generate_synthetic(spec):
-            h.update(d.images.tobytes() + d.labels.tobytes() + d.superclass_of.tobytes())
+            # the pixels, as the float64 images were hashed before they were held as codes
+            h.update(pixels(d.images).tobytes() + d.labels.tobytes() + d.superclass_of.tobytes())
         assert h.hexdigest() == (
             "8979b71f674d9be79fa0363baf9f26492d61a7497c5849d453fc2f88cce76ce5")
 
@@ -135,7 +140,8 @@ class TestGenerate:
         counts = np.bincount(train.labels, minlength=train.num_classes)
         assert counts.max() - counts.min() <= 1
         assert np.all(train.superclass_of[train.labels] < supers)
-        assert train.images.min() >= 0.0 and train.images.max() <= 1.0
+        p = pixels(train.images)
+        assert p.min() >= 0.0 and p.max() <= 1.0
 
 
 class TestDatasetFile:
@@ -193,21 +199,22 @@ class TestDatasetFile:
             load_dataset(path)
 
     @pytest.mark.parametrize("pixel", [0.5, 1.5, -0.2, float("nan"), float("inf")])
-    def test_pixel_that_would_not_round_trip_rejected(self, tmp_path, pixel):
-        # 0.5 is off the 1/255 grid; the rest are outside [0, 1]. Each used to
-        # be written and loaded back as another value.
+    def test_float_images_rejected(self, pixel):
+        # a dataset holds 8-bit codes: float pixels are refused when it is
+        # built, on the 1/255 grid or off it (0.5) or outside [0, 1] (the
+        # rest), so none can reach a file as another value
         train, _ = generate_synthetic(small_spec())
-        images = train.images.copy()
+        images = pixels(train.images)
+        with pytest.raises(UnstorableDataset, match="uint8"):
+            dataclasses.replace(train, images=images)
         images[5, 3] = pixel
-        path = tmp_path / "d.timd"
-        with pytest.raises(UnstorableDataset, match="row 5 "):
-            save_dataset(dataclasses.replace(train, images=images), path)
-        assert not path.exists()
+        with pytest.raises(UnstorableDataset, match="uint8"):
+            dataclasses.replace(train, images=images)
 
     def test_more_classes_than_u16_labels_rejected(self, tmp_path):
         # label 70000 of a 70001-class set used to load as 4464
         n = 70001
-        d = Dataset(images=np.zeros((1, 1)), labels=np.array([n - 1]),
+        d = Dataset(images=np.zeros((1, 1), dtype=np.uint8), labels=np.array([n - 1]),
                     superclass_of=np.zeros(n, dtype=np.int64), image_side=1)
         path = tmp_path / "d.timd"
         with pytest.raises(UnstorableDataset, match="70001 classes"):
@@ -228,19 +235,28 @@ class TestDatasetFile:
             save_dataset(dataclasses.replace(train, **{field: ids}), path)
         assert not path.exists()
 
-    @pytest.mark.parametrize("images", [np.zeros((40, 9)), np.zeros((39, 16))])
-    def test_images_off_shape_rejected(self, tmp_path, images):
-        # a side-4 set of 40 labels must hold 40 x 16 pixels; either file used
-        # to be written and then fail to load as truncated
+    @pytest.mark.parametrize("images", [np.zeros((40, 9), dtype=np.uint8),
+                                        np.zeros((39, 16), dtype=np.uint8),
+                                        np.zeros((41, 16), dtype=np.uint8)])
+    def test_images_off_shape_rejected(self, images):
+        # a side-4 set of 40 labels must hold 40 x 16 pixels. Such a file used
+        # to be written and then fail to load as truncated, and a set with an
+        # extra image row trained on the first 40 rows only
         train, _ = generate_synthetic(small_spec())
-        path = tmp_path / "d.timd"
-        with pytest.raises(UnstorableDataset, match="images shaped"):
-            save_dataset(dataclasses.replace(train, images=images), path)
-        assert not path.exists()
+        with pytest.raises(ShapeMismatch, match="images shaped"):
+            dataclasses.replace(train, images=images)
+
+    @pytest.mark.parametrize("labels", [np.zeros(40), np.zeros((40, 1), dtype=np.int64),
+                                        [0] * 40, np.zeros(40, dtype=bool)],
+                             ids=["float", "2-D", "list", "bool"])
+    def test_labels_not_a_1d_integer_array_rejected(self, labels):
+        train, _ = generate_synthetic(small_spec())
+        with pytest.raises(LabelNotInteger, match="1-D integer array"):
+            dataclasses.replace(train, labels=labels)
 
     def test_65536_classes_round_trip(self, tmp_path):
         n = 65536
-        d = Dataset(images=np.array([[0.0], [1.0]]), labels=np.array([0, n - 1]),
+        d = Dataset(images=np.array([[0], [255]], dtype=np.uint8), labels=np.array([0, n - 1]),
                     superclass_of=np.arange(n) // 2, image_side=1)
         save_dataset(d, tmp_path / "d.timd")
         assert load_dataset(tmp_path / "d.timd") == d
@@ -279,7 +295,8 @@ def test_cli_datasets_are_pinned(tmp_path):
 
 def _traced_peak(fn):
     """(result, bytes the call allocated at its peak beyond what it started
-    with and what it still holds on return)."""
+    with and what it still holds on return, bytes it allocated at its peak
+    beyond what it started with)."""
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -287,20 +304,43 @@ def _traced_peak(fn):
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return result, peak - max(start, held)
+    return result, peak - max(start, held), peak - start
 
 
 class TestOneFloat64Copy:
-    """Generating or saving a dataset holds no second full-size float64 copy of
-    its images: the peak stays under a fraction of the training set's size."""
+    """Generating, saving or loading a dataset holds no full-size float64 copy
+    of its images: the peak stays under a fraction of the bytes such a copy
+    of the training set takes (2000 x 256 x 8 = 4,096,000)."""
 
     spec = parse_config("").synthetic_spec()
+    float64_copy = spec.train_count * spec.input_dim * 8
 
     def test_generate_synthetic(self):
-        (train, _), extra = _traced_peak(lambda: generate_synthetic(self.spec))
-        assert extra < train.images.nbytes / 4
+        _, extra, _ = _traced_peak(lambda: generate_synthetic(self.spec))
+        assert extra < self.float64_copy / 4
 
     def test_save_dataset(self, tmp_path):
         train, _ = generate_synthetic(self.spec)
-        _, extra = _traced_peak(lambda: save_dataset(train, tmp_path / "d.timd"))
-        assert extra < train.images.nbytes / 2
+        _, extra, _ = _traced_peak(lambda: save_dataset(train, tmp_path / "d.timd"))
+        assert extra < self.float64_copy / 2
+
+    def test_load_dataset(self, tmp_path):
+        # the bound counts the loaded set too: load holds the file's bytes and
+        # one copy of its codes, never a float64 copy of the images
+        train, _ = generate_synthetic(self.spec)
+        save_dataset(train, tmp_path / "d.timd")
+        loaded, _, total = _traced_peak(lambda: load_dataset(tmp_path / "d.timd"))
+        assert loaded == train
+        assert total < self.float64_copy / 2
+
+
+def test_pixels_are_the_generators_quantization():
+    # every code widens to the value _sample_split's round(v * 255) / 255
+    # gives, bit for bit; code * (1 / 255) differs on 24 of them
+    codes = np.arange(256, dtype=np.uint8)
+    on_grid = np.round(np.linspace(0.0, 1.0, 256) * 255.0) / 255.0
+    widened = pixels(codes)
+    assert widened.dtype == np.float64 and widened.shape == (256,)
+    assert np.array_equal(widened.view(np.uint64), on_grid.view(np.uint64))
+    assert np.array_equal(pixels(codes.reshape(16, 16)), on_grid.reshape(16, 16))
+    assert np.count_nonzero(codes * (1.0 / 255.0) != widened) == 24

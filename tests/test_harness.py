@@ -13,7 +13,7 @@ import pytest
 from tima import attacks, harness, losses, tensor
 from tima.attacks import AttackConfig, robust_accuracy
 from tima.config import parse_config
-from tima.data import SyntheticSpec, generate_synthetic
+from tima.data import SyntheticSpec, generate_synthetic, pixels
 from tima.errors import (
     AttackOutOfBounds,
     DegenerateRow,
@@ -566,7 +566,7 @@ class TestSingleAttackPass:
         # once, by the first attack step its 3 nonzero eps share (accuracy,
         # confusion, the clean class means and eps 0 all come from it), and
         # each attacked batch is encoded once per nonzero eps
-        clean = {self.test.images[lo:lo + 128].tobytes() for lo in (0, 128, 256)}
+        clean = {pixels(self.test.images[lo:lo + 128]).tobytes() for lo in (0, 128, 256)}
         calls = []
         original = DualEncoder.image_forward
 

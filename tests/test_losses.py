@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from tima.attacks import AttackConfig, per_sample_ce, pgd_attack
 from tima.config import parse_config
-from tima.data import generate_synthetic
+from tima.data import generate_synthetic, pixels
 from tima.errors import (
     DegenerateRow,
     InvalidConfig,
@@ -435,7 +435,8 @@ class TestTeacherTargets:
 
     @pytest.mark.parametrize("hidden_dims", ["", "128"])
     def test_chunked_rows_equal_per_batch_rows(self, hidden_dims):
-        # the rows each permuted batch of a run computes for itself
+        # the rows each permuted batch of a run computes for itself: finetune
+        # hands teacher_targets the dataset's codes, and a batch its pixels
         train, teacher, w = chunk_case(hidden_dims)
         t_hat = teacher.t_hat
         s_tt = cosine_sim_matrix(t_hat, t_hat).data
@@ -445,7 +446,7 @@ class TestTeacherTargets:
             perm = np.random.default_rng(size).permutation(train.num_samples)
             for lo in range(0, train.num_samples, size):
                 idx = perm[lo:lo + size]
-                z = teacher.encode_images(train.images[idx])
+                z = teacher.encode_images(pixels(train.images[idx]))
                 s_it = cosine_sim_matrix(z, t_hat)
                 margin = adaptive_margin(s_it.data, s_tt, train.labels[idx], w.m, w.eta)
                 rows = targets.take(idx)
@@ -462,6 +463,15 @@ class TestTeacherTargets:
         first = teacher_targets(teacher, train.images[:count], train.labels[:count], w)
         for got, want in zip(first, whole):
             assert same_bits(got, want[:count])
+
+    @pytest.mark.parametrize("hidden_dims", ["", "128"])
+    def test_codes_give_the_rows_of_their_pixels(self, hidden_dims):
+        # each chunk of codes is widened to the pixels a float caller passes
+        train, teacher, w = chunk_case(hidden_dims)
+        from_codes = teacher_targets(teacher, train.images, train.labels, w)
+        from_pixels = teacher_targets(teacher, pixels(train.images), train.labels, w)
+        for got, want in zip(from_codes, from_pixels):
+            assert same_bits(got, want)
 
     def test_zero_margin_rows_are_zero(self):
         student, teacher, x_clean, _, y = tiny_setup(seed=6, n=5)

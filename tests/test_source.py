@@ -102,6 +102,50 @@ def test_no_module_calls_backward():
     assert _calls_by_function("backward") == []
 
 
+def _is_255(node):
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value == 255
+
+
+def _is_literal_fraction(node):
+    # 1 / 255: a constant, such as an ε default, not a conversion
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+            and isinstance(node.left, ast.Constant) and _is_255(node.right))
+
+
+def _turns_codes_into_pixels(node):
+    """A division of a value by 255, in any spelling, or a product with 1/255."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+        return _is_255(node.right) and not isinstance(node.left, ast.Constant)
+    if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+        return _is_255(node.value)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return _is_literal_fraction(node.left) or _is_literal_fraction(node.right)
+    if isinstance(node, ast.Call):
+        f = node.func
+        name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+        return name in ("divide", "true_divide") and any(_is_255(a) for a in node.args)
+    return False
+
+
+def test_pixels_are_widened_by_tima_data_pixels_only():
+    # a dataset holds 8-bit codes; data.pixels alone divides them by 255, so
+    # every step reads the generator's exact values and none holds a float64
+    # copy of a whole dataset
+    found = []
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if _turns_codes_into_pixels(node):
+            found.append((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in MODULES:
+        visit(_tree(path), path.name, None)
+    assert found == [("data.py", "pixels")]
+
+
 def test_eps_texts_are_parsed_in_tima_config_only():
     # parse_config turns each ε text into its (text, value) pair once;
     # commands read the pairs and never parse a fraction themselves
