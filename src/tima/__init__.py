@@ -10,18 +10,7 @@ accuracy and embedding-geometry diagnostics.
 from .attacks import AttackConfig, pgd_attack, robust_accuracy
 from .data import Dataset, SyntheticSpec, generate_synthetic, load_dataset, pixels, save_dataset
 from .harness import EvalReport, TrainConfig, eval_clean, evaluate, finetune, pretrain_clean
-from .losses import (
-    LossComponents,
-    LossWeights,
-    adaptive_margin,
-    cosine_sim_matrix,
-    iakd_loss,
-    kl_rows,
-    mhe_loss,
-    takd_loss,
-    tam_loss,
-    tima_loss,
-)
+from .losses import LossComponents, LossWeights, adaptive_margin, tima_loss
 from .model import (
     DualEncoder,
     EncoderConfig,
@@ -31,7 +20,6 @@ from .model import (
     save_model,
     snapshot_teacher,
 )
-from .tensor import Tensor, backward, l2_normalize_rows
 
 __version__ = "0.1.0"
 
@@ -39,9 +27,7 @@ __all__ = [
     "AttackConfig", "pgd_attack", "robust_accuracy",
     "Dataset", "SyntheticSpec", "generate_synthetic", "load_dataset", "pixels", "save_dataset",
     "EvalReport", "TrainConfig", "eval_clean", "evaluate", "finetune", "pretrain_clean",
-    "LossComponents", "LossWeights", "adaptive_margin", "cosine_sim_matrix",
-    "iakd_loss", "kl_rows", "mhe_loss", "takd_loss", "tam_loss", "tima_loss",
+    "LossComponents", "LossWeights", "adaptive_margin", "tima_loss",
     "DualEncoder", "EncoderConfig", "TeacherSnapshot", "init_model",
     "load_model", "save_model", "snapshot_teacher",
-    "Tensor", "backward", "l2_normalize_rows",
 ]

@@ -291,7 +291,7 @@ def attack_text(model, teacher, cfg: AttackConfig, student_text: Optional[Array]
     already has it), or the frozen teacher's."""
     if cfg.text_source != "student":
         return teacher.t_hat
-    return model.encode_classes().data if student_text is None else student_text
+    return model.text_forward().t if student_text is None else student_text
 
 
 # rows per job of ``scored_passes``; each attacked batch is seeded
@@ -313,11 +313,14 @@ def scored_batch(encoder, text_matrix: Array, x: Array, y: Array,
     grid = pgd_grid(encoder, text_matrix, x, y, cfgs)
     text = np.asarray(text_matrix, dtype=np.float64)  # as pgd_grid vetted it
 
+    def embed(images: Array) -> Array:
+        return encoder.image_forward(check_finite(np.asarray(images, dtype=np.float64), "const")).z
+
     def scored(z: Array) -> Tuple[Array, Array]:
         return np.argmax(z @ text.T, axis=1), z
 
-    clean = scored(encoder.encode_images(x).data if grid.clean_z is None else grid.clean_z)
-    return [clean] + [clean if cfg.eps == 0.0 else scored(encoder.encode_images(adv).data)
+    clean = scored(embed(x) if grid.clean_z is None else grid.clean_z)
+    return [clean] + [clean if cfg.eps == 0.0 else scored(embed(adv))
                       for cfg, adv in zip(cfgs, grid.adv)]
 
 

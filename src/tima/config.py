@@ -14,7 +14,7 @@ from typing import Dict, List, Tuple
 
 from .attacks import AttackConfig, TEXT_SOURCES
 from .data import SyntheticSpec
-from .errors import ConfigRangeError, ConfigTypeError, UnknownKey
+from .errors import ConfigRangeError, ConfigTypeError, UnknownKey, _is_int
 from .files import read_file
 from .harness import VARIANTS, TrainConfig, resolve_variant
 from .losses import MARGIN_SIGN_LITERAL, MARGIN_SIGN_NEGATE, LossWeights
@@ -156,6 +156,8 @@ class RunConfig:
 
     def with_seed(self, seed: int) -> "RunConfig":
         """This config with ``seed``, checked as the config file's ``seed`` is."""
+        if not _is_int(seed):
+            raise ConfigTypeError(f"seed must be an integer (got {seed!r})")
         problem = SCHEMA["seed"][2](seed)
         if problem:
             raise ConfigRangeError(f"seed {problem} (got {seed})")

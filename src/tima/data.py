@@ -113,7 +113,9 @@ class Dataset:
 
 
 def class_prototypes(spec: SyntheticSpec) -> Array:
-    """The noiseless per-class patterns (num_classes x side^2)."""
+    """The noiseless per-class patterns (num_classes x side^2). A shift
+    large enough may overflow a pattern value to +-inf, which the sampled
+    pixels clip to 0 or 1."""
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(3)[0])
     d = spec.input_dim
     protos = np.empty((spec.num_classes, d))
@@ -121,7 +123,8 @@ def class_prototypes(spec: SyntheticSpec) -> Array:
         base = rng.uniform(0.0, 1.0, size=d)
         for k in range(spec.subclasses_per_superclass):
             c = s * spec.subclasses_per_superclass + k
-            protos[c] = base + spec.within_super_shift * rng.standard_normal(d)
+            with np.errstate(over="ignore"):
+                protos[c] = base + spec.within_super_shift * rng.standard_normal(d)
     return protos
 
 
@@ -133,7 +136,9 @@ def _balanced_counts(total: int, num_classes: int) -> Array:
 
 def _sample_split(protos: Array, spec: SyntheticSpec, rng, total: int) -> Dataset:
     """Each class's rows are drawn and quantized in one float64 scratch block;
-    only their 8-bit codes are kept."""
+    only their 8-bit codes are kept. Noise that overflows to +-inf clips to 0
+    or 1; noise and a pattern value that overflow to opposite infinities
+    leave a pixel undefined, and raise InvalidSpec before any code is stored."""
     counts = _balanced_counts(total, spec.num_classes)
     images = np.empty((total, spec.input_dim), dtype=np.uint8)
     scratch = np.empty((int(counts.max()), spec.input_dim))
@@ -141,8 +146,13 @@ def _sample_split(protos: Array, spec: SyntheticSpec, rng, total: int) -> Datase
     for c, n_c in enumerate(counts):
         block = scratch[:n_c]
         rng.standard_normal(out=block)
-        block *= spec.noise_sigma
-        block += protos[c]
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is the NaN checked next
+            block *= spec.noise_sigma
+            block += protos[c]
+        if np.isnan(block).any():
+            raise InvalidSpec(f"noise_sigma {spec.noise_sigma!r} and within_super_shift "
+                              f"{spec.within_super_shift!r} overflow to opposite infinities: "
+                              f"class {c} has an undefined pixel")
         np.clip(block, 0.0, 1.0, out=block)
         block *= 255.0
         np.round(block, out=block)

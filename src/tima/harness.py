@@ -42,7 +42,7 @@ from .errors import (
 )
 from .files import make_dir, read_file, write_atomic
 from .losses import LossWeights, _check_labels, _tam, teacher_targets, tima_loss
-from .model import DualEncoder, TeacherSnapshot, init_model, snapshot_teacher
+from .model import _SEED_LIMIT, DualEncoder, TeacherSnapshot, init_model, snapshot_teacher
 from .tensor import Tensor, check_finite, normalize_rows_forward
 
 Array = np.ndarray
@@ -406,7 +406,7 @@ def _clean_preds(model: DualEncoder, test_data: Dataset) -> Array:
     The jobs run in-process: on the default test set a clean pass takes
     about 1 ms there and about 6 ms through ``run_cells``'s fork."""
     _check_classes(test_data, {"model": model})
-    return scored_passes([(model, model.encode_classes().data)], test_data, [])[0][0][0]
+    return scored_passes([(model, model.text_forward().t)], test_data, [])[0][0][0]
 
 
 def eval_clean(model: DualEncoder, test_data: Dataset) -> float:
@@ -414,9 +414,9 @@ def eval_clean(model: DualEncoder, test_data: Dataset) -> float:
     return _accuracy(_clean_preds(model, test_data), test_data.labels)
 
 
-def interclass_stats(t) -> Tuple[float, float]:
+def interclass_stats(t: Array) -> Tuple[float, float]:
     """(min, mean) Euclidean distance over unordered pairs of embedding rows."""
-    t = np.asarray(getattr(t, "data", t), dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
     c = t.shape[0]
     if c < 2:
         raise TooFewClasses(f"need at least 2 embeddings, got {c}")
@@ -506,7 +506,7 @@ def _string(v) -> bool:
 # what ``read_report`` accepts as the JSON value of each EvalReport field
 _REPORT_CHECKS: Dict[str, Callable[[object], bool]] = {
     "config": _object_of(_string),
-    "seed": _is_int,
+    "seed": lambda v: _is_int(v) and 0 <= v < _SEED_LIMIT,
     "clean_accuracy": _number_in(0.0, 1.0),
     "robust_accuracy": _object_of(_number_in(0.0, 1.0)),
     "text_min_distance": _object_of(_number_in(0.0, sys.float_info.max)),
@@ -545,8 +545,8 @@ def evaluate(model: DualEncoder, teacher: TeacherSnapshot, test_data: Dataset,
         if len(missing):
             raise EmptyDataset(f"the test set has no sample of classes {missing.tolist()}; "
                                f"every class needs one for the similarity matrices")
-    student_text = model.encode_classes()
-    models = [(model, attack_text(model, teacher, attack, student_text.data))]
+    student_text = model.text_forward().t
+    models = [(model, attack_text(model, teacher, attack, student_text))]
     if matrices_dir is not None:
         models.append((teacher.model, teacher.t_hat))
     attacks = {eps_text: dataclasses.replace(attack, eps=eps) for eps_text, eps in eps_list}
@@ -571,7 +571,7 @@ def evaluate(model: DualEncoder, teacher: TeacherSnapshot, test_data: Dataset,
             matrices[name] = {"csv": f"{name}.csv", "pgm": f"{name}.pgm"}
 
         for who, text, ((_, clean_sums), adv) in zip(("student", "teacher"),
-                                                      (student_text.data, teacher.t_hat), passes):
+                                                      (student_text, teacher.t_hat), passes):
             emit(f"{who}_text_text", text @ text.T)
             emit(f"{who}_image_text", _class_means(clean_sums, labels) @ text.T)
             for eps_text, _ in eps_list:

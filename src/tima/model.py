@@ -117,7 +117,8 @@ class DualEncoder:
     def encode_images(self, x) -> Tensor:
         """Batch of images -> unit-norm embeddings, as one tape node over the
         image parameters and, when ``x`` is a Tensor, its pixels. ``backward``
-        gets their gradients from ``image_forward``'s pullbacks."""
+        gets their gradients from ``image_forward``'s pullbacks. No command
+        calls it: it serves the tests and the benchmark."""
         xt = x if isinstance(x, Tensor) else None
         image = self.image_forward(
             xt.data if xt is not None else check_finite(np.asarray(x, dtype=np.float64), "const"))
@@ -126,8 +127,9 @@ class DualEncoder:
                       lambda g, i: image.weights(g)[i] if i < len(params) else image.pixels(g))
 
     def image_forward(self, x: Array) -> "ImagePass":
-        """The image branch on a float64 pixel array, without the tape: the
-        one image forward that ``encode_images``, the attack and training use.
+        """The image branch on a float64 pixel array, without the tape. It is
+        the one image forward: training, the attack, scoring and
+        ``encode_images`` all take their embeddings from it.
 
         ``z`` and the pullbacks equal, bit for bit and with the same checks
         under the same op names, what the elementary tape composition (affine
@@ -166,7 +168,8 @@ class DualEncoder:
     def encode_classes(self) -> Tensor:
         """Class-text embedding matrix (num_classes x embed_dim, unit rows),
         as one tape node over both text weights; ``backward`` gets their
-        gradients from ``text_forward``'s pullback."""
+        gradients from ``text_forward``'s pullback. No command calls it: it
+        serves the tests and the benchmark."""
         text = self.text_forward()
         return Tensor(text.t, self.text_parameters(), "encode_classes",
                       lambda g, i: text.weights(g)[i])

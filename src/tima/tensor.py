@@ -7,7 +7,10 @@ nothing is cached on the nodes, so repeated calls give identical results.
 Besides the elementary operations here, a node may be a whole closed form
 over its direct inputs: the image encoder over its weights and pixels
 (``DualEncoder.encode_images``), or a loss term over the embeddings
-(``losses.tam_loss`` and the others); no training step builds a node.
+(``losses.tam_loss`` and the others). No command builds a node: training,
+the attack and evaluation read the closed forms (``DualEncoder.image_forward``
+and ``text_forward``, ``losses.tima_loss``) without the tape, which serves the
+tests' reference compositions and the benchmark's probes.
 """
 
 from __future__ import annotations

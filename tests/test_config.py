@@ -1,6 +1,7 @@
 import dataclasses
 import re
 
+import numpy as np
 import pytest
 
 from tima.config import SCHEMA, parse_config, parse_fraction
@@ -102,6 +103,14 @@ class TestErrors:
                                                              f"(got {seed})")):
             parse_config("").with_seed(seed)
         assert parse_config("").with_seed(2 ** 64 - 1)["seed"] == 2 ** 64 - 1
+
+    @pytest.mark.parametrize("seed", [True, 1.5, 3.0, "3", None])
+    def test_with_seed_checks_the_seed_type(self, seed):
+        # as the config file's int parser would, before the echo or a builder reads it
+        with pytest.raises(ConfigTypeError, match=re.escape(f"seed must be an integer "
+                                                            f"(got {seed!r})")):
+            parse_config("").with_seed(seed)
+        assert parse_config("").with_seed(np.uint64(7))["seed"] == 7
 
     @pytest.mark.parametrize("key", [k for k, (kind, _, _) in SCHEMA.items()
                                      if kind in ("float", "frac", "float_list", "frac_list")])

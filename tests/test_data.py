@@ -114,6 +114,21 @@ class TestGenerate:
         with pytest.raises(InvalidSpec, match="finite"):
             small_spec(**{field: value})
 
+    def test_scales_overflowing_to_opposite_infinities_rejected(self):
+        # noise at +inf on a pattern value at -inf, or the reverse, is a NaN
+        # pixel, which the cast to 8 bits stored as a code without an error
+        spec = parse_config("noise_sigma = 1e308\nwithin_super_shift = 1e308\n").synthetic_spec()
+        with pytest.raises(InvalidSpec, match="opposite infinities"):
+            generate_synthetic(spec)
+
+    @pytest.mark.parametrize("field", ["noise_sigma", "within_super_shift"])
+    def test_one_overflowing_scale_clips(self, field):
+        # an overflow to +-inf clips to 0 or 1, without a warning; either
+        # scale this large puts every pixel at an end of the range
+        spec = parse_config(f"{field} = 1e308\n").synthetic_spec()
+        for d in generate_synthetic(spec):
+            assert set(np.unique(d.images).tolist()) <= {0, 255}
+
     def test_unbalanced_split_is_pinned(self):
         # 2003 and 97 samples over 9 classes: the first classes get one more
         # sample each, so every class's rows start at a different offset

@@ -14,6 +14,7 @@ import pytest
 
 from tima.config import parse_config
 from tima.harness import VARIANTS, run_grid
+from tima.tensor import Tensor
 
 SHORT_RUN = "pretrain_epochs = 2\nfinetune_epochs = 2\n"
 
@@ -108,12 +109,33 @@ def tree_sha256(root):
     return h.hexdigest()
 
 
-def test_cli_pipeline_digests(tmp_path):
+def cli_pipeline_digests(tmp_path, extra_stages=()):
+    """Run gen-data, pretrain, finetune, eval, sweep and ``extra_stages`` on
+    ``CLI_CONFIG`` and return the digests ``GOLDEN_CLI`` pins."""
     from tima.cli import main
 
     config = tmp_path / "run.cfg"
     config.write_text(CLI_CONFIG)
     out = tmp_path / "out"
-    for argv in (["gen-data"], ["pretrain"], ["finetune"], ["eval"], ["sweep"]):
+    for argv in (["gen-data"], ["pretrain"], ["finetune"], ["eval"], ["sweep"], *extra_stages):
         assert main(argv + ["--config", str(config), "--out", str(out)]) == 0
-    assert {name: tree_sha256(out / name) for name in GOLDEN_CLI} == GOLDEN_CLI
+    return {name: tree_sha256(out / name) for name in GOLDEN_CLI}
+
+
+def test_cli_pipeline_digests(tmp_path):
+    assert cli_pipeline_digests(tmp_path) == GOLDEN_CLI
+
+
+def test_cli_pipeline_builds_no_tape_node(tmp_path, monkeypatch):
+    # a Tensor with parents raises, in the forked scoring and cell jobs too;
+    # the checkpoints' parameters are leaves. Every command, trend included,
+    # reads the closed forms and gives the same bytes.
+    original = Tensor.__init__
+
+    def leaf(self, data, parents=(), *args, **kwargs):
+        if parents:
+            raise AssertionError("a command built a tape node")
+        original(self, data, parents, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", leaf)
+    assert cli_pipeline_digests(tmp_path, [["trend", "--seed", "0"]]) == GOLDEN_CLI

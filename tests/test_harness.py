@@ -472,6 +472,8 @@ class TestReports:
         ("superclass_confusion", [[10.0, 2], [1, 12]]),
         ("superclass_confusion", [[True, 2], [1, 12]]),
         ("superclass_confusion", "10 2 1 12"),
+        ("seed", -1),
+        ("seed", 2 ** 70),
     ])
     def test_bad_value_rejected(self, tmp_path, key, value):
         path = tmp_path / "report.json"
@@ -594,10 +596,10 @@ class TestSingleAttackPass:
         # are scored against a text not its own, clean and at eps 0 alike
         zero_attacks, steps, encoded = [], [], []
         original_grid, original_grad = attacks.pgd_grid, attacks._ce_input_grad
-        original_encode = DualEncoder.encode_images
+        original_forward = DualEncoder.image_forward
 
         def spy_grid(encoder, text, x, y, cfgs):
-            own = np.array_equal(text, encoder.encode_classes().data)
+            own = np.array_equal(text, encoder.text_forward().t)
             zero_attacks.extend(own for cfg in cfgs if cfg.eps == 0.0)
             return original_grid(encoder, text, x, y, cfgs)
 
@@ -605,13 +607,13 @@ class TestSingleAttackPass:
             steps.append(1)
             return original_grad(*args)
 
-        def spy_encode(encoder, x):
+        def spy_forward(encoder, x):
             encoded.append(len(x))
-            return original_encode(encoder, x)
+            return original_forward(encoder, x)
 
         monkeypatch.setattr(attacks, "pgd_grid", spy_grid)
         monkeypatch.setattr(attacks, "_ce_input_grad", spy_grad)
-        monkeypatch.setattr(DualEncoder, "encode_images", spy_encode)
+        monkeypatch.setattr(DualEncoder, "image_forward", spy_forward)
         report = evaluate(self.student, self.teacher, self.test, [("0", 0.0)],
                           attack=AttackConfig(text_source=text_source),
                           matrices_dir=tmp_path)

@@ -102,6 +102,14 @@ def test_no_module_calls_backward():
     assert _calls_by_function("backward") == []
 
 
+def test_no_command_builds_an_encoder_node():
+    # scoring, the attack and training read image_forward and text_forward;
+    # the two tape wrappers serve the tests and the benchmark. The teacher's
+    # encode_images is TeacherSnapshot's plain-array forward.
+    assert _calls_by_function("encode_classes") == []
+    assert _calls_by_function("encode_images") == [("losses.py", "teacher_targets")]
+
+
 def _is_255(node):
     return isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value == 255
 
