@@ -28,10 +28,6 @@ def _resolve_config(args) -> RunConfig:
     return cfg
 
 
-def _out_dir(args) -> Path:
-    return make_dir(args.out)
-
-
 def _load_dataset(path: Path) -> data_mod.Dataset:
     if not path.exists():
         raise IoFailure(f"missing dataset {path}; run `tima gen-data` first")
@@ -46,8 +42,8 @@ def _load_model(path: Path) -> model_mod.DualEncoder:
 
 def cmd_gen_data(args) -> int:
     cfg = _resolve_config(args)
-    out = _out_dir(args)
     train, test = data_mod.generate_synthetic(cfg.synthetic_spec())
+    out = make_dir(args.out)
     data_mod.save_dataset(train, out / "train.timd")
     data_mod.save_dataset(test, out / "test.timd")
     print(f"wrote {out / 'train.timd'} ({train.num_samples} samples), "
@@ -57,7 +53,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg = _resolve_config(args)
-    out = _out_dir(args)
+    out = Path(args.out)
     train = _load_dataset(out / "train.timd")
     encoder = model_mod.init_model(cfg.encoder_config(), tau=cfg["tau"])
     encoder, trace = harness.pretrain_clean(encoder, train, cfg.pretrain_config())
@@ -71,7 +67,7 @@ def cmd_finetune(args) -> int:
     cfg = _resolve_config(args)
     variant = args.variant or cfg["variant"]
     recipe = cfg.finetune_config(variant)  # an unknown variant fails before any file is read
-    out = _out_dir(args)
+    out = Path(args.out)
     train = _load_dataset(out / "train.timd")
     student = _load_model(out / "pretrained.timm")
     teacher = model_mod.snapshot_teacher(student)
@@ -87,7 +83,7 @@ def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
     variant = args.variant or cfg["variant"]
     cfg.finetune_config(variant)  # an unknown variant fails first, even with --model
-    out = _out_dir(args)
+    out = Path(args.out)
     student = _load_model(Path(args.model) if args.model else out / f"finetuned_{variant}.timm")
     teacher = model_mod.snapshot_teacher(_load_model(out / "pretrained.timm"))
     test = _load_dataset(Path(args.data) if args.data else out / "test.timd")
@@ -106,7 +102,7 @@ def cmd_sweep(args) -> int:
     if cfg["variant"] not in harness.MARGIN_VARIANTS:
         raise InvalidVariant(f"sweep traces the margin (m, eta), which variant {cfg['variant']!r} "
                              f"does not train; use one of {', '.join(harness.MARGIN_VARIANTS)}")
-    out = _out_dir(args)
+    out = Path(args.out)
     train = _load_dataset(out / "train.timd")
     test = _load_dataset(out / "test.timd")
     pretrained = _load_model(out / "pretrained.timm")
@@ -151,7 +147,7 @@ def _trend_row(variant: str, reports) -> str:
 def cmd_trend(args) -> int:
     base = _resolve_config(args)
     seeds = harness.TREND_SEEDS if args.seed is None else (args.seed,)
-    out = _out_dir(args) / "trend"
+    out = make_dir(Path(args.out) / "trend")
 
     def cell(seed):
         cfg = base.with_seed(seed)

@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the integer test that
-config objects and the report reader share."""
+config objects share."""
 
 import numpy as np
 
@@ -100,10 +100,6 @@ class UnstorableDataset(TimaError):
 
 class IoFailure(TimaError):
     """Underlying OS-level read/write failure."""
-
-
-class ReportSchemaError(TimaError):
-    """Report JSON is missing required keys or is not valid JSON."""
 
 
 # parallel cells

@@ -35,14 +35,13 @@ from .errors import (
     EmptyDataset,
     InvalidConfig,
     InvalidVariant,
-    ReportSchemaError,
     TooFewClasses,
     WorkerDied,
     _is_int,
 )
-from .files import make_dir, read_file, write_atomic
+from .files import make_dir, write_atomic
 from .losses import LossWeights, _check_labels, _tam, teacher_targets, tima_loss
-from .model import _SEED_LIMIT, DualEncoder, TeacherSnapshot, init_model, snapshot_teacher
+from .model import DualEncoder, TeacherSnapshot, init_model, snapshot_teacher
 from .tensor import Tensor, check_finite, normalize_rows_forward
 
 Array = np.ndarray
@@ -482,40 +481,6 @@ class EvalReport:
     superclass_confusion: List[List[int]]
 
 
-REPORT_KEYS = tuple(f.name for f in dataclasses.fields(EvalReport))
-
-
-def _number_in(lo: float, hi: float) -> Callable[[object], bool]:
-    return lambda v: (_is_int(v) or isinstance(v, float)) and lo <= v <= hi
-
-
-def _object_of(check: Callable[[object], bool]) -> Callable[[object], bool]:
-    return lambda v: isinstance(v, dict) and all(map(check, v.values()))
-
-
-def _square_counts(v) -> bool:
-    return isinstance(v, list) and all(
-        isinstance(row, list) and len(row) == len(v) and all(_is_int(c) and c >= 0 for c in row)
-        for row in v)
-
-
-def _string(v) -> bool:
-    return isinstance(v, str)
-
-
-# what ``read_report`` accepts as the JSON value of each EvalReport field
-_REPORT_CHECKS: Dict[str, Callable[[object], bool]] = {
-    "config": _object_of(_string),
-    "seed": lambda v: _is_int(v) and 0 <= v < _SEED_LIMIT,
-    "clean_accuracy": _number_in(0.0, 1.0),
-    "robust_accuracy": _object_of(_number_in(0.0, 1.0)),
-    "text_min_distance": _object_of(_number_in(0.0, sys.float_info.max)),
-    "text_mean_distance": _object_of(_number_in(0.0, sys.float_info.max)),
-    "matrices": _object_of(_object_of(_string)),
-    "superclass_confusion": _square_counts,
-}
-
-
 def evaluate(model: DualEncoder, teacher: TeacherSnapshot, test_data: Dataset,
              eps_list: Sequence[Tuple[str, float]], attack: Optional[AttackConfig] = None,
              matrices_dir=None, config_echo: Optional[Dict[str, str]] = None,
@@ -593,23 +558,3 @@ def write_report(report: EvalReport, path) -> None:
     """Serialize to JSON; identical reports produce byte-identical files."""
     text = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True) + "\n"
     write_atomic(path, text.encode("ascii"), "report")
-
-
-def read_report(path) -> dict:
-    """Parse a report file: a UTF-8 JSON object holding every report key,
-    each with a value ``_REPORT_CHECKS`` accepts."""
-    try:
-        payload = json.loads(read_file(path, "report").decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ReportSchemaError(f"{path}: not UTF-8 text ({exc})") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ReportSchemaError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ReportSchemaError(f"{path}: expected a JSON object, got {type(payload).__name__}")
-    missing = [k for k in REPORT_KEYS if k not in payload]
-    if missing:
-        raise ReportSchemaError(f"{path}: missing required keys {missing}")
-    for key in REPORT_KEYS:
-        if not _REPORT_CHECKS[key](payload[key]):
-            raise ReportSchemaError(f"{path}: invalid value for key {key!r}")
-    return payload

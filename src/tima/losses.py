@@ -394,10 +394,11 @@ def teacher_targets(teacher, x, y, w: LossWeights) -> TeacherTargets:
     widens with ``data.pixels`` as it reads them.
     Works through ``x`` in chunks of ``TEACHER_CHUNK`` rows, so peak memory
     stays that of one batch; a one-row remainder joins the chunk before it.
-    Each step is row-wise, but on this BLAS build (numpy's scipy-openblas
-    0.3.31, Haswell kernels) a product against the transposed text takes
-    another kernel, with other last bits, for one row and for 151 rows or
-    more. Every chunk of 2-150 rows gives the same bits, so each row equals
+    Each step is row-wise, but under numpy's scipy-openblas 0.3.31 with its
+    SkylakeX kernel (the build string names Haswell, its build target; the
+    kernel is picked at run time) a product against the transposed text
+    takes another kernel, with other last bits, for one row and for 151 rows
+    or more. Every chunk of 2-150 rows gives the same bits, so each row equals
     the one any batch of 2-150 rows computes for its sample.
     """
     x = np.asarray(x)

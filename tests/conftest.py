@@ -1,6 +1,8 @@
+import ctypes
 import os
 import sys
 import time
+from pathlib import Path
 
 # One BLAS thread per process, as CI and the benchmark run: `run_cells` then
 # spreads cells over the CPUs instead of running them in-process. BLAS reads
@@ -9,10 +11,35 @@ if "numpy" not in sys.modules:
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")
 
+import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from tima.config import parse_config  # noqa: E402
 from tima.harness import TREND_SEEDS, TREND_VARIANTS, run_cells, run_grid  # noqa: E402
+
+
+def _blas_core() -> str:
+    """The kernel the wheel's OpenBLAS picked for this CPU at load time, or
+    "unknown"; the golden fingerprints pin the bits of one kernel."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*.so")):
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            try:
+                get = getattr(ctypes.CDLL(str(lib)), symbol)
+            except (OSError, AttributeError):
+                continue
+            get.restype = ctypes.c_char_p
+            return (get() or b"unknown").decode("ascii", "replace")
+    return "unknown"
+
+
+def pytest_report_header(config):
+    return f"numpy {np.__version__}, OpenBLAS core {_blas_core()}"
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    if config.get_verbosity() < 0:  # -q hides the header: name the kernel at the end
+        terminalreporter.write_line(pytest_report_header(config))
 
 
 def _trend_cell(seed):

@@ -15,7 +15,7 @@ from tima.cli import main
 from tima.config import load_config
 from tima.data import load_dataset, save_dataset
 from tima.errors import InvalidConfig
-from tima.harness import TREND_SEEDS, TREND_VARIANTS, read_report, run_grid
+from tima.harness import TREND_SEEDS, TREND_VARIANTS, run_grid
 from tima.model import load_model, save_model
 
 # small, fast recipe: linear encoder, tiny images, short training
@@ -93,7 +93,7 @@ class TestSubcommands:
         run_pipeline(config_file, out)
         assert (out / "pretrained.timm").exists()
         assert (out / "finetuned_tima.timm").exists()
-        report = read_report(out / "report.json")
+        report = json.loads((out / "report.json").read_text())
         assert set(report["robust_accuracy"]) == {"0", "1/255", "4/255", "8/255"}
         assert report["robust_accuracy"]["0"] == report["clean_accuracy"]
         assert (out / "matrices").is_dir()
@@ -104,7 +104,7 @@ class TestSubcommands:
     def test_tecoa_keeps_teacher_text_distance(self, config_file, tmp_path):
         out = tmp_path / "out"
         run_pipeline(config_file, out, variant="tecoa")
-        report = read_report(out / "report.json")
+        report = json.loads((out / "report.json").read_text())
         assert report["text_min_distance"]["student"] == report["text_min_distance"]["teacher"]
         assert report["text_mean_distance"]["student"] == report["text_mean_distance"]["teacher"]
 
@@ -171,7 +171,8 @@ class TestSubcommands:
         for seed in TREND_SEEDS:
             cell = run_grid(cfg.with_seed(seed), TREND_VARIANTS)
             for variant, student in cell.students.items():
-                payload = read_report(out / "trend" / f"seed{seed}_{variant}" / "report.json")
+                point = out / "trend" / f"seed{seed}_{variant}"
+                payload = json.loads((point / "report.json").read_text())
                 assert payload["config"]["variant"] == variant
                 for eps_text, eps in cell.cfg.eval_eps():
                     attack = dataclasses.replace(cell.cfg.eval_attack(), eps=eps)
@@ -195,7 +196,7 @@ class TestSubcommands:
         assert main(["sweep", "--config", str(config_file), "--out", str(out)]) == 0
         reports = sorted((out / "sweep").rglob("report.json"))
         assert len(reports) == 1  # 1 m x 1 eta x 1 eps
-        payload = read_report(reports[0])
+        payload = json.loads(reports[0].read_text())
         assert set(payload["robust_accuracy"]) == {"1/255"}
 
     def test_sweep_trains_the_resolved_variant(self, tmp_path, monkeypatch):
@@ -295,6 +296,20 @@ class TestRejectedInputs:
         err = failed_stage(cfg, out, capsys, "gen-data")
         assert err.startswith("error: out of memory: Unable to allocate ")
         assert not list(out.glob("*.timd"))
+
+    @pytest.mark.parametrize("stage", ["gen-data", "pretrain", "finetune", "eval", "sweep"])
+    def test_a_failed_stage_leaves_no_out_directory(self, config_file, tmp_path, capsys, stage):
+        # gen-data makes --out only once both datasets exist; the other stages
+        # read their inputs from --out and never make it. gen-data fails on a
+        # legal spec whose pixels overflow to opposite infinities, the others
+        # on the missing inputs of a fresh directory.
+        if stage == "gen-data":
+            config_file.write_text(FAST_CONFIG.replace("within_super_shift = 0.08",
+                                                       "within_super_shift = 1e308")
+                                   .replace("noise_sigma = 0.06", "noise_sigma = 1e308"))
+        out = tmp_path / "out"
+        failed_stage(config_file, out, capsys, stage)
+        assert not out.exists()
 
     @pytest.mark.parametrize("stage", ["pretrain", "finetune"])
     def test_training_on_no_sample(self, config_file, tmp_path, capsys, stage):

@@ -13,7 +13,7 @@ from tima.config import load_config
 from tima.data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 from tima.errors import IoFailure
 from tima.files import write_atomic
-from tima.harness import EvalReport, read_report, write_report
+from tima.harness import EvalReport, write_report
 from tima.model import EncoderConfig, init_model, load_model, save_model
 
 
@@ -92,7 +92,6 @@ def test_missing_directory_is_io_failure(tmp_path):
 READERS = {
     "load_model": (load_model, "checkpoint"),
     "load_dataset": (load_dataset, "dataset"),
-    "read_report": (read_report, "report"),
     "load_config": (load_config, "config"),
 }
 

@@ -21,7 +21,6 @@ from tima.errors import (
     InvalidConfig,
     InvalidVariant,
     LabelOutOfRange,
-    ReportSchemaError,
     ShapeMismatch,
     TooFewClasses,
     WorkerDied,
@@ -37,7 +36,6 @@ from tima.harness import (
     finetune,
     interclass_stats,
     pretrain_clean,
-    read_report,
     resolve_variant,
     run_cells,
     superclass_confusion,
@@ -402,7 +400,7 @@ class TestReports:
     def test_round_trip_exact(self, tmp_path):
         path = tmp_path / "report.json"
         write_report(self.make_report(), path)
-        payload = read_report(path)
+        payload = json.loads(path.read_text())
         assert payload["clean_accuracy"] == 0.9375
         assert payload["robust_accuracy"] == {"0": 0.9375, "1/255": 0.5, "4/255": 0.125}
         assert payload["text_min_distance"]["student"] == 0.25
@@ -413,76 +411,6 @@ class TestReports:
         write_report(self.make_report(), p1)
         write_report(self.make_report(), p2)
         assert p1.read_bytes() == p2.read_bytes()
-
-    def test_missing_key_rejected(self, tmp_path):
-        path = tmp_path / "report.json"
-        write_report(self.make_report(), path)
-        payload = json.loads(path.read_text())
-        del payload["robust_accuracy"]
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ReportSchemaError):
-            read_report(path)
-
-    def test_invalid_json_rejected(self, tmp_path):
-        path = tmp_path / "report.json"
-        path.write_text("not json {")
-        with pytest.raises(ReportSchemaError):
-            read_report(path)
-
-    @pytest.mark.parametrize("blob", [
-        b"5",
-        json.dumps(list(harness.REPORT_KEYS)).encode("ascii"),
-        b'{"seed": "\xff"}',
-        b"[" * 100000,
-    ], ids=["number", "list of the keys", "not UTF-8", "nested too deep"])
-    def test_malformed_report_rejected(self, tmp_path, blob):
-        path = tmp_path / "report.json"
-        path.write_bytes(blob)
-        with pytest.raises(ReportSchemaError):
-            read_report(path)
-
-    def test_value_checks_cover_exactly_the_report_keys(self):
-        assert sorted(harness._REPORT_CHECKS) == sorted(harness.REPORT_KEYS)
-
-    def test_report_of_fives_rejected(self, tmp_path):
-        path = tmp_path / "report.json"
-        path.write_text(json.dumps({key: 5 for key in harness.REPORT_KEYS}))
-        with pytest.raises(ReportSchemaError, match="'config'"):
-            read_report(path)
-
-    @pytest.mark.parametrize("key, value", [
-        ("config", {"seed": 0}),
-        ("config", ["seed"]),
-        ("seed", True),
-        ("seed", 0.0),
-        ("seed", "0"),
-        ("clean_accuracy", 1.5),
-        ("clean_accuracy", -0.25),
-        ("clean_accuracy", float("nan")),
-        ("clean_accuracy", False),
-        ("robust_accuracy", {"1/255": 2}),
-        ("robust_accuracy", [0.5]),
-        ("text_min_distance", {"student": -1.0}),
-        ("text_min_distance", {"student": float("inf")}),
-        ("text_mean_distance", {"teacher": "0.9"}),
-        ("matrices", {"student_text_text": "a.csv"}),
-        ("matrices", {"student_text_text": {"csv": 1}}),
-        ("superclass_confusion", [[10, 2]]),
-        ("superclass_confusion", [[10, -2], [1, 12]]),
-        ("superclass_confusion", [[10.0, 2], [1, 12]]),
-        ("superclass_confusion", [[True, 2], [1, 12]]),
-        ("superclass_confusion", "10 2 1 12"),
-        ("seed", -1),
-        ("seed", 2 ** 70),
-    ])
-    def test_bad_value_rejected(self, tmp_path, key, value):
-        path = tmp_path / "report.json"
-        write_report(self.make_report(), path)
-        payload = json.loads(path.read_text())
-        payload[key] = value
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ReportSchemaError, match=f"'{key}'"):
-            read_report(path)
 
     def test_evaluate_full_report(self, tmp_path):
         train, test = small_data()
@@ -497,7 +425,7 @@ class TestReports:
         assert 0.0 <= report.clean_accuracy <= 1.0
         assert report.text_min_distance["student"] == report.text_min_distance["teacher"]
         write_report(report, tmp_path / "report.json")
-        assert read_report(tmp_path / "report.json")["seed"] == 0
+        assert json.loads((tmp_path / "report.json").read_text())["seed"] == 0
 
 
 class TestSingleAttackPass:

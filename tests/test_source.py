@@ -110,6 +110,13 @@ def test_no_command_builds_an_encoder_node():
     assert _calls_by_function("encode_images") == [("losses.py", "teacher_targets")]
 
 
+def test_files_are_read_by_the_command_loaders_only():
+    # a command reads a config, a dataset or a checkpoint, and nothing else:
+    # a reader of another file (a report, say) would be code no command runs
+    assert {function for _, function in _calls_by_function("read_file")} == \
+        {"load_config", "load_dataset", "load_model"}
+
+
 def _is_255(node):
     return isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value == 255
 
