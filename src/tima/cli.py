@@ -18,7 +18,6 @@ from . import data as data_mod
 from . import harness, model as model_mod
 from .config import RunConfig, load_config, parse_config
 from .errors import InvalidVariant, IoFailure, TimaError
-from .files import make_dir
 
 
 def _resolve_config(args) -> RunConfig:
@@ -43,7 +42,7 @@ def _load_model(path: Path) -> model_mod.DualEncoder:
 def cmd_gen_data(args) -> int:
     cfg = _resolve_config(args)
     train, test = data_mod.generate_synthetic(cfg.synthetic_spec())
-    out = make_dir(args.out)
+    out = Path(args.out)
     data_mod.save_dataset(train, out / "train.timd")
     data_mod.save_dataset(test, out / "test.timd")
     print(f"wrote {out / 'train.timd'} ({train.num_samples} samples), "
@@ -125,7 +124,7 @@ def cmd_sweep(args) -> int:
     count = 0
     for (m, eta), report in zip(configs, harness.run_cells(cell, configs)):
         for eps_text, _ in eps_list:
-            point = make_dir(out / "sweep" / f"m{m}_eta{eta}_eps{harness.eps_tag(eps_text)}")
+            point = out / "sweep" / f"m{m}_eta{eta}_eps{harness.eps_tag(eps_text)}"
             robust = report.robust_accuracy[eps_text]
             harness.write_report(dataclasses.replace(report, robust_accuracy={eps_text: robust}),
                                  point / "report.json")
@@ -147,7 +146,7 @@ def _trend_row(variant: str, reports) -> str:
 def cmd_trend(args) -> int:
     base = _resolve_config(args)
     seeds = harness.TREND_SEEDS if args.seed is None else (args.seed,)
-    out = make_dir(Path(args.out) / "trend")
+    out = Path(args.out) / "trend"
 
     def cell(seed):
         cfg = base.with_seed(seed)
@@ -164,7 +163,7 @@ def cmd_trend(args) -> int:
     for seed, (head, cell_reports) in zip(seeds, harness.run_cells(cell, seeds)):
         print(head)
         for variant, report in cell_reports.items():
-            point = make_dir(out / f"seed{seed}_{variant}")
+            point = out / f"seed{seed}_{variant}"
             harness.write_report(report, point / "report.json")
             reports[variant].append(report)
             print(f"  {_trend_row(variant, [report])}")

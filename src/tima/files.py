@@ -1,6 +1,7 @@
-"""The one file boundary: every read, directory and binary header goes through
+"""The one file boundary: every read, write and binary header goes through
 here, and every way a file can fail becomes a TimaError. Writes are atomic: a
-reader sees the old file or the new one, never a torn one."""
+reader sees the old file or the new one, never a torn one. A directory is made
+only by the write that fills it."""
 
 from __future__ import annotations
 
@@ -21,21 +22,17 @@ def read_file(path, what: str) -> bytes:
         raise IoFailure(f"cannot read {what} {path}: {exc}") from exc
 
 
-def make_dir(path) -> Path:
-    """Create ``path`` and its parents unless it is a directory already."""
+def write_atomic(path, blob: bytes, what: str) -> None:
+    """Make ``path``'s directory and its parents, write ``blob`` to a sibling
+    temp file, then ``os.replace`` it onto ``path``. A directory that cannot be
+    made is IoFailure naming it. On any other OS error the temp file is
+    removed, ``path`` is left as it was, and IoFailure names ``what`` was being
+    written."""
     path = Path(path)
     try:
-        path.mkdir(parents=True, exist_ok=True)
+        path.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise IoFailure(f"cannot create {path}: {exc}") from exc
-    return path
-
-
-def write_atomic(path, blob: bytes, what: str) -> None:
-    """Write ``blob`` to a sibling temp file, then ``os.replace`` it onto
-    ``path``. On any OS error the temp file is removed, ``path`` is left as it
-    was, and IoFailure names ``what`` was being written."""
-    path = Path(path)
+        raise IoFailure(f"cannot create {path.parent}: {exc}") from exc
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:

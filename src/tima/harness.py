@@ -39,7 +39,7 @@ from .errors import (
     WorkerDied,
     _is_int,
 )
-from .files import make_dir, write_atomic
+from .files import write_atomic
 from .losses import LossWeights, _check_labels, _tam, teacher_targets, tima_loss
 from .model import DualEncoder, TeacherSnapshot, init_model, snapshot_teacher
 from .tensor import Tensor, check_finite, normalize_rows_forward
@@ -528,7 +528,7 @@ def evaluate(model: DualEncoder, teacher: TeacherSnapshot, test_data: Dataset,
     t_min, t_mean = interclass_stats(teacher.t_hat)
     matrices: Dict[str, Dict[str, str]] = {}
     if matrices_dir is not None:
-        out_dir = make_dir(matrices_dir)
+        out_dir = Path(matrices_dir)
 
         def emit(name: str, matrix: Array) -> None:
             _write_csv(matrix, out_dir / f"{name}.csv")

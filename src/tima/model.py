@@ -79,18 +79,18 @@ class TextPass(NamedTuple):
 class DualEncoder:
     """Trainable image encoder (theta) and class-text table (phi).
 
+    theta is ``affine``, one (weight, bias) pair per affine layer in order;
+    tanh follows every layer but the last, which emits the embedding.
     Parameters are Tensor leaves that persist across training steps; the
     optimizer updates their ``data`` in place.
     """
 
-    def __init__(self, cfg: EncoderConfig, layers: List[Tuple[Tensor, Tensor]],
-                 out_layer: Tuple[Tensor, Tensor], class_table: Tensor,
-                 text_proj: Tensor, tau: float = DEFAULT_TAU):
+    def __init__(self, cfg: EncoderConfig, affine: List[Tuple[Tensor, Tensor]],
+                 class_table: Tensor, text_proj: Tensor, tau: float):
         if not 0.0 < tau < float("inf"):
             raise InvalidConfig(f"model temperature must be positive and finite, got {tau}")
         self.cfg = cfg
-        self.layers = layers
-        self.out_w, self.out_b = out_layer
+        self.affine = affine
         self.class_table = class_table
         self.text_proj = text_proj
         self.tau = float(tau)
@@ -99,11 +99,7 @@ class DualEncoder:
 
     def image_parameters(self) -> List[Tensor]:
         """theta: every weight the image branch trains."""
-        params = []
-        for w, b in self.layers:
-            params.extend([w, b])
-        params.extend([self.out_w, self.out_b])
-        return params
+        return [p for layer in self.affine for p in layer]
 
     def text_parameters(self) -> List[Tensor]:
         """phi: every weight the text branch trains."""
@@ -132,23 +128,23 @@ class DualEncoder:
         ``encode_images`` all take their embeddings from it.
 
         ``z`` and the pullbacks equal, bit for bit and with the same checks
-        under the same op names, what the elementary tape composition (affine
-        layers, tanh, row normalization) gives; the caller checks that ``x``
-        itself is finite, under its own op name. For an embedding gradient
-        ``g_z`` the pixel pullback forms no weight gradient, and the weight
-        pullback forms none for the pixels.
+        under the same op names, what the elementary tape composition gives:
+        each ``affine`` layer in turn with tanh between two layers, then row
+        normalization. The caller checks that ``x`` itself is finite, under
+        its own op name. For an embedding gradient ``g_z`` the pixel pullback
+        forms no weight gradient, and the weight pullback forms none for the
+        pixels.
         """
         if x.ndim != 2 or x.shape[1] != self.cfg.input_dim:
             raise ShapeMismatch(
                 f"expected (n, {self.cfg.input_dim}) images, got {x.shape}")
-        affine = self.layers + [(self.out_w, self.out_b)]
+        affine = self.affine
         inputs = [x]  # what each affine layer multiplies: x, then each tanh output
-        for w, b in self.layers:
-            pre = check_finite(check_finite(inputs[-1] @ w.data, "matmul") + b.data, "add_bias")
-            inputs.append(check_finite(np.tanh(pre), "tanh"))
-        out = check_finite(check_finite(inputs[-1] @ self.out_w.data, "matmul") + self.out_b.data,
-                           "add_bias")
-        z, norms = normalize_rows_forward(out)
+        for k, (w, b) in enumerate(affine):
+            h = check_finite(check_finite(inputs[-1] @ w.data, "matmul") + b.data, "add_bias")
+            if k < len(affine) - 1:
+                inputs.append(check_finite(np.tanh(h), "tanh"))
+        z, norms = normalize_rows_forward(h)
         check_finite(z, "l2_normalize_rows")
 
         def pullback(g_z: Array, to_pixels: bool):
@@ -197,10 +193,8 @@ class DualEncoder:
                 arr.flags.writeable = False
             return Tensor(arr, op="leaf")
 
-        layers = [(dup(w), dup(b)) for w, b in self.layers]
-        model = DualEncoder(self.cfg, layers, (dup(self.out_w), dup(self.out_b)),
-                            dup(self.class_table), dup(self.text_proj), self.tau)
-        return model
+        return DualEncoder(self.cfg, [(dup(w), dup(b)) for w, b in self.affine],
+                           dup(self.class_table), dup(self.text_proj), self.tau)
 
     def weights_blob(self) -> bytes:
         parts = [struct.pack("<d", self.tau)]
@@ -222,7 +216,6 @@ class TeacherSnapshot:
 
     def __init__(self, model: DualEncoder):
         self.model = model.clone(frozen=True)
-        self.tau = self.model.tau
         t_hat = self.model.text_forward().t
         t_hat.flags.writeable = False
         self.t_hat = t_hat
@@ -246,18 +239,12 @@ def init_model(cfg: EncoderConfig, tau: float = DEFAULT_TAU) -> DualEncoder:
         bound = 1.0 / np.sqrt(fan_in)
         return Tensor(rng.uniform(-bound, bound, size=shape), op="leaf")
 
-    layers = []
-    fan_in = cfg.input_dim
-    for width in cfg.hidden_dims:
-        w = uniform(fan_in, (fan_in, width))
-        b = Tensor(np.zeros(width), op="leaf")
-        layers.append((w, b))
-        fan_in = width
-    out_w = uniform(fan_in, (fan_in, cfg.embed_dim))
-    out_b = Tensor(np.zeros(cfg.embed_dim), op="leaf")
+    widths = (cfg.input_dim,) + cfg.hidden_dims + (cfg.embed_dim,)
+    affine = [(uniform(fan_in, (fan_in, width)), Tensor(np.zeros(width), op="leaf"))
+              for fan_in, width in zip(widths, widths[1:])]
     class_table = uniform(cfg.embed_dim, (cfg.num_classes, cfg.embed_dim))
     text_proj = uniform(cfg.embed_dim, (cfg.embed_dim, cfg.embed_dim))
-    return DualEncoder(cfg, layers, (out_w, out_b), class_table, text_proj, tau)
+    return DualEncoder(cfg, affine, class_table, text_proj, tau)
 
 
 def snapshot_teacher(model: DualEncoder) -> TeacherSnapshot:
@@ -291,12 +278,10 @@ def save_model(model: DualEncoder, path) -> None:
 
 def _parameter_shapes(cfg: EncoderConfig) -> List[Tuple[int, ...]]:
     """Shapes of ``DualEncoder.parameters()`` for ``cfg``, in order."""
-    widths = (cfg.input_dim,) + cfg.hidden_dims
-    shapes: List[Tuple[int, ...]] = []
-    for fan_in, width in zip(widths, widths[1:]):
-        shapes += [(fan_in, width), (width,)]
+    widths = (cfg.input_dim,) + cfg.hidden_dims + (cfg.embed_dim,)
+    affine = [s for fan_in, width in zip(widths, widths[1:]) for s in ((fan_in, width), (width,))]
     e = cfg.embed_dim
-    return shapes + [(widths[-1], e), (e,), (cfg.num_classes, e), (e, e)]
+    return affine + [(cfg.num_classes, e), (e, e)]
 
 
 def load_model(path) -> DualEncoder:
@@ -320,7 +305,5 @@ def load_model(path) -> DualEncoder:
         arr = np.frombuffer(r.take(8 * math.prod(dims)), dtype="<f8").reshape(dims).copy()
         tensors.append(Tensor(arr, op="leaf"))
     r.finish()
-    layers = [(tensors[2 * i], tensors[2 * i + 1]) for i in range(len(hidden))]
-    k = 2 * len(hidden)
-    return DualEncoder(cfg, layers, (tensors[k], tensors[k + 1]),
-                       tensors[k + 2], tensors[k + 3], tau)
+    n = len(tensors) - 2
+    return DualEncoder(cfg, list(zip(tensors[:n:2], tensors[1:n:2])), *tensors[n:], tau)

@@ -97,16 +97,17 @@ def row_log_softmax(s, tau: float) -> Tensor:
 
 
 def tape_encode_images(encoder, x) -> Tensor:
-    """``encoder.encode_images(x)`` as elementary tape ops: affine layers with
-    tanh, an affine output layer, then row normalization."""
+    """``encoder.encode_images(x)`` as elementary tape ops: each ``affine``
+    layer in turn with tanh between two layers, then row normalization."""
     xt = x if isinstance(x, Tensor) else Tensor(x, op="const")
     if xt.ndim != 2 or xt.shape[1] != encoder.cfg.input_dim:
         raise ShapeMismatch(
             f"expected (n, {encoder.cfg.input_dim}) images, got {xt.shape}")
     h = xt
-    for w, b in encoder.layers:
+    for w, b in encoder.affine[:-1]:
         h = add_rowvec(h @ w, b).tanh()
-    return l2_normalize_rows(add_rowvec(h @ encoder.out_w, encoder.out_b))
+    w, b = encoder.affine[-1]
+    return l2_normalize_rows(add_rowvec(h @ w, b))
 
 
 def tape_encode_classes(model) -> Tensor:

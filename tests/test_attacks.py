@@ -47,7 +47,7 @@ def linear_encoder(w, tau=1.0):
     w = np.asarray(w, dtype=np.float64)
     d, e = w.shape
     cfg = EncoderConfig(input_dim=d, hidden_dims=(), embed_dim=e, num_classes=e)
-    return DualEncoder(cfg, [], (Tensor(w), Tensor(np.zeros(e))),
+    return DualEncoder(cfg, [(Tensor(w), Tensor(np.zeros(e)))],
                        Tensor(np.eye(e)), Tensor(np.eye(e)), tau)
 
 
@@ -771,7 +771,7 @@ class TestClosedFormInputGradient:
 
     def test_inf_weight_raises_non_finite(self):
         model, text, x, y = grad_case((5,), 0.1)
-        model.layers[0][0].data[0, 0] = np.inf
+        model.affine[0][0].data[0, 0] = np.inf
         tape_msg, new_msg = self._both_raise(NonFiniteValue, model, text, x, y)
         assert new_msg == tape_msg
 

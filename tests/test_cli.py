@@ -269,7 +269,7 @@ class TestRejectedInputs:
         run_stages(config_file, out, ["gen-data"], ["pretrain"], ["finetune"])
         ckpt = out / "finetuned_tima.timm"
         student = load_model(ckpt)
-        student.out_b.data[:] = 1e160
+        student.affine[-1][1].data[:] = 1e160
         save_model(student, ckpt)
         err = failed_stage(config_file, out, capsys, "eval", "--model", str(ckpt))
         assert err.startswith("error: row 0 has norm ")
@@ -297,19 +297,35 @@ class TestRejectedInputs:
         assert err.startswith("error: out of memory: Unable to allocate ")
         assert not list(out.glob("*.timd"))
 
-    @pytest.mark.parametrize("stage", ["gen-data", "pretrain", "finetune", "eval", "sweep"])
+    @pytest.mark.parametrize("stage", ["gen-data", "pretrain", "finetune", "eval", "sweep",
+                                       "trend"])
     def test_a_failed_stage_leaves_no_out_directory(self, config_file, tmp_path, capsys, stage):
-        # gen-data makes --out only once both datasets exist; the other stages
-        # read their inputs from --out and never make it. gen-data fails on a
-        # legal spec whose pixels overflow to opposite infinities, the others
-        # on the missing inputs of a fresh directory.
-        if stage == "gen-data":
+        # a directory is made only by the first file written into it. gen-data
+        # and trend fail on a legal spec whose pixels overflow to opposite
+        # infinities, the others on the missing inputs of a fresh directory.
+        argv = [stage]
+        if stage in ("gen-data", "trend"):
             config_file.write_text(FAST_CONFIG.replace("within_super_shift = 0.08",
                                                        "within_super_shift = 1e308")
                                    .replace("noise_sigma = 0.06", "noise_sigma = 1e308"))
+        if stage == "trend":
+            argv += ["--seed", "0"]
         out = tmp_path / "out"
-        failed_stage(config_file, out, capsys, stage)
+        failed_stage(config_file, out, capsys, *argv)
         assert not out.exists()
+
+    def test_trend_into_an_out_that_is_a_file(self, config_file, tmp_path, capsys):
+        # trend finds that --out is unusable when it writes its first report,
+        # after its cell has run and printed its head line
+        out = tmp_path / "out"
+        out.write_text("")
+        code = main(["trend", "--config", str(config_file), "--out", str(out), "--seed", "0"])
+        printed = capsys.readouterr()
+        err = printed.err
+        assert code == 1 and printed.out.startswith("seed 0: teacher clean ")
+        assert err.startswith("error: cannot create ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert out.read_text() == ""
 
     @pytest.mark.parametrize("stage", ["pretrain", "finetune"])
     def test_training_on_no_sample(self, config_file, tmp_path, capsys, stage):

@@ -82,10 +82,20 @@ def test_failed_write_keeps_old_file(tmp_path, monkeypatch, writer, fault):
     assert os.listdir(tmp_path) == [name]
 
 
-def test_missing_directory_is_io_failure(tmp_path):
-    with pytest.raises(IoFailure, match="cannot write thing"):
-        write_atomic(tmp_path / "absent" / "f.bin", b"x", "thing")
-    assert os.listdir(tmp_path) == []
+def test_write_into_a_missing_directory_makes_it(tmp_path):
+    path = tmp_path / "a" / "b" / "f.bin"
+    write_atomic(path, b"x", "thing")
+    assert path.read_bytes() == b"x"
+    assert os.listdir(path.parent) == ["f.bin"]
+
+
+def test_parent_that_is_a_file_is_io_failure(tmp_path):
+    (tmp_path / "file").write_bytes(b"")
+    parent = tmp_path / "file" / "sub"
+    with pytest.raises(IoFailure, match=f"^cannot create {re.escape(str(parent))}: "):
+        write_atomic(parent / "f.bin", b"x", "thing")
+    assert os.listdir(tmp_path) == ["file"]
+    assert (tmp_path / "file").read_bytes() == b""
 
 
 # reader name -> (reader, what its IoFailure says it was reading)

@@ -25,7 +25,6 @@ from tima.errors import (
     TooFewClasses,
     WorkerDied,
 )
-from tima.files import make_dir
 from tima.harness import (
     BLAS_THREAD_VARS,
     EvalReport,
@@ -284,11 +283,8 @@ class TestEvalClean:
         # a model whose images all land on t_0's direction scores 1.0 on label-0 data
         train, _ = small_data()
         model = small_model()
-        model.layers = []
-        model.out_w = Tensor(np.zeros((25, 6)))
-        model.out_b = Tensor(np.zeros(6))
         t0 = model.encode_classes().data[0]
-        model.out_b = Tensor(t0 * 2.0)
+        model.affine = [(Tensor(np.zeros((25, 6))), Tensor(t0 * 2.0))]
         all_zero = dataclasses.replace(train, labels=np.zeros_like(train.labels))
         assert eval_clean(model, all_zero) == 1.0
 
@@ -297,7 +293,7 @@ class TestEvalClean:
         # made every embedding a zero vector, which scored as class 0
         _, test = small_data()
         model = small_model()
-        model.out_b.data[:] = 1e160
+        model.affine[-1][1].data[:] = 1e160
         teacher = snapshot_teacher(small_model())
         with pytest.raises(DegenerateRow, match="^row 0 has norm .*: its square overflows$"):
             eval_clean(model, test)
@@ -623,7 +619,8 @@ class TestForkedPasses:
         for workers in (1, 2):
             _workers(monkeypatch, workers)
             out = tmp_path / str(workers)
-            pids = make_dir(out / "pids")
+            pids = out / "pids"
+            pids.mkdir(parents=True)
             report = evaluate(self.student, self.teacher, self.test, self.eps_list,
                               attack=attack, matrices_dir=out / "evaluate",
                               config_echo={"seed": "0"}, seed=0)
@@ -653,7 +650,8 @@ class TestForkedPasses:
         scores = []
         for workers in (1, 2):
             _workers(monkeypatch, workers)
-            pids = make_dir(tmp_path / str(workers))
+            pids = tmp_path / str(workers)
+            pids.mkdir()
             scores.append((eval_clean(self.student, self.test),
                            superclass_confusion(self.student, self.test),
                            robust_accuracy(self.student, self.teacher, self.test, attack)))

@@ -599,7 +599,7 @@ class TestFusedMatchesTape:
 
 
 def _inf_image_weight(case):
-    case["student"].layers[0][0].data[0, 0] = np.inf
+    case["student"].affine[0][0].data[0, 0] = np.inf
 
 
 def _inf_text_weight(case):
@@ -619,8 +619,8 @@ def _nan_pixel(case):
 def _zero_embedding(case):
     # a black image through a linear encoder with zero bias embeds to 0
     student = case["student"]
-    student.layers = []
-    student.out_w.data = np.ones((12, 6))
+    student.affine = student.affine[-1:]
+    student.affine[0][0].data = np.ones((12, 6))
     case["x_adv"][3] = 0.0
 
 

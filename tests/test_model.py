@@ -48,7 +48,7 @@ class TestInit:
         m = init_model(tiny_cfg(hidden=()))
         x = np.random.default_rng(0).uniform(0, 1, (5, 6))
         assert m.encode_images(x).shape == (5, 4)
-        assert len(m.layers) == 0
+        assert len(m.affine) == 1
 
     def test_invalid_config(self):
         with pytest.raises(InvalidConfig):
@@ -162,7 +162,7 @@ class TestEncodeImagesMatchesTape:
 
     def test_inf_weight(self):
         model, x, _ = encoder_case((5,), 0)
-        model.layers[0][0].data[0, 0] = np.inf
+        model.affine[0][0].data[0, 0] = np.inf
         self._both_raise(NonFiniteValue, model, x)
 
     def test_nan_pixel(self):
