@@ -113,17 +113,21 @@ def contrastive_ce(model: DualEncoder, x: Array, y: Array) -> Tuple[float, Dict[
     return float(value), dict(zip(model.parameters(), grads))
 
 
-def _train(params: Sequence[Tensor], cfg: TrainConfig, stream: int, n: int,
-           batch_loss: Callable[[int, int, Array], Tuple[float, Dict[Tensor, Array]]]
-           ) -> List[float]:
+def _train(params: Sequence[Tensor], cfg: TrainConfig, stream: int, data: Dataset,
+           batch_loss: Callable[[int, int, Array, Array, Array],
+                                Tuple[float, Dict[Tensor, Array]]]) -> List[float]:
     """The epoch loop both training stages share.
 
-    Each epoch walks ``n`` samples in batches of a permutation drawn from
+    Each epoch walks ``data`` in batches of a permutation drawn from
     ``SeedSequence((cfg.seed, stream))`` and takes one SGD-momentum step on
-    ``params`` per batch. ``batch_loss(epoch, batch, idx)`` returns the
-    batch's loss value and the gradient of each of ``params``, keyed by the
-    parameter. Returns the per-epoch mean losses.
+    ``params`` per batch. ``batch_loss(epoch, batch, idx, x, y)`` gets the
+    batch's sample indices, float pixels and labels, and returns its loss
+    value and the gradient of each of ``params``, keyed by the parameter.
+    Returns the per-epoch mean losses; a mean over no sample is undefined.
     """
+    n = data.num_samples
+    if n == 0:
+        raise EmptyDataset("cannot train on an empty dataset")
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, stream)))
     opt = _Momentum(params, cfg.learning_rate, cfg.momentum)
     trace = []
@@ -132,18 +136,11 @@ def _train(params: Sequence[Tensor], cfg: TrainConfig, stream: int, n: int,
         total = 0.0
         for bi, lo in enumerate(range(0, n, cfg.batch_size)):
             idx = perm[lo:lo + cfg.batch_size]
-            value, grads = batch_loss(epoch, bi, idx)
+            value, grads = batch_loss(epoch, bi, idx, pixels(data.images[idx]), data.labels[idx])
             opt.step(grads)
             total += value * len(idx)
         trace.append(total / n)
     return trace
-
-
-def _training_samples(train_data: Dataset) -> int:
-    """The sample count of ``train_data``; a per-epoch mean over none is undefined."""
-    if train_data.num_samples == 0:
-        raise EmptyDataset("cannot train on an empty dataset")
-    return train_data.num_samples
 
 
 def pretrain_clean(model: DualEncoder, train_data: Dataset,
@@ -151,10 +148,8 @@ def pretrain_clean(model: DualEncoder, train_data: Dataset,
     """Clean contrastive pretraining of both encoders, on ``contrastive_ce``'s
     closed form: no step builds a tape node. This is the model that then
     gets frozen via snapshot_teacher. Returns (model, per-epoch losses)."""
-    images, labels = train_data.images, train_data.labels
-    return model, _train(model.parameters(), cfg, 0x9E, _training_samples(train_data),
-                         lambda epoch, bi, idx: contrastive_ce(model, pixels(images[idx]),
-                                                               labels[idx]))
+    return model, _train(model.parameters(), cfg, 0x9E, train_data,
+                         lambda epoch, bi, idx, x, y: contrastive_ce(model, x, y))
 
 
 def resolve_variant(variant: str, w: LossWeights, freeze_text: bool,
@@ -188,7 +183,6 @@ def finetune(model: DualEncoder, teacher: TeacherSnapshot, train_data: Dataset,
     ``tima_loss``'s closed form (no step builds a tape node), update with SGD
     momentum. Returns (model, per-epoch mean losses).
     """
-    n = _training_samples(train_data)
     w, attack = cfg.loss_weights, cfg.train_attack
     params = model.image_parameters()
     if not cfg.freeze_text:
@@ -204,25 +198,23 @@ def finetune(model: DualEncoder, teacher: TeacherSnapshot, train_data: Dataset,
     # (a default ``run_grid``: 688k page faults without this, 41k with it).
     held = []
 
-    def batch_loss(epoch: int, bi: int, idx: Array) -> Tuple[float, Dict[Tensor, Array]]:
-        xb = pixels(train_data.images[idx])  # the attack's and the loss's clean batch
-        yb = train_data.labels[idx]
+    def batch_loss(epoch: int, bi: int, idx: Array, x: Array,
+                   y: Array) -> Tuple[float, Dict[Tensor, Array]]:
         student_text = model.text_forward() if own_text else None
         text = attack_text(model, teacher, attack, student_text.t if own_text else None)
         # the seed places only the random restarts: without any it is never read
         batch_attack = (dataclasses.replace(attack, seed=attack.seed + 1000003 * epoch + bi)
                         if attack.restarts else attack)
-        x_adv = pgd_attack(model, text, xb, yb, batch_attack)
+        x_adv = pgd_attack(model, text, x, y, batch_attack)
         held[:] = [x_adv]
-        return tima_loss(model, teacher, xb, x_adv, yb, w,
+        return tima_loss(model, teacher, x, x_adv, y, w,
                          targets=targets.take(idx), student_text=student_text)[:2]
 
-    return model, _train(params, cfg, 0xF7, n, batch_loss)
+    return model, _train(params, cfg, 0xF7, train_data, batch_loss)
 
 
 @dataclass
 class GridCell:
-    cfg: object
     train: Dataset
     test: Dataset
     pretrained: DualEncoder
@@ -244,7 +236,7 @@ def run_grid(cfg, variants: Sequence[str]) -> GridCell:
     teacher = snapshot_teacher(pretrained)
     students = {v: finetune(pretrained.clone(), teacher, train, cfg.finetune_config(variant=v))[0]
                 for v in variants}
-    return GridCell(cfg, train, test, pretrained, pre_trace, teacher, students)
+    return GridCell(train, test, pretrained, pre_trace, teacher, students)
 
 
 # -- independent cells in forked workers -------------------------------------------

@@ -8,7 +8,6 @@ is nearest text embedding by cosine similarity.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
 from dataclasses import dataclass
@@ -203,6 +202,8 @@ class DualEncoder:
         return b"".join(parts)
 
     def fingerprint(self) -> str:
+        import hashlib  # not at module level: its import costs a CLI start about 4 ms
+
         return hashlib.sha256(self.weights_blob()).hexdigest()
 
 

@@ -169,13 +169,14 @@ class TestSubcommands:
             assert f"tima - tecoa robust gap @ {eps_text}: " in printed
         robust = set()
         for seed in TREND_SEEDS:
-            cell = run_grid(cfg.with_seed(seed), TREND_VARIANTS)
+            seed_cfg = cfg.with_seed(seed)
+            cell = run_grid(seed_cfg, TREND_VARIANTS)
             for variant, student in cell.students.items():
                 point = out / "trend" / f"seed{seed}_{variant}"
                 payload = json.loads((point / "report.json").read_text())
                 assert payload["config"]["variant"] == variant
-                for eps_text, eps in cell.cfg.eval_eps():
-                    attack = dataclasses.replace(cell.cfg.eval_attack(), eps=eps)
+                for eps_text, eps in seed_cfg.eval_eps():
+                    attack = dataclasses.replace(seed_cfg.eval_attack(), eps=eps)
                     assert payload["robust_accuracy"][eps_text] == \
                         robust_accuracy(student, cell.teacher, cell.test, attack)
                     robust.add(payload["robust_accuracy"][eps_text])

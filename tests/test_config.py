@@ -4,8 +4,11 @@ import re
 import numpy as np
 import pytest
 
+from tima import harness, model
+from tima.attacks import AttackConfig
 from tima.config import SCHEMA, parse_config, parse_fraction
 from tima.errors import ConfigRangeError, ConfigTypeError, UnknownKey
+from tima.losses import LossWeights
 
 
 class TestParseFraction:
@@ -30,6 +33,15 @@ class TestDefaults:
         assert cfg["train_restarts"] == 0
         assert cfg["alpha"] == 2
         assert cfg["variant"] == "tima"
+
+    def test_library_defaults_are_the_schema_defaults(self):
+        # tests that build LossWeights() or AttackConfig() train and attack
+        # with the recipe an empty config gives
+        cfg = parse_config("")
+        assert cfg.loss_weights() == LossWeights()
+        assert cfg.train_attack() == harness._default_train_attack()
+        assert cfg.eval_attack() == AttackConfig()
+        assert cfg["tau"] == model.DEFAULT_TAU
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# a comment\n\n  m = 0.2  # trailing\n")

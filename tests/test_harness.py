@@ -4,8 +4,10 @@ import json
 import math
 import os
 import signal
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ import pytest
 from tima import attacks, harness, losses, tensor
 from tima.attacks import AttackConfig, robust_accuracy
 from tima.config import parse_config
-from tima.data import SyntheticSpec, generate_synthetic, pixels
+from tima.data import Dataset, SyntheticSpec, generate_synthetic, pixels
 from tima.errors import (
     AttackOutOfBounds,
     DegenerateRow,
@@ -265,6 +267,79 @@ def test_training_builds_no_tape_node(monkeypatch, stage):
     assert trace == want_trace and model.fingerprint() == want.fingerprint()
 
 
+def test_epoch_mean_weights_each_batch_by_its_length():
+    # 5 samples in batches of 2: the last batch holds 1 sample and weighs 1/5
+    data = Dataset(images=np.arange(20, dtype=np.uint8).reshape(5, 4), labels=np.arange(5) % 2,
+                   superclass_of=np.array([0, 0]), image_side=2)
+    param = Tensor(np.zeros(1))
+    sizes = []
+
+    def batch_loss(epoch, bi, idx, x, y):
+        assert np.array_equal(x, pixels(data.images[idx]))
+        assert np.array_equal(y, data.labels[idx])
+        sizes.append(len(idx))
+        return (1.0, 2.0, 10.0)[bi], {param: np.zeros(1)}
+
+    cfg = TrainConfig(learning_rate=0.1, momentum=0.0, epochs=2, batch_size=2)
+    assert harness._train([param], cfg, 0, data, batch_loss) == [16 / 5, 16 / 5]
+    assert sizes == [2, 2, 1] * 2
+
+
+def test_training_attack_restarts_differ_by_epoch(monkeypatch):
+    # one random restart over 2 epochs of 4 batches: no batch of the second
+    # epoch reuses a restart seed of the first
+    train, _ = small_data()
+    model = small_model()
+    teacher = snapshot_teacher(model)
+    seeds = []
+    original = harness.pgd_attack
+
+    def spy(*args):
+        seeds.append(args[-1].seed)
+        return original(*args)
+
+    monkeypatch.setattr(harness, "pgd_attack", spy)
+    attack = AttackConfig(eps=1 / 255, step_size=1 / 255, steps=2, restarts=1, seed=3)
+    finetune(model.clone(), teacher, train, fast_train_cfg(epochs=2, batch_size=48,
+                                                           train_attack=attack))
+    assert len(set(seeds)) == len(seeds) == 2 * 4
+
+
+# a default 2-epoch (32-step) fine-tune, run once to warm the heap; prints
+# the minor page faults of a second, identical run
+_REFAULT_PROBE = """
+import resource
+from tima.config import parse_config
+from tima.data import generate_synthetic
+from tima.harness import finetune
+from tima.model import init_model, snapshot_teacher
+
+cfg = parse_config("finetune_epochs = 2")
+train, _ = generate_synthetic(cfg.synthetic_spec())
+model = init_model(cfg.encoder_config(), tau=cfg["tau"])
+teacher = snapshot_teacher(model)
+finetune(model.clone(), teacher, train, cfg.finetune_config())
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+finetune(model.clone(), teacher, train, cfg.finetune_config())
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts glibc heap re-faults as getrusage minor page "
+                           "faults, which only Linux reports this way")
+def test_finetune_does_not_refault_the_heap_each_step():
+    # finetune holds the last adversarial batch: without it each default step
+    # frees past glibc's trim threshold and faults the heap back in (about 7k
+    # faults against under 1k). The probe runs in a fresh process, because a
+    # long one's heap history can lift the threshold and hide the re-faults.
+    env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+    probe = subprocess.run([sys.executable, "-c", _REFAULT_PROBE], env=env, check=True,
+                           capture_output=True, text=True)
+    faults = int(probe.stdout)
+    assert faults < 3000, f"{faults} minor page faults in a 32-step fine-tune"
+
+
 def test_momentum_steps_in_place_as_the_plain_update():
     # v = mu v + g; w = w - lr v, out of place, is the reference bit for bit
     rng = np.random.default_rng(4)
@@ -378,6 +453,17 @@ class TestSimilarityMatrices:
         counts = np.array(superclass_confusion(self.model, self.test))
         assert counts.shape == (2, 2)
         assert counts.sum() == self.test.num_samples
+
+    def test_confusion_rows_are_the_true_superclass(self):
+        # every image lands on class 2's text, in superclass 1: the
+        # superclass-0 images count in row 0, column 1
+        model = small_model()
+        t2 = model.encode_classes().data[2]
+        model.affine = [(Tensor(np.zeros((25, 6))), Tensor(t2 * 2.0))]
+        supers = self.test.superclass_of[self.test.labels]
+        assert self.test.superclass_of[2] == 1 and np.sum(supers == 0) > 0
+        assert superclass_confusion(model, self.test) == [[0, np.sum(supers == 0)],
+                                                          [0, np.sum(supers == 1)]]
 
 
 class TestReports:

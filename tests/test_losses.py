@@ -228,6 +228,14 @@ class TestAdaptiveMargin:
         assert m[0, 1] == pytest.approx(0.09, abs=1e-15)  # 0.1 * 0.9
         assert m[0, 2] == 0.0                             # below threshold
 
+    def test_an_exact_tie_reaches_the_threshold(self):
+        # 0.25 is exactly 0.5 * 0.5: class 1 reaches eta times the true
+        # class's similarity and gets its margin; class 2 falls short
+        s_it = np.array([[0.5, 0.25, 0.2]])
+        m = adaptive_margin(s_it, self.s_tt, np.array([0]), 0.1, 0.5)
+        assert m[0, 1] == 0.1 * 0.9
+        assert m[0, 2] == 0.0
+
     def test_invalid_eta(self):
         with pytest.raises(InvalidEta):
             adaptive_margin(np.array([[0.8, 0.7, 0.5]]), self.s_tt, np.array([0]), 0.1, 1.5)
